@@ -9,7 +9,7 @@ Subcommands:
 * ``list-suites`` lists the registry.
 
 The parallelism degree comes from --jobs or the DWNV_JOBS environment
-variable; every case is pure, results merge sorted by case key.
+variable; the pool runs whole suites, and results merge sorted by case key.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def main(argv=None):
                    help="suite name (repeatable; overrides config)")
     v.add_argument("--out", help="write the JSON report here")
     v.add_argument("--jobs", type=int, default=0,
-                   help="parallel workers (or DWNV_JOBS)")
+                   help="worker processes, one suite each (or DWNV_JOBS)")
     v.add_argument("--with-timings", action="store_true",
                    help="include wall times (breaks byte reproducibility)")
     v.set_defaults(fn=cmd_verify)

@@ -28,16 +28,51 @@ def is_rational(x) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers (dense lists, constant term first)
+# power-series recurrences on coefficient lists (constant term first); the
+# entries may be any scalars of the tower, `zero` starts each accumulation
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+def exp_coeffs(g, out, zero):
+    """Extend `out`, the coefficients of exp(g) with out[0] = 1, in place to
+    len(g) terms; g[0] is ignored (taken as 0).  Uses f' = g' f:
+    out[j] = (1/j) sum_{i=1..j} i g[i] out[j-i]."""
+    for j in range(len(out), len(g)):
+        acc = zero
+        for i in range(1, j + 1):
+            gi = g[i]
+            if gi:
+                acc = acc + (i * gi) * out[j - i]
+        out.append(acc / j)
     return out
+
+
+def log_coeffs(f, zero):
+    """Coefficients of log(f) for f[0] = 1, as many as f has; the inverse of
+    exp_coeffs through the same relation f' = g' f."""
+    out = [zero]
+    for j in range(1, len(f)):
+        acc = j * f[j]
+        for i in range(1, j):
+            if out[i]:
+                acc = acc - (i * out[i]) * f[j - i]
+        out.append(acc / j)
+    return out
+
+
+def inverse_coeffs(f, inv0, zero):
+    """Coefficients of 1/f, as many as f has; inv0 = 1/f[0]."""
+    out = [inv0]
+    for j in range(1, len(f)):
+        acc = zero
+        for i in range(1, j + 1):
+            if f[i]:
+                acc = acc + f[i] * out[j - i]
+        out.append(-inv0 * acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# integer polynomial helpers (dense lists, constant term first)
 
 
 def _poly_divexact(a, b):
@@ -200,12 +235,6 @@ class Cyc:
     def __bool__(self):
         return any(self.coeffs)
 
-    @property
-    def rational_part(self):
-        if any(self.coeffs[1:]):
-            raise ValueError("not a rational element")
-        return self.coeffs[0]
-
     def __repr__(self):
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -364,12 +393,6 @@ class QuadExt:
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 
-    @property
-    def rational_part(self):
-        if self.b:
-            raise ValueError("not a rational element")
-        return self.a
-
     def __repr__(self):
         return f"({self.a} + {self.b}*s)"
 
@@ -485,14 +508,8 @@ class HbarSeries:
             raise ZeroDivisionError("inverse needs an invertible constant term")
         c0 = self.coeffs[0]
         inv0 = 1 / RAT(c0) if is_rational(c0) else c0.inverse()
-        out = [inv0]
-        for j in range(1, self.trunc):
-            acc = RAT_ZERO
-            for i in range(1, j + 1):
-                if self.coeffs[i]:
-                    acc = acc + self.coeffs[i] * out[j - i]
-            out.append(-inv0 * acc)
-        return HbarSeries(out, self.trunc)
+        return HbarSeries(inverse_coeffs(self.coeffs, inv0, RAT_ZERO),
+                          self.trunc)
 
     def __truediv__(self, other):
         if is_rational(other) or isinstance(other, Cyc):
@@ -528,28 +545,13 @@ class HbarSeries:
     def exp(self) -> "HbarSeries":
         if self.coeffs and self.coeffs[0]:
             raise ValueError("exp needs zero constant term")
-        t = self.trunc
-        out = [RAT_ONE] + [RAT_ZERO] * (t - 1)
-        for j in range(1, t):
-            acc = RAT_ZERO
-            for i in range(1, j + 1):
-                if self.coeffs[i]:
-                    acc = acc + i * self.coeffs[i] * out[j - i]
-            out[j] = acc / j
-        return HbarSeries(out, t)
+        return HbarSeries(exp_coeffs(self.coeffs, [RAT_ONE], RAT_ZERO),
+                          self.trunc)
 
     def log(self) -> "HbarSeries":
         if not self.coeffs or self.coeffs[0] != 1:
             raise ValueError("log needs constant term 1")
-        t = self.trunc
-        out = [RAT_ZERO] * t
-        for j in range(1, t):
-            acc = j * self.coeffs[j]
-            for i in range(1, j):
-                if out[i]:
-                    acc = acc - i * out[i] * self.coeffs[j - i]
-            out[j] = acc / j
-        return HbarSeries(out, t)
+        return HbarSeries(log_coeffs(self.coeffs, RAT_ZERO), self.trunc)
 
     def __eq__(self, other):
         """Equality of all known coefficients on the common truncation."""

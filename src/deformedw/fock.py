@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .context import ScalarCtx
 from .exact import scalar_inv
 from .series import LaurentWindow, VarBound
-from .structfn import contraction_logkernel
+from .structfn import contraction_logkernel, logkernel_coeffs
 
 
 @dataclass(frozen=True)
@@ -80,23 +80,9 @@ def zero_mode(ctx: ScalarCtx, hw: HighestWeight, flavor: int):
 
 def kernel_coeffs(ctx: ScalarCtx, i: int, j: int, delta: int, order: int):
     """Taylor coefficients of the contraction C_{ij}(s^delta * x) up to order."""
-    key = ("K", i, j, delta)
-    cache = ctx.caches.get(key)
-    if cache is None:
-        cache = ctx.caches[key] = [ctx.one]
-    if len(cache) <= order:
-        lk = contraction_logkernel(ctx.N, i, j).shifted(delta)
-        terms = ctx.caches.setdefault(("Kt", i, j, delta), [])
-        for n in range(len(terms) + 1, order + 1):
-            terms.append(lk.term(ctx, n))
-        for ell in range(len(cache), order + 1):
-            acc = ctx.zero
-            for n in range(1, ell + 1):
-                t = terms[n - 1]
-                if t:
-                    acc = acc + (n * t) * cache[ell - n]
-            cache.append(acc / ell)
-    return cache
+    return logkernel_coeffs(
+        ctx, ("K", i, j, delta),
+        lambda: contraction_logkernel(ctx.N, i, j).shifted(delta), order)
 
 
 def hw_eigenvalue_w(ctx: ScalarCtx, hw: HighestWeight, i: int):

@@ -26,18 +26,10 @@ from .wcurrents import WInsertion, current_block, mode_engine, \
 from .zeta import p_binomial
 
 
-def hbar_expand_f(ctx: ScalarCtx, i: int, j: int, order_x: int):
-    """f^{i,j} with hbar-series coefficients (limit II context); every
-    exponent term is checked well-defined by the series division itself."""
-    if ctx.mode != "limit2":
-        raise ValueError("hbar_expand_f needs a limit2 context")
-    return f_series(ctx, i, j, order_x)
-
-
 def recentered_f_coeffs(ctx: ScalarCtx, i: int, j: int, order_x: int):
     """Coefficients of f^{i,j}(p^{(i-j)/2} x), the argument recentering the
     relation's variable change induces."""
-    base = hbar_expand_f(ctx, i, j, order_x)
+    base = f_series(ctx, i, j, order_x)
     return [base.coefficient((l,)) * ctx.s_pow((i - j) * l)
             for l in range(order_x + 1)]
 

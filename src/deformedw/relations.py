@@ -32,14 +32,21 @@ def delta_mode_weight(ctx: ScalarCtx, u_sexp: int, n: int):
     return ctx.s_pow(u_sexp * n)
 
 
+STATUSES = ("pass", "fail", "inconclusive")
+
+
 @dataclass
 class CheckRecord:
     suite: str
     case: str
-    status: str                 # "pass" | "fail" | "inconclusive"
+    status: str                 # one of STATUSES
     detail: str = ""
     assumptions: tuple = ()
     truncations: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.status not in STATUSES:
+            raise ValueError(f"unknown check status {self.status!r}")
 
     @property
     def ok(self):
@@ -385,7 +392,7 @@ def verify_poles(ctx: ScalarCtx, i: int, j: int, order: int = 14, hw=None):
         raise ValueError("need 0 <= i <= j <= N")
     if hw is None:
         hw = HighestWeight.vacuum(ctx)
-    case = f"N={N}:i={i}:j={j}:order={order}:{ctx.describe()}"
+    case = f"N={N}:i={i}:j={j}:order={order}:{ctx.describe()}:hw={hw.key()}"
     kmax = min(i, N - j)
     deg = 2 * kmax
     if order < 4 * deg + 2:

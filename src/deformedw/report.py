@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 from .relations import CheckRecord
 
@@ -29,7 +28,7 @@ class Report:
     def counts(self):
         out = {"pass": 0, "fail": 0, "inconclusive": 0}
         for r in self.records:
-            out[r.status] = out.get(r.status, 0) + 1
+            out[r.status] += 1
         return out
 
     @property

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import RAT_ZERO, HbarSeries, is_rational, scalar_is_zero
+from .exact import RAT_ZERO, HbarSeries, exp_coeffs, is_rational, \
+    log_coeffs, scalar_is_zero
 
 
 class WindowError(ValueError):
@@ -203,39 +204,6 @@ class LaurentWindow:
                 out[e] = c * inv**(-n)
         return LaurentWindow(self.vars, out, self.bounds, self.zero)
 
-    def collapse_var(self, var, into, scalar) -> "LaurentWindow":
-        """Substitute var -> scalar * into, merging exponents into `into`.
-
-        Only legal when `var` carries a fully hard window (a Laurent
-        polynomial in that variable), so the substitution is exact.
-        """
-        k = self._vi(var)
-        j = self._vi(into)
-        bk, bj = self.bounds[k], self.bounds[j]
-        if not (bk.lo_hard and bk.hi_hard):
-            raise WindowError("collapse of a truncated variable is inexact")
-        from .exact import scalar_inv
-        inv = None
-        out = {}
-        for e, c in self.coeffs.items():
-            n = e[k]
-            if n >= 0:
-                v = c * scalar**n if n else c
-            else:
-                if inv is None:
-                    inv = scalar_inv(scalar)
-                v = c * inv**(-n)
-            ne = list(e)
-            ne[j] += n
-            del ne[k]
-            ne = tuple(ne)
-            out[ne] = out[ne] + v if ne in out else v
-        nvars = self.vars[:k] + self.vars[k + 1:]
-        nb = VarBound(bj.lo + bk.lo, bj.hi + bk.hi, bj.lo_hard, bj.hi_hard)
-        bounds = [b for i, b in enumerate(self.bounds) if i != k]
-        bounds[j if j < k else j - 1] = nb
-        return LaurentWindow(nvars, out, bounds, self.zero)
-
     def __eq__(self, other):
         """Equality of every coefficient on the common known region."""
         if not isinstance(other, LaurentWindow):
@@ -261,52 +229,33 @@ def _inside(e, bounds) -> bool:
 # one-variable functional operations
 
 
+def _taylor_list(x: LaurentWindow, what: str) -> list:
+    """Coefficients 0..hi of a one-variable window with a hard floor >= 0."""
+    if len(x.vars) != 1:
+        raise ValueError(f"{what} is one-variable")
+    b = x.bounds[0]
+    if b.lo < 0 or not b.lo_hard:
+        raise ValueError(f"{what} needs a hard nonnegative floor")
+    return [x.coeffs.get((i,), x.zero) for i in range(b.hi + 1)]
+
+
 def series_exp(x: LaurentWindow) -> LaurentWindow:
     """exp of a one-variable window with zero constant term and no negative
     exponents; exact within the window."""
-    if len(x.vars) != 1:
-        raise ValueError("series_exp is one-variable")
-    b = x.bounds[0]
-    if b.lo < 0 or not b.lo_hard:
-        raise ValueError("series_exp needs a hard nonnegative floor")
+    g = _taylor_list(x, "series_exp")
     if not scalar_is_zero(x.coeffs.get((0,), x.zero)):
         raise ValueError("series_exp needs zero constant term")
-    hi = b.hi
     one = 1 if is_rational(x.zero) else x.zero + 1
-    out = [one] + [x.zero] * hi
-    g = [x.coeffs.get((i,), x.zero) for i in range(hi + 1)]
-    for j in range(1, hi + 1):
-        acc = x.zero
-        for i in range(1, j + 1):
-            gi = g[i]
-            if not scalar_is_zero(gi):
-                acc = acc + (i * gi) * out[j - i]
-        out[j] = acc / j
-    return LaurentWindow(x.vars, {(i,): c for i, c in enumerate(out)},
-                         [VarBound(0, hi, True, False)], x.zero)
+    return LaurentWindow.taylor(x.vars[0], exp_coeffs(g, [one], x.zero),
+                                x.zero)
 
 
 def series_log(x: LaurentWindow) -> LaurentWindow:
     """log of a one-variable window with constant term 1."""
-    if len(x.vars) != 1:
-        raise ValueError("series_log is one-variable")
-    b = x.bounds[0]
-    if b.lo < 0 or not b.lo_hard:
-        raise ValueError("series_log needs a hard nonnegative floor")
-    c0 = x.coeffs.get((0,), x.zero)
-    if not scalar_is_zero(c0 - 1):
+    f = _taylor_list(x, "series_log")
+    if not scalar_is_zero(x.coeffs.get((0,), x.zero) - 1):
         raise ValueError("series_log needs constant term 1")
-    hi = b.hi
-    f = [x.coeffs.get((i,), x.zero) for i in range(hi + 1)]
-    out = [x.zero] * (hi + 1)
-    for j in range(1, hi + 1):
-        acc = j * f[j]
-        for i in range(1, j):
-            if not scalar_is_zero(out[i]):
-                acc = acc - (i * out[i]) * f[j - i]
-        out[j] = acc / j
-    return LaurentWindow(x.vars, {(i,): c for i, c in enumerate(out) if i > 0},
-                         [VarBound(0, hi, True, False)], x.zero)
+    return LaurentWindow.taylor(x.vars[0], log_coeffs(f, x.zero), x.zero)
 
 
 def geometric_factor(var, c, exponent, order, zero=RAT_ZERO) -> LaurentWindow:
@@ -320,7 +269,6 @@ def geometric_factor(var, c, exponent, order, zero=RAT_ZERO) -> LaurentWindow:
             power = c if power is None else power * c
             coeffs[(k,)] = (-1) ** (k % 2) * binom * power
         hard_top = exponent <= order
-        hi = min(exponent, order) if hard_top else order
         return LaurentWindow((var,), coeffs,
                              [VarBound(0, exponent if hard_top else order, True, hard_top)], zero)
     # negative exponent: product of geometric series

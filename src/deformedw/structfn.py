@@ -17,8 +17,10 @@ with P, Q integer Laurent polynomials in s^n (s = p^{1/2}).  LogKernel stores
 
 from __future__ import annotations
 
+from functools import partial
+
 from .context import ScalarCtx
-from .exact import scalar_inv, scalar_is_zero
+from .exact import exp_coeffs, scalar_is_zero
 from .series import LaurentWindow, VarBound, geometric_factor, series_exp
 
 
@@ -54,10 +56,6 @@ class LogKernel:
             num[k] = num.get(k, 0) + v
         return LogKernel({k: v for k, v in poly.items() if v},
                          {k: v for k, v in num.items() if v})
-
-    def __neg__(self) -> "LogKernel":
-        return LogKernel({k: -v for k, v in self.poly.items()},
-                         {k: -v for k, v in self.num.items()})
 
     def shifted(self, delta: int) -> "LogKernel":
         """Argument substitution x -> s^delta * x."""
@@ -105,13 +103,6 @@ class LogKernel:
                 factors[key] = factors.get(key, 0) + mult
         return GammaFactors({k: v for k, v in factors.items() if v})
 
-    def series(self, ctx: ScalarCtx, var: str, order: int) -> LaurentWindow:
-        """exp of the log series, exact to x^order."""
-        log_terms = {(n,): self.term(ctx, n) for n in range(1, order + 1)}
-        log_win = LaurentWindow((var,), log_terms,
-                                [VarBound(0, order, True, False)], ctx.zero)
-        return series_exp(log_win)
-
 
 class GammaFactors:
     """Finite product prod (1 - c_f x)^{m_f} with c_f in {q s^a, t^{-1} s^a, s^a}.
@@ -123,14 +114,6 @@ class GammaFactors:
 
     def __init__(self, factors=None):
         self.factors = dict(factors or {})
-
-    def __mul__(self, other: "GammaFactors") -> "GammaFactors":
-        out = dict(self.factors)
-        for k, v in other.factors.items():
-            out[k] = out.get(k, 0) + v
-            if not out[k]:
-                del out[k]
-        return GammaFactors(out)
 
     def base(self, ctx: ScalarCtx, key):
         kind, a = key
@@ -215,18 +198,40 @@ def contraction_logkernel(N: int, i: int, j: int) -> LogKernel:
     return LogKernel({}, {k: v for k, v in num.items() if v})
 
 
+def logkernel_coeffs(ctx: ScalarCtx, key, make, order: int) -> list:
+    """Taylor coefficients, through x^order at least, of the exponential of
+    the log-kernel that `make()` builds; every series of that kernel in the
+    context reads this one list.
+
+    ctx.caches[key] holds (kernel, log terms, coefficients), both lists
+    extended in place on demand, so a caller may keep the returned list and
+    index it directly once it is long enough.  Callers must not modify it.
+    """
+    entry = ctx.caches.get(key)
+    if entry is None:
+        entry = ctx.caches[key] = (make(), [ctx.zero], [ctx.one])
+    kernel, terms, coeffs = entry
+    if len(coeffs) <= order:
+        for n in range(len(terms), order + 1):
+            terms.append(kernel.term(ctx, n))
+        exp_coeffs(terms, coeffs, ctx.zero)
+    return coeffs
+
+
+def f_coeffs(ctx: ScalarCtx, i: int, j: int, order: int) -> list:
+    """Taylor coefficients of f^{i,j}(x) through x^order (the shared list of
+    logkernel_coeffs)."""
+    return logkernel_coeffs(ctx, ("f", i, j), partial(f_logkernel, ctx.N, i, j),
+                            order)
+
+
 def f_series(ctx: ScalarCtx, i: int, j: int, order: int,
              var: str = "x") -> LaurentWindow:
     """Taylor coefficients of f^{i,j}(x), exact to x^order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    key = ("f_series", i, j, order, var)
-    if key in ctx.caches:
-        return ctx.caches[key]
-    win = f_logkernel(ctx.N, i, j).series(ctx, var, order) if order else \
-        LaurentWindow.constant((var,), ctx.one, ctx.zero)
-    ctx.caches[key] = win
-    return win
+    return LaurentWindow.taylor(var, f_coeffs(ctx, i, j, order)[:order + 1],
+                                ctx.zero)
 
 
 def gamma_at(ctx: ScalarCtx, a: int):

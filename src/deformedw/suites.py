@@ -2,7 +2,7 @@
 
 Each suite function takes a configuration mapping (string keys and values,
 as parsed from the INI config) and yields CheckRecords in a deterministic
-order.  Case execution is pure, so suites parallelize over case keys.
+order.  Case execution is pure, so whole suites can run in parallel.
 """
 
 from __future__ import annotations

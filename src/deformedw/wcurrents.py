@@ -21,7 +21,7 @@ from .fock import HighestWeight, Insertion, hw_eigenvalue_w, kernel_coeffs, \
     lambda_correlator, zero_mode
 from .series import LaurentWindow, VarBound
 from .structfn import GammaFactors, PoleError, contraction_logkernel, \
-    f_logkernel
+    f_coeffs, f_logkernel
 
 
 @dataclass(frozen=True)
@@ -48,21 +48,12 @@ def block_slots(rank: int, base_shift: int, flavors):
 class Block:
     """One insertion point: a list of (coefficient, slots) alternatives."""
 
-    __slots__ = ("var", "options", "total", "key")
+    __slots__ = ("var", "options", "key")
 
     def __init__(self, var, options, key):
         self.var = var
         self.options = options
-        self.total = None
         self.key = key
-
-    def block_total(self, ctx):
-        if self.total is None:
-            acc = ctx.zero
-            for c, _ in self.options:
-                acc = acc + c
-            self.total = acc
-        return self.total
 
 
 def current_block(ctx: ScalarCtx, hw: HighestWeight, w: WInsertion):
@@ -362,9 +353,15 @@ def _aux_blocks(ctx, hw, modes, prefix):
 
 
 def f_weight(ctx: ScalarCtx, dress):
-    """Series-weight provider for the structure function f^{dress}."""
+    """Series-weight provider for the structure function f^{dress}: the
+    ell-th Taylor coefficient of f^{dress}(x)."""
+    coeffs = f_coeffs(ctx, dress[0], dress[1], 0)
+
     def provider(ell):
-        return _f_weight_coeffs(ctx, dress, ell)[ell]
+        # the shared list grows in place, so a hit is one index
+        if ell < len(coeffs):
+            return coeffs[ell]
+        return f_coeffs(ctx, dress[0], dress[1], ell)[ell]
     return provider
 
 
@@ -391,26 +388,6 @@ def two_current_mode_table(ctx: ScalarCtx, hw: HighestWeight, bra,
         prof = mode_profile(bra, (-n, -m), ket)
         out[(n, m)] = eng.value(prof) if prof is not None else ctx.zero
     return out
-
-
-def _f_weight_coeffs(ctx: ScalarCtx, dress, order: int):
-    key = ("fw", dress)
-    cache = ctx.caches.get(key)
-    if cache is None:
-        cache = ctx.caches[key] = [ctx.one]
-    if len(cache) <= order:
-        lk = f_logkernel(ctx.N, dress[0], dress[1])
-        terms = ctx.caches.setdefault(("fwt", dress), [])
-        for n in range(len(terms) + 1, order + 1):
-            terms.append(lk.term(ctx, n))
-        for ell in range(len(cache), order + 1):
-            acc = ctx.zero
-            for n in range(1, ell + 1):
-                t = terms[n - 1]
-                if t:
-                    acc = acc + (n * t) * cache[ell - n]
-            cache.append(acc / ell)
-    return cache
 
 
 def pinned_mode_value(ctx: ScalarCtx, hw: HighestWeight, bra, pinned, ket,
@@ -617,7 +594,7 @@ def composite_no_mode(ctx: ScalarCtx, hw: HighestWeight, i: int, j: int,
     gap budget (margin extends the bound for tail checks)."""
     ket_level = sum(k for _, k in ket)
     acc = ctx.zero
-    fdress = (i, j)
+    fw = f_weight(ctx, (i, j))
     # the r-dependence is explicit in the weights, so the matrix elements are
     # of plain current modes (unshifted insertion points)
     m_top1 = max(-1, ket_level - n) + margin
@@ -628,7 +605,7 @@ def composite_no_mode(ctx: ScalarCtx, hw: HighestWeight, i: int, j: int,
             continue
         w = ctx.zero
         for ell in range(0, m + 1):
-            fl = _f_weight_coeffs(ctx, fdress, m)[ell]
+            fl = fw(ell)
             if not scalar_is_zero(fl):
                 w = w + fl * ctx.s_pow(r_sexp * (m - ell))
         acc = acc + w * me
@@ -640,7 +617,7 @@ def composite_no_mode(ctx: ScalarCtx, hw: HighestWeight, i: int, j: int,
             continue
         w = ctx.zero
         for ell in range(0, m + 1):
-            fl = _f_weight_coeffs(ctx, fdress, m)[ell]
+            fl = fw(ell)
             if not scalar_is_zero(fl):
                 w = w + fl * ctx.s_pow(r_sexp * (ell - m - 1))
         acc = acc + w * me

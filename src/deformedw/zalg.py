@@ -27,9 +27,6 @@ class GlElement:
         self.N = N
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
-    def _omega(self):
-        return Cyc.root(2 * self.N).root_pow(2)
-
     @staticmethod
     def E(N: int, i: int, j: int, n: int, coeff=1) -> "GlElement":
         if not (1 <= i <= N and 1 <= j <= N):

@@ -11,15 +11,9 @@ from __future__ import annotations
 from math import comb
 
 from .context import ScalarCtx
-from .exact import HbarSeries, RAT, rat, scalar_is_zero
+from .exact import HbarSeries, RAT, inverse_coeffs, log_coeffs, rat, \
+    scalar_is_zero
 from .fock import HighestWeight, hw_eigenvalue_w
-
-
-def _exp_series_coeffs(c, order):
-    out = [RAT(1)]
-    for j in range(1, order + 1):
-        out.append(out[-1] * RAT(c) / j)
-    return out
 
 
 def bernoulli(m: int):
@@ -38,12 +32,7 @@ def bernoulli_table(M: int):
     for k in range(1, order + 1):
         fact *= (k + 1)
         g.append(rat(1, fact))
-    h = [RAT(1)]
-    for n in range(1, order + 1):
-        acc = RAT(0)
-        for k in range(1, n + 1):
-            acc += g[k] * h[n - k]
-        h.append(-acc)
+    h = inverse_coeffs(g, RAT(1), RAT(0))
     h[1] += rat(1, 2)
     table = {}
     fact = 1  # (2n)!
@@ -74,13 +63,7 @@ def log_sinh_identity_holds(M: int) -> bool:
     for k in range(0, order // 2 + 1):
         s[2 * k] = rat(1, fact)
         fact *= (2 * k + 2) * (2 * k + 3)
-    # log via l' = s'/s
-    log = [RAT(0)] * (order + 1)
-    for n in range(1, order + 1):
-        acc = n * s[n]
-        for i in range(1, n):
-            acc -= i * log[i] * s[n - i]
-        log[n] = acc / n
+    log = log_coeffs(s, RAT(0))
     B = bernoulli_table(M)
     for n in range(1, M + 1):
         fact2n = 1
@@ -109,7 +92,7 @@ def a_coefficients(N: int, i: int, beta, M: int):
     c = 1 - beta  # p = e^{c x}
 
     def E(a):
-        return HbarSeries(_exp_series_coeffs(a, T - 1), T)
+        return HbarSeries.exp_hbar(a, T)
 
     expr = (1 - E(1)) * (1 - E(-beta)) \
         * ((1 - E(c * i)) / (1 - E(c))) \

@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from deformedw.exact import (Cyc, HbarSeries, QuadExt, RAT, cyc_reduce,
-                             cyclotomic_poly, rat)
+                             cyclotomic_poly, exp_coeffs, inverse_coeffs,
+                             log_coeffs, rat)
+
+small_rats = st.builds(rat, st.integers(-20, 20), st.integers(1, 15))
 
 
 def rand_rat(rng):
@@ -128,3 +132,18 @@ def test_hbar_cyc_coefficients():
     f = HbarSeries.exp_hbar(rat(1, 3), 5) * omega
     g = f * f * f  # omega^3 = 1, exp(h)
     assert g == HbarSeries.exp_hbar(1, 5)
+
+
+@given(st.lists(small_rats, max_size=8))
+def test_exp_coeffs_inverts_log_coeffs(tail):
+    f = [RAT(1)] + tail
+    assert exp_coeffs(log_coeffs(f, RAT(0)), [RAT(1)], RAT(0)) == f
+
+
+@given(small_rats.filter(bool), st.lists(small_rats, max_size=8))
+def test_inverse_coeffs_times_series_is_one(c0, tail):
+    f = [c0] + tail
+    g = inverse_coeffs(f, 1 / c0, RAT(0))
+    product = [sum((f[i] * g[n - i] for i in range(n + 1)), RAT(0))
+               for n in range(len(f))]
+    assert product == [1] + [0] * len(tail)

@@ -3,10 +3,10 @@ import pytest
 from deformedw.context import ScalarCtx
 from deformedw.exact import Cyc, rat
 from deformedw.fock import HighestWeight, hw_eigenvalue_w
-from deformedw.limits import (check_f_reduces_to_g, hbar_expand_f,
-                              verify_correlator_order,
+from deformedw.limits import (check_f_reduces_to_g, verify_correlator_order,
                               verify_limit_I_appendix,
                               verify_limit_II_relation)
+from deformedw.structfn import f_series
 from deformedw.zeta import p_binomial
 
 
@@ -25,7 +25,7 @@ def test_f_expansion_well_defined_at_divisible_orders():
     # the n = 0 mod N exponent terms need the cancellation analysis; the
     # series division performs and validates it
     ctx = ScalarCtx.limit2(2, 2, trunc=5)
-    win = hbar_expand_f(ctx, 1, 1, 6)
+    win = f_series(ctx, 1, 1, 6)
     for ell in range(7):
         win.coefficient((ell,))  # no error
 
@@ -42,7 +42,7 @@ def test_f_reduces_to_g():
 def test_f_expansion_N2_k2_coefficients():
     # hbar^0 coefficients (1, -2, 2, -2, ...) for N=2, k=2
     ctx = ScalarCtx.limit2(2, 2, trunc=4)
-    win = hbar_expand_f(ctx, 1, 1, 6)
+    win = f_series(ctx, 1, 1, 6)
     expect = [1, -2, 2, -2, 2, -2, 2]
     for ell in range(7):
         c = win.coefficient((ell,)).coefficient(0)

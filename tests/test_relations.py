@@ -3,10 +3,13 @@ import pytest
 from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from deformedw.exact import rat
 from deformedw.fock import HighestWeight
-from deformedw.relations import (cross_check_w2_route, default_braket_family,
+from deformedw.relations import (CheckRecord, cross_check_w2_route,
+                                 default_braket_family,
                                  delta_mode_weight, order_reversal_check,
                                  verify_fusion, verify_nowwj, verify_poles,
                                  verify_w1wj, verify_w2wj, verify_wiwj)
+from deformedw.report import Report
+from deformedw.suites import suite_poles
 
 
 def ctx_n(N, point=0):
@@ -107,6 +110,22 @@ def test_poles_examples():
     ctx = ctx_n(3)
     rec = verify_poles(ctx, 1, 2)
     assert rec.ok, rec.detail
+
+
+def test_poles_suite_case_keys_are_unique():
+    # the vacuum and the generic highest-weight runs must not share a label
+    records = suite_poles({})
+    keys = [(r.suite, r.case) for r in records]
+    assert len(records) == 24 and len(set(keys)) == len(keys)
+
+
+def test_check_record_rejects_unknown_status():
+    with pytest.raises(ValueError):
+        CheckRecord("zeta", "c", "passed")
+    report = Report([CheckRecord("zeta", "c", s)
+                     for s in ("pass", "fail", "inconclusive")])
+    assert report.summary_lines()[-1] == \
+        "total: 1 passed, 1 failed, 1 inconclusive"
 
 
 def test_poles_insufficient_order():

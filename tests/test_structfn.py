@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
@@ -6,7 +8,9 @@ from deformedw.series import series_log
 from deformedw.structfn import (GammaFactors, NonRationalKernel, PoleError,
                                 check_f_identities, contraction_logkernel,
                                 f_logkernel, f_point_regular, f_series,
-                                g_series, gamma_at, gamma_ladder)
+                                g_series, gamma_at, gamma_ladder,
+                                logkernel_coeffs)
+from deformedw.wcurrents import block_slots, dressed_pin_factors
 
 
 def ctx_n(N, point=0):
@@ -132,12 +136,44 @@ def test_resummation_rejects_bare_kernel():
         contraction_logkernel(3, 1, 2).resum(3)
 
 
-def test_logkernel_series_matches_f_series():
-    ctx = ctx_n(3)
-    lk = f_logkernel(3, 2, 2)
-    win = lk.series(ctx, "x", 6)
-    ref = f_series(ctx, 2, 2, 6)
-    assert all(win.coefficient((n,)) == ref.coefficient((n,)) for n in range(7))
+def _delta_term_pairs(N):
+    """(dress, slots1, slots2, pinexp) of the pinned pairs in the delta terms
+    of the quadratic relations at rank N, in both orders (the order-reversal
+    check pins the reversed pairs)."""
+    for i in range(N + 1):
+        for j in range(i, N + 1):
+            for k in range(1, i + 1):
+                if j + k > N:
+                    continue
+                a, b = i - k, j + k
+                for sh1, sh2 in (((j - i) + k, k), (-(j - i) - k, -k)):
+                    for J1 in combinations(range(1, N + 1), a):
+                        for J2 in combinations(range(1, N + 1), b):
+                            s1 = block_slots(a, sh1, J1)
+                            s2 = block_slots(b, sh2, J2)
+                            yield (a, b), s1, s2, sh2 - sh1
+                            yield (b, a), s2, s1, sh1 - sh2
+
+
+def test_logkernel_coeffs_match_gamma_products():
+    # exp of the dressed pair's log series, by the shared recurrence, equals
+    # its resummed finite gamma product expanded factor by factor
+    order = 6
+    for N in (2, 3, 4):
+        ctx = ctx_n(N)
+        pairs = list(_delta_term_pairs(N))
+        assert pairs
+        for dress, s1, s2, pinexp in pairs:
+            lk = f_logkernel(N, *dress).shifted(pinexp)
+            for f1, a in s1:
+                for f2, b in s2:
+                    lk = lk + contraction_logkernel(N, f1, f2).shifted(b - a)
+            coeffs = logkernel_coeffs(ctx, ("pair", dress, s1, s2, pinexp),
+                                      lambda: lk, order)
+            gamma = dressed_pin_factors(ctx, dress, s1, s2, pinexp) \
+                .series(ctx, "x", order)
+            assert coeffs[:order + 1] == \
+                [gamma.coefficient((n,)) for n in range(order + 1)]
 
 
 def test_f_point_regularity():
