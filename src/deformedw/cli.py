@@ -81,7 +81,16 @@ def cmd_verify(args):
     if not names:
         print("no suites selected", file=sys.stderr)
         return 2
-    jobs = args.jobs or int(os.environ.get("DWNV_JOBS", "1"))
+    source, raw = ("--jobs", args.jobs) if args.jobs is not None else \
+        ("DWNV_JOBS", os.environ.get("DWNV_JOBS", "1"))
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        print(f"{source} must be an integer >= 1, got {raw!r}",
+              file=sys.stderr)
+        return 2
     report, timings = run_suites(sorted(names), cp, jobs)
     payload = report.to_json(config_text=text,
                              timings=timings if args.with_timings else None)
@@ -199,7 +208,7 @@ def main(argv=None):
     v.add_argument("--suite", action="append",
                    help="suite name (repeatable; overrides config)")
     v.add_argument("--out", help="write the JSON report here")
-    v.add_argument("--jobs", type=int, default=0,
+    v.add_argument("--jobs",
                    help="worker processes, one suite each (or DWNV_JOBS)")
     v.add_argument("--with-timings", action="store_true",
                    help="include wall times (breaks byte reproducibility)")

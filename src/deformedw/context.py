@@ -42,7 +42,7 @@ class ScalarCtx:
             self.q = q
             self.t = t
             self.p = q / t
-            self._check_nondegenerate(kw.get("degeneracy_bound", 64))
+            self._check_nondegenerate()
             self.zero = RAT_ZERO
             self.one = RAT_ONE
             self.s = QuadExt(0, 1, self.p)
@@ -79,8 +79,8 @@ class ScalarCtx:
     # -- constructors
 
     @staticmethod
-    def generic(N: int, q, t, **kw) -> "ScalarCtx":
-        return ScalarCtx(N, "generic", q=q, t=t, **kw)
+    def generic(N: int, q, t) -> "ScalarCtx":
+        return ScalarCtx(N, "generic", q=q, t=t)
 
     @staticmethod
     def limit1(N: int, beta, trunc: int = 8) -> "ScalarCtx":
@@ -90,7 +90,7 @@ class ScalarCtx:
     def limit2(N: int, level: int, trunc: int = 4) -> "ScalarCtx":
         return ScalarCtx(N, "limit2", level=level, trunc=trunc)
 
-    def _check_nondegenerate(self, bound: int):
+    def _check_nondegenerate(self):
         p = self.p
         if not p:
             raise ValueError("p = q/t must be nonzero")
@@ -98,9 +98,7 @@ class ScalarCtx:
         if abs(num) == abs(den):
             raise ValueError("degenerate point: p is a root of unity, "
                              "1 - p^M vanishes for some M")
-        # with |p| != 1 rational, 1 - p^(M n) is automatically nonzero for
-        # every M, n up to (and beyond) the declared bound
-        self.degeneracy_bound = bound
+        # with |p| != 1 rational, 1 - p^(M n) is nonzero for every M, n
 
     # -- cached powers
 

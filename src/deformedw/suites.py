@@ -17,6 +17,7 @@ from .relations import (CheckRecord, cross_check_w2_route, default_braket_family
                         order_reversal_check, verify_fusion, verify_nowwj,
                         verify_poles, verify_w1wj, verify_w2wj, verify_wiwj)
 from .structfn import check_f_identities
+from .wcurrents import PREFIX_MEMO
 from .zalg import verify_principal_relations, verify_splitting_consistency
 from .zeta import log_sinh_identity_holds, verify_zeta_identity, \
     verify_vacuum_eigenvalue, zeta_value
@@ -48,6 +49,14 @@ def _gctx(N, point):
     return ScalarCtx.generic(N, point[0], point[1])
 
 
+def _case(check, ctx, *args, **kw):
+    """One case on a context that later cases share: engines and their
+    value caches stay, the transfer-prefix memo is dropped with the case."""
+    rec = check(ctx, *args, **kw)
+    ctx.caches.pop(PREFIX_MEMO, None)
+    return rec
+
+
 def suite_relations(cfg):
     """Quadratic relations: the rank-1 and rank-2 families at their printed
     forms, the general delta-sum relation, the normal-ordering rewrite route,
@@ -62,18 +71,24 @@ def suite_relations(cfg):
         for N in ns:
             ctx = _gctx(N, point)
             for j in range(1, N + 1):
-                out.append(verify_w1wj(ctx, j, window=w1, level=l1))
+                out.append(_case(verify_w1wj, ctx, j, window=w1,
+                                 level=l1))
             if N >= 3:
                 for j in range(2, N + 1):
-                    out.append(verify_w2wj(ctx, j, window=w, level=level))
+                    out.append(_case(verify_w2wj, ctx, j, window=w,
+                                     level=level))
                 for i in range(0, N + 1):
                     for j in range(i, N + 1):
-                        out.append(verify_wiwj(ctx, i, j, window=w, level=level))
-                out.append(cross_check_w2_route(ctx, 2, window=w, level=level))
-                out.append(order_reversal_check(ctx, 2, 2))
-            out.append(verify_nowwj(ctx, 1, 1, 6, window=w, level=level))
+                        out.append(_case(verify_wiwj, ctx, i, j, window=w,
+                                         level=level))
+                out.append(_case(cross_check_w2_route, ctx, 2, window=w,
+                                 level=level))
+                out.append(_case(order_reversal_check, ctx, 2, 2))
+            out.append(_case(verify_nowwj, ctx, 1, 1, 6, window=w,
+                             level=level))
             if N >= 3:
-                out.append(verify_nowwj(ctx, 1, 2, 8, window=w, level=level))
+                out.append(_case(verify_nowwj, ctx, 1, 2, 8, window=w,
+                                 level=level))
     return out
 
 
@@ -120,7 +135,8 @@ def suite_fusion(cfg):
             ctx = _gctx(N, point)
             for i in range(0, N + 1):
                 for j in range(i, N + 1):
-                    out.append(verify_fusion(ctx, i, j, window=w, level=level))
+                    out.append(_case(verify_fusion, ctx, i, j, window=w,
+                                     level=level))
     return out
 
 

@@ -169,6 +169,11 @@ def _pair_kernel(ctx: ScalarCtx, slotsA, slotsB, order: int):
     return cache["coeffs"]
 
 
+# ctx.caches key of the transfer states shared by every engine of a context;
+# suites drop it after each case to bound its size
+PREFIX_MEMO = "ME-prefix"
+
+
 class ModeEngine:
     """Exact coefficient extraction from <lambda| prod blocks |lambda>.
 
@@ -180,6 +185,12 @@ class ModeEngine:
     lands on a block it contributes one cached kernel coefficient; flavor
     summation happens automatically because states only remember the slot
     content of their open sources.
+
+    The states behind every block but the last are memoized in
+    ctx.caches[PREFIX_MEMO] under (prefix_keys[c], profile[:c+1]), so a
+    profile resumes from the deepest prefix that any engine of the context
+    has already absorbed.  weights are (ia, ib, provider, key) with the key
+    naming the provider's coefficients.
     """
 
     def __init__(self, ctx: ScalarCtx, blocks, weights=(), skip_pairs=()):
@@ -187,10 +198,22 @@ class ModeEngine:
         self.blocks = blocks
         self.gaps = len(blocks) - 1
         self.wopen = {}   # block index -> list of (partner, provider)
-        for ia, ib, provider in weights:
+        for ia, ib, provider, _ in weights:
             self.wopen.setdefault(ia, []).append((ib, provider))
         self.skip_pairs = frozenset(skip_pairs)
         self.value_cache = {}
+        # everything the state after block c depends on, except the profile:
+        # prefix_keys[c] names blocks[:c+1], the weights they open, the pair
+        # exclusions landing on them and the tagged representation
+        prefix = (bool(self.skip_pairs),)
+        self.prefix_keys = []
+        for c, block in enumerate(blocks[:-1]):
+            prefix += (block.key,
+                       tuple((ia, ib, wk) for ia, ib, _, wk in weights
+                             if ia == c),
+                       tuple(sorted(pr for pr in self.skip_pairs
+                                    if pr[1] == c)))
+            self.prefix_keys.append(prefix)
 
     def value(self, profile):
         """Exact coefficient at the given gap-exponent profile."""
@@ -204,8 +227,15 @@ class ModeEngine:
         # state: tuple of open flows, ("B", src_tag, slots, x) or ("W", ib, x);
         # src_tag is the source block index when pair exclusions are active,
         # else a constant so that equal-slot flows merge
-        states = {(): ctx.one}
-        for c, block in enumerate(self.blocks):
+        memo = ctx.caches.setdefault(PREFIX_MEMO, {})
+        start, states = 0, {(): ctx.one}
+        for c in range(self.gaps - 1, -1, -1):
+            hit = memo.get((self.prefix_keys[c], profile[:c + 1]))
+            if hit is not None:
+                start, states = c + 1, hit
+                break
+        for c in range(start, len(self.blocks)):
+            block = self.blocks[c]
             budget = profile[c] if c < self.gaps else 0
             new_states = {}
 
@@ -282,6 +312,8 @@ class ModeEngine:
 
                     alloc(0, list(opens), weight * coeff)
             states = new_states
+            if c < self.gaps:
+                memo[(self.prefix_keys[c], profile[:c + 1])] = states
         total = ctx.zero
         for state, weight in states.items():
             if not state:
@@ -295,9 +327,7 @@ def mode_engine(ctx: ScalarCtx, blocks, weights=(), skip_pairs=()):
     wkey = tuple((ia, ib, wk) for ia, ib, _, wk in weights)
     key = ("ME", tuple(b.key for b in blocks), wkey, frozenset(skip_pairs))
     if key not in ctx.caches:
-        ctx.caches[key] = ModeEngine(ctx, blocks,
-                                     [(ia, ib, pr) for ia, ib, pr, _ in weights],
-                                     skip_pairs)
+        ctx.caches[key] = ModeEngine(ctx, blocks, weights, skip_pairs)
     return ctx.caches[key]
 
 

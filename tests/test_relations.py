@@ -9,7 +9,9 @@ from deformedw.relations import (CheckRecord, cross_check_w2_route,
                                  verify_fusion, verify_nowwj, verify_poles,
                                  verify_w1wj, verify_w2wj, verify_wiwj)
 from deformedw.report import Report
+from deformedw import suites
 from deformedw.suites import suite_poles
+from deformedw.wcurrents import PREFIX_MEMO
 
 
 def ctx_n(N, point=0):
@@ -145,3 +147,23 @@ def test_point_independence():
         ctx = ctx_n(2, point)
         assert verify_w1wj(ctx, 1, window=2, level=2).ok
         assert verify_fusion(ctx, 1, 1, window=2, level=1).ok
+
+
+def test_prefix_memo_lives_for_one_case(monkeypatch):
+    # engines and value caches stay on the context; the transfer-prefix memo
+    # is dropped as each case returns
+    ctx = ctx_n(2)
+    rec = suites._case(verify_w1wj, ctx, 1, window=1, level=1)
+    assert rec.status == "pass"
+    assert PREFIX_MEMO not in ctx.caches
+    assert any(isinstance(k, tuple) and k[0] == "ME" for k in ctx.caches)
+
+    made = []
+    gctx = suites._gctx
+    monkeypatch.setattr(suites, "_gctx",
+                        lambda N, point: made.append(gctx(N, point)) or made[-1])
+    recs = suites.suite_relations({"n_values": "2", "window_rank1": "1",
+                                   "level_rank1": "1", "window": "1",
+                                   "level": "1"})
+    assert recs and all(r.status == "pass" for r in recs)
+    assert made and all(PREFIX_MEMO not in c.caches for c in made)

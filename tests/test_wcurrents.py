@@ -4,9 +4,11 @@ from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from deformedw.fock import HighestWeight, hw_eigenvalue_w, kernel_coeffs, \
     zero_mode
 from deformedw.structfn import gamma_at
-from deformedw.wcurrents import (WInsertion, composite_no_mode, current_block,
-                                 mode_engine, mode_profile, pinned_block,
-                                 pinned_mode_value,
+from deformedw.wcurrents import (PREFIX_MEMO, Block, WInsertion,
+                                 block_slots, composite_no_mode,
+                                 current_block, mode_engine, mode_profile,
+                                 pinned_block, pinned_mode_value,
+                                 pinned_mode_value_resummed,
                                  single_current_mode_value,
                                  two_current_mode_table, w_correlator,
                                  w_mode_matrix_element)
@@ -189,3 +191,58 @@ def test_pinned_dressed_value_matches_pade_route():
             blk = pinned_block(ctx, hw, "z", 1, -pin, 1, 0, dress=(1, 1))
             total = sum((c for c, _ in blk.options), ctx.zero)
             assert total == nv / dv
+
+
+def test_prefix_memo_shared_across_weights_matches_fresh_contexts():
+    # the dressed and undressed tables build engines on the same blocks that
+    # differ only in the f-weight opened behind the bra; interleaved on one
+    # context they share memoized prefixes, and each value must equal the one
+    # computed alone on a fresh context (empty memo)
+    ctx = ctx_n(3)
+    hw = HighestWeight.generic(ctx)
+    bra, ket = [(1, 2)], [(1, 1), (1, 1)]
+    for nm in [(n, m) for n in range(-2, 3) for m in range(-1, 3)]:
+        for dress in (None, (1, 2), None):
+            got = two_current_mode_table(ctx, hw, bra, (1, 0), (2, 0), ket,
+                                         dress, [nm])[nm]
+            fresh = ctx_n(3)
+            want = two_current_mode_table(fresh, HighestWeight.generic(fresh),
+                                          bra, (1, 0), (2, 0), ket, dress,
+                                          [nm])[nm]
+            assert got == want
+    assert ctx.caches[PREFIX_MEMO]
+
+
+def test_prefix_memo_shared_across_pair_exclusions_matches_fresh_contexts():
+    # the resummed pinned route's engines at N=4 (direct pair excluded)
+    # interleaved with engines on the same blocks that exclude other pairs
+    # or none; every value must equal the one computed on a fresh context
+    N = 4
+    bra, ket = [(1, 1)], [(1, 1)]
+    mid = len(bra)
+
+    def engines(ctx):
+        hw = HighestWeight.generic(ctx)
+        s1 = block_slots(1, 1, (2,))
+        s2 = block_slots(3, 1, (1, 3, 4))
+        blocks = [current_block(ctx, hw, WInsertion(1, "b0")),
+                  Block("zA", [(ctx.one, s1)], ("fix", s1, "zA")),
+                  Block("zB", [(ctx.one, s2)], ("fix", s2, "zB")),
+                  current_block(ctx, hw, WInsertion(1, "k0"))]
+        return [mode_engine(ctx, blocks, (), skip_pairs=sp)
+                for sp in ((), ((mid, mid + 1),), ((0, mid + 1),),
+                           ((0, mid), (mid, mid + 1)))]
+
+    ctx = ctx_n(N)
+    shared = engines(ctx)
+    for n1 in range(-1, 3):
+        prof = mode_profile(bra, (-n1, n1), ket)
+        for k, eng in enumerate(shared):
+            assert eng.value(prof) == engines(ctx_n(N))[k].value(prof)
+    pinned = {"ranks_shifts": (1, 1, 3, 1), "dress": (1, 3)}
+    for M in (-1, 0, 1):
+        got = pinned_mode_value_resummed(ctx, HighestWeight.generic(ctx),
+                                         bra, pinned, ket, M)
+        fresh = ctx_n(N)
+        assert got == pinned_mode_value_resummed(
+            fresh, HighestWeight.generic(fresh), bra, pinned, ket, M)
