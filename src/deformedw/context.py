@@ -21,6 +21,10 @@ from .exact import (Cyc, HbarSeries, QuadExt, RAT, RAT_ONE, RAT_ZERO, rat)
 
 DEFAULT_GENERIC_POINTS = ((rat(3, 2), rat(5, 3)), (rat(2, 7), rat(3, 5)))
 
+# the keywords each mode reads; any other keyword is an error
+MODE_KEYWORDS = {"generic": ("q", "t"), "limit1": ("beta", "trunc"),
+                 "limit2": ("level", "trunc")}
+
 
 class ScalarCtx:
     """Shared scalar arithmetic for one choice of (q, t)."""
@@ -28,6 +32,12 @@ class ScalarCtx:
     def __init__(self, N: int, mode: str, **kw):
         if N < 2:
             raise ValueError("rank parameter N must be at least 2")
+        if mode not in MODE_KEYWORDS:
+            raise ValueError(f"unknown mode {mode!r}")
+        extra = sorted(set(kw) - set(MODE_KEYWORDS[mode]))
+        if extra:
+            raise TypeError(f"{mode} context got unexpected keyword "
+                            f"argument(s): {', '.join(extra)}")
         self.N = N
         self.mode = mode
         self._spow = {}
@@ -57,7 +67,7 @@ class ScalarCtx:
             self.t = HbarSeries.exp_hbar(beta, T)
             self.p = HbarSeries.exp_hbar(1 - beta, T)
             self.s = HbarSeries.exp_hbar((1 - beta) / 2, T)
-        elif mode == "limit2":
+        else:  # limit2
             k = int(kw["level"])
             T = int(kw.get("trunc", 4))
             self.level = k
@@ -73,8 +83,6 @@ class ScalarCtx:
             self.t = HbarSeries.exp_hbar(rat(k + N, N), T) * self.eta.root_pow(-2)
             self.p = HbarSeries.exp_hbar(rat(-k, N), T) * self.omega
             self.s = HbarSeries.exp_hbar(rat(-k, 2 * N), T) * self.eta
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
 
     # -- constructors
 

@@ -124,6 +124,15 @@ class Cyc:
         self.order = order
         self.coeffs = tuple(RAT(c) for c in coeffs)
 
+    @staticmethod
+    def _make(order: int, coeffs: tuple) -> "Cyc":
+        # results of the arithmetic below: `coeffs` is already canonical (a
+        # tuple of phi(order) rationals), so the normalisation is skipped
+        out = object.__new__(Cyc)
+        out.order = order
+        out.coeffs = coeffs
+        return out
+
     # -- constructors
 
     @staticmethod
@@ -141,48 +150,82 @@ class Cyc:
 
     # -- ring structure
 
+    def _same_order(self, other: "Cyc") -> None:
+        if other.order != self.order:
+            raise ValueError("mixed cyclotomic orders")
+
     def _coerce(self, other):
         if isinstance(other, Cyc):
-            if other.order != self.order:
-                raise ValueError("mixed cyclotomic orders")
+            self._same_order(other)
             return other
         if is_rational(other):
             return Cyc.const(self.order, other)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyc(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        if isinstance(other, Cyc):
+            self._same_order(other)
+            return Cyc._make(self.order, tuple(
+                a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if is_rational(other):
+            c = self.coeffs
+            return Cyc._make(self.order, (c[0] + other,) + c[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.order, [-a for a in self.coeffs])
+        return Cyc._make(self.order, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyc(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        if isinstance(other, Cyc):
+            self._same_order(other)
+            return Cyc._make(self.order, tuple(
+                a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if is_rational(other):
+            c = self.coeffs
+            return Cyc._make(self.order, (c[0] - other,) + c[1:])
+        return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        if is_rational(other):
+            c = self.coeffs
+            return Cyc._make(self.order,
+                             (other - c[0],) + tuple(-a for a in c[1:]))
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         if is_rational(other):
-            return Cyc(self.order, [a * other for a in self.coeffs])
-        raw = [RAT_ZERO] * (2 * len(self.coeffs) - 1)
+            return Cyc._make(self.order,
+                             tuple(a * other for a in self.coeffs))
+        if not isinstance(other, Cyc):
+            return NotImplemented
+        self._same_order(other)
+        phi = len(self.coeffs)
+        # as in HbarSeries.__mul__, a slot holds None until a product lands
+        raw = [None] * (2 * phi - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(o.coeffs):
+                for j, b in enumerate(other.coeffs):
                     if b:
-                        raw[i + j] += a * b
-        return Cyc(self.order, raw)
+                        acc = raw[i + j]
+                        raw[i + j] = a * b if acc is None else acc + a * b
+        raw = [RAT_ZERO if c is None else c for c in raw]
+        # reduce modulo the monic cyclotomic polynomial, top degree first;
+        # its coefficients are mostly 0 and +-1, which need no product
+        mod = cyclotomic_poly(self.order)
+        for i in range(len(raw) - 1, phi - 1, -1):
+            c = raw[i]
+            if c:
+                for j in range(phi):
+                    m = mod[j]
+                    if m == 1:
+                        raw[i - phi + j] -= c
+                    elif m == -1:
+                        raw[i - phi + j] += c
+                    elif m:
+                        raw[i - phi + j] -= c * m
+        return Cyc._make(self.order, tuple(raw[:phi]))
 
     __rmul__ = __mul__
 
@@ -483,15 +526,19 @@ class HbarSeries:
         if not isinstance(other, HbarSeries):
             return NotImplemented
         t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
-        out = [RAT_ZERO] * t
+        # a slot stays None until a product lands in it, so the first
+        # product is stored as it is; slots no product reaches are RAT_ZERO
+        out = [None] * t
         for i, a in enumerate(self.coeffs):
             if a and i < t:
                 for j, b in enumerate(other.coeffs):
-                    if i + j >= t:
+                    k = i + j
+                    if k >= t:
                         break
                     if b:
-                        out[i + j] += a * b
-        return HbarSeries(out, t)
+                        acc = out[k]
+                        out[k] = a * b if acc is None else acc + a * b
+        return HbarSeries([RAT_ZERO if c is None else c for c in out], t)
 
     __rmul__ = __mul__
 
@@ -533,7 +580,7 @@ class HbarSeries:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = HbarSeries.const(RAT_ONE, self.trunc if n else self.trunc)
+        out = HbarSeries.const(RAT_ONE, self.trunc)
         base = self
         while n:
             if n & 1:

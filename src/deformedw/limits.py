@@ -78,13 +78,21 @@ def reduction_sides(ctx: ScalarCtx, i: int, j: int, order_x: int):
     eta_ij = ctx.eta_pow(i + j)
     grid = range(-order_x, order_x + 1)
 
+    # every product that does not depend on the grid point is built once;
+    # each keeps the association of the entry it feeds, since HbarSeries
+    # truncation follows valuations and a regrouped product may differ
+    ls = range(ford + 1)
+    cij = [h2 * (eta_ij * fij[l]) for l in ls]
+    cji = [-(h2 * (eta_ij * fji[l])) for l in ls]
+    cs = range(-ford, ford + 1)
+
     lhs = {}
     rhs = {}
     for A in grid:
         for B in grid:
-            for l in range(ford + 1):
-                _add(lhs, A, B, ((i, A - l), (j, B + l)), h2 * (eta_ij * fij[l]))
-                _add(lhs, A, B, ((j, B - l), (i, A + l)), -(h2 * (eta_ij * fji[l])))
+            for l in ls:
+                _add(lhs, A, B, ((i, A - l), (j, B + l)), cij[l])
+                _add(lhs, A, B, ((j, B - l), (i, A + l)), cji[l])
 
     pref = ctx.prefactor()
     for kappa in range(1, i + 1):
@@ -98,7 +106,6 @@ def reduction_sides(ctx: ScalarCtx, i: int, j: int, order_x: int):
             # recentered delta argument s^{Ezeta}; dressing scalar is f^{0,.}
             # or f^{.,N}, identically 1
             Ezeta = sign * (j - i + 2 * kappa) - (j - i)
-            u = ctx.s_pow(Ezeta)
             term_sign = 1 if sign == 1 else -1
             if r1 == 0 and r2 == N:
                 for A in grid:
@@ -108,25 +115,23 @@ def reduction_sides(ctx: ScalarCtx, i: int, j: int, order_x: int):
                 # single current on the zeta2 side: W^{r2}(s^{sign*kappa} z2)
                 arg = ctx.s_pow(sign * kappa + r2 - j)
                 eta_r = ctx.eta_pow(r2)
+                single = {c: hbar * (eta_r * arg ** (-c)) for c in cs}
                 for A in grid:
-                    uA = ctx.s_pow(Ezeta * A)
+                    left = base * (term_sign * ctx.s_pow(Ezeta * A))
                     for B in grid:
                         c = A + B
-                        coeff = base * (term_sign * uA) * \
-                            (hbar * (eta_r * arg ** (-c)))
-                        _add(rhs, A, B, ((r2 % N, c),), coeff)
+                        _add(rhs, A, B, ((r2 % N, c),), left * single[c])
             else:
                 # r2 == N: single current on the zeta1 side:
                 # W^{r1}(s^{-sign*kappa} z1)
                 arg = ctx.s_pow(-sign * kappa + r1 - i)
                 eta_r = ctx.eta_pow(r1)
+                single = {c: hbar * (eta_r * arg ** (-c)) for c in cs}
                 for B in grid:
-                    uB = ctx.s_pow(-Ezeta * B)
+                    left = base * (term_sign * ctx.s_pow(-Ezeta * B))
                     for A in grid:
                         c = A + B
-                        coeff = base * (term_sign * uB) * \
-                            (hbar * (eta_r * arg ** (-c)))
-                        _add(rhs, A, B, ((r1 % N, c),), coeff)
+                        _add(rhs, A, B, ((r1 % N, c),), left * single[c])
     return lhs, rhs
 
 

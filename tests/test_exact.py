@@ -1,13 +1,26 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from deformedw.exact import (Cyc, HbarSeries, QuadExt, RAT, cyc_reduce,
-                             cyclotomic_poly, exp_coeffs, inverse_coeffs,
-                             log_coeffs, rat)
+from deformedw.exact import (Cyc, HbarSeries, QuadExt, RAT, RAT_ZERO,
+                             cyc_reduce, cyclotomic_poly, exp_coeffs,
+                             inverse_coeffs, log_coeffs, rat)
 
 small_rats = st.builds(rat, st.integers(-20, 20), st.integers(1, 15))
+# int and RAT scalars, both of which Cyc arithmetic takes as rationals
+scalars = st.one_of(st.integers(-20, 20), small_rats)
+# order 12's polynomial x^4 - x^2 + 1 has zero and negative coefficients
+CYC_ORDERS = (4, 6, 8, 10, 12)
+
+
+@st.composite
+def cyc_lists(draw, count):
+    """An order and `count` canonical coefficient lists of length phi."""
+    order = draw(st.sampled_from(CYC_ORDERS))
+    phi = len(cyclotomic_poly(order)) - 1
+    lists = st.lists(small_rats, min_size=phi, max_size=phi)
+    return (order,) + tuple(draw(lists) for _ in range(count))
 
 
 def rand_rat(rng):
@@ -147,3 +160,78 @@ def test_inverse_coeffs_times_series_is_one(c0, tail):
     product = [sum((f[i] * g[n - i] for i in range(n + 1)), RAT(0))
                for n in range(len(f))]
     assert product == [1] + [0] * len(tail)
+
+
+def convolve(a, b):
+    out = [RAT(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def assert_canonical(x, ref):
+    """`x` equals the fully normalised reference, and its coefficients are
+    a tuple of phi(order) RAT values."""
+    assert isinstance(x, Cyc) and x.order == ref.order
+    assert type(x.coeffs) is tuple
+    assert len(x.coeffs) == len(cyclotomic_poly(x.order)) - 1
+    assert all(type(c) is type(RAT_ZERO) for c in x.coeffs)
+    assert x.coeffs == ref.coeffs
+
+
+@given(cyc_lists(2))
+def test_cyc_ring_ops_match_full_normalisation(data):
+    order, a, b = data
+    x, y = Cyc(order, a), Cyc(order, b)
+    assert_canonical(x + y, Cyc(order, [u + v for u, v in zip(a, b)]))
+    assert_canonical(x - y, Cyc(order, [u - v for u, v in zip(a, b)]))
+    assert_canonical(-x, Cyc(order, [-u for u in a]))
+    assert_canonical(x * y, cyc_reduce(order, convolve(a, b)))
+
+
+def test_cyc_mul_reduces_by_non_unit_coefficients():
+    # 105 is the least order whose cyclotomic polynomial has a coefficient
+    # other than 0 and +-1 (a -2)
+    rng = random.Random(13)
+    a, b = (rand_cyc(rng, 105) for _ in range(2))
+    assert_canonical(a * b, cyc_reduce(105, convolve(a.coeffs, b.coeffs)))
+
+
+@given(cyc_lists(1), scalars)
+def test_cyc_rational_ops_match_full_normalisation(data, r):
+    order, a = data
+    x = Cyc(order, a)
+    rest = a[1:]
+    assert_canonical(x + r, Cyc(order, [a[0] + r] + rest))
+    assert_canonical(r + x, Cyc(order, [a[0] + r] + rest))
+    assert_canonical(x - r, Cyc(order, [a[0] - r] + rest))
+    assert_canonical(r - x, Cyc(order, [r - a[0]] + [-u for u in rest]))
+    assert_canonical(x * r, Cyc(order, [u * r for u in a]))
+    assert_canonical(r * x, Cyc(order, [u * r for u in a]))
+
+
+@given(cyc_lists(1), cyc_lists(1))
+def test_cyc_mixed_orders_raise(first, second):
+    (m, a), (n, b) = first, second
+    assume(m != n)
+    x, y = Cyc(m, a), Cyc(n, b)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x == y):
+        with pytest.raises(ValueError):
+            op()
+
+
+def test_hbar_product_coefficient_types():
+    # a rational slot, a Cyc slot (one reached by a rational and a Cyc
+    # product) and a slot no product reaches, which stays RAT zero; the
+    # truncation follows the valuations: min(3 + 1, 5 + 0) = 4
+    eta = Cyc.root(6)
+    a = HbarSeries([rat(1, 2), eta], 3)
+    b = HbarSeries([0, 3, 5], 5)
+    prod = a * b
+    assert prod.trunc == 4
+    assert [type(c) for c in prod.coeffs] == [type(RAT_ZERO)] * 2 + [Cyc] * 2
+    assert prod.coeffs[:2] == (0, rat(3, 2))
+    assert prod.coeffs[2] == Cyc(6, [rat(5, 2), 3])
+    assert prod.coeffs[3] == 5 * eta
+    assert [type(c) for c in (b * a).coeffs] == [type(c) for c in prod.coeffs]

@@ -59,6 +59,20 @@ def test_limit_II_relation_central_and_generic():
         assert rec.ok, rec.detail
 
 
+@pytest.mark.parametrize("mode,kw,foreign", [
+    ("generic", {"q": "3/2", "t": "5/3"}, "trunc"),
+    ("limit1", {"beta": "3/2", "trunc": 6}, "level"),
+    ("limit2", {"level": 1, "trunc": 4}, "beta"),
+])
+def test_scalar_ctx_rejects_unknown_keywords(mode, kw, foreign):
+    ScalarCtx(2, mode, **kw)  # every keyword the mode reads is accepted
+    with pytest.raises(TypeError, match="bogus"):
+        ScalarCtx(2, mode, bogus=1, **kw)
+    # a keyword another mode reads is unknown here
+    with pytest.raises(TypeError, match=foreign):
+        ScalarCtx(2, mode, **{foreign: 1}, **kw)
+
+
 def test_limit_II_rejects_bad_flavor():
     ctx = ScalarCtx.limit2(2, 2, trunc=4)
     with pytest.raises(ValueError):
