@@ -130,7 +130,27 @@ def _scalar_json(x):
 
 def cmd_dump(args):
     kind, kv = _parse_kv(args.id)
-    order = args.order
+    try:
+        body = _dump_body(kind, kv, args.order)
+    except KeyError as exc:
+        print(f"dump {args.id!r}: missing key {exc.args[0]!r}",
+              file=sys.stderr)
+        return 2
+    except (ValueError, ArithmeticError) as exc:
+        print(f"dump {args.id!r}: {exc}", file=sys.stderr)
+        return 2
+    if body is None:
+        print(f"unknown object id {args.id!r}", file=sys.stderr)
+        return 2
+    json.dump(body, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+def _dump_body(kind, kv, order):
+    """The JSON body of one dumped object; None for an unknown kind.  A
+    missing key raises KeyError, a bad value or a pole ValueError or
+    ArithmeticError."""
     if kind == "f":
         N = int(kv["N"])
         q = RAT(kv.get("q", DEFAULT_GENERIC_POINTS[0][0]))
@@ -184,11 +204,8 @@ def cmd_dump(args):
         body = {"object": "wvac", "N": N, "i": int(kv["i"]),
                 "value": _scalar_json(val)}
     else:
-        print(f"unknown object id {args.id!r}", file=sys.stderr)
-        return 2
-    json.dump(body, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    return 0
+        return None
+    return body
 
 
 def cmd_list_suites(args):

@@ -8,6 +8,7 @@ arithmetic; nothing in this package ever touches floating point.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 try:
     from gmpy2 import mpq as RAT
@@ -345,80 +346,147 @@ class QuadExt:
 
     Used in generic mode, where p = q/t is a rational that is not a perfect
     square, so that every half-integer power of p is exact.
+
+    With p = pn/pd in lowest terms, sigma = pd*s is integral: sigma^2 = m =
+    pn*pd.  An element is stored as integers (A, B, D), its value being
+    (A + B*sigma)/D with D > 0 and gcd(A, B, D) = 1.  That form is unique, so
+    equality compares coordinates, and each result costs a few integer
+    products and one gcd.  F = (p, m, pd) describes the field; results take
+    it from their operands, so one context's elements share one tuple.
+    `a`, `b` and `p` read the rational coordinates back.
     """
 
-    __slots__ = ("a", "b", "p")
+    __slots__ = ("A", "B", "D", "F")
     __hash__ = None
 
     def __init__(self, a, b, p):
-        self.a = RAT(a)
-        self.b = RAT(b)
-        self.p = p
+        a, b, p = RAT(a), RAT(b), RAT(p)
+        F = (p, p.numerator * p.denominator, p.denominator)
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        # a = A/D and b = B*pd/D
+        A, B, D = an * bd * F[2], bn * ad, ad * bd * F[2]
+        g = gcd(A, B, D)
+        self.A, self.B, self.D, self.F = A // g, B // g, D // g, F
 
-    def _coerce(self, other):
-        if isinstance(other, QuadExt):
-            if other.p != self.p:
-                raise ValueError("mixed quadratic extensions")
-            return other
-        if is_rational(other):
-            return QuadExt(other, 0, self.p)
-        return None
+    @staticmethod
+    def _make(F, A, B, D) -> "QuadExt":
+        # results of the arithmetic below: (A, B, D) is already canonical
+        out = object.__new__(QuadExt)
+        out.A, out.B, out.D, out.F = A, B, D, F
+        return out
+
+    @staticmethod
+    def _reduced(F, A, B, D) -> "QuadExt":
+        # (A, B, D) with D > 0, divided by its common factor
+        g = gcd(A, B, D)
+        if g != 1:
+            A, B, D = A // g, B // g, D // g
+        return QuadExt._make(F, A, B, D)
+
+    @property
+    def a(self):
+        return RAT(self.A, self.D)
+
+    @property
+    def b(self):
+        return RAT(self.B * self.F[2], self.D)
+
+    @property
+    def p(self):
+        return self.F[0]
+
+    def _same_field(self, other: "QuadExt") -> None:
+        if other.F is not self.F and other.F != self.F:
+            raise ValueError("mixed quadratic extensions")
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.p)
+        if isinstance(other, QuadExt):
+            self._same_field(other)
+            D1, D2 = self.D, other.D
+            if D1 == D2:
+                return QuadExt._reduced(self.F, self.A + other.A,
+                                        self.B + other.B, D1)
+            return QuadExt._reduced(self.F, self.A * D2 + other.A * D1,
+                                    self.B * D2 + other.B * D1, D1 * D2)
+        if is_rational(other):
+            n, d = other.numerator, other.denominator
+            return QuadExt._reduced(self.F, self.A * d + n * self.D,
+                                    self.B * d, self.D * d)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.p)
+        return QuadExt._make(self.F, -self.A, -self.B, self.D)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.p)
+        if isinstance(other, QuadExt):
+            self._same_field(other)
+            D1, D2 = self.D, other.D
+            if D1 == D2:
+                return QuadExt._reduced(self.F, self.A - other.A,
+                                        self.B - other.B, D1)
+            return QuadExt._reduced(self.F, self.A * D2 - other.A * D1,
+                                    self.B * D2 - other.B * D1, D1 * D2)
+        if is_rational(other):
+            n, d = other.numerator, other.denominator
+            return QuadExt._reduced(self.F, self.A * d - n * self.D,
+                                    self.B * d, self.D * d)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        if is_rational(other):
+            n, d = other.numerator, other.denominator
+            return QuadExt._reduced(self.F, n * self.D - self.A * d,
+                                    -self.B * d, self.D * d)
+        return NotImplemented
 
     def __mul__(self, other):
+        if isinstance(other, QuadExt):
+            self._same_field(other)
+            A1, B1, A2, B2 = self.A, self.B, other.A, other.B
+            return QuadExt._reduced(self.F, A1 * A2 + self.F[1] * B1 * B2,
+                                    A1 * B2 + A2 * B1, self.D * other.D)
         if is_rational(other):
-            return QuadExt(self.a * other, self.b * other, self.p)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a * o.a + self.b * o.b * self.p,
-                       self.a * o.b + self.b * o.a, self.p)
+            n = other.numerator
+            return QuadExt._reduced(self.F, self.A * n, self.B * n,
+                                    self.D * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.a * self.a - self.b * self.b * self.p
+        # 1/((A + B sigma)/D) = D (A - B sigma) / (A^2 - m B^2)
+        A, B, D = self.A, self.B, self.D
+        n = A * A - self.F[1] * B * B
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(s)")
-        return QuadExt(self.a / n, -self.b / n, self.p)
+        if n < 0:
+            D, n = -D, -n
+        return QuadExt._reduced(self.F, D * A, -D * B, n)
 
     def __truediv__(self, other):
         if is_rational(other):
-            return QuadExt(self.a / other, self.b / other, self.p)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+            n, d = other.numerator, other.denominator
+            if not n:
+                raise ZeroDivisionError("division of Q(s) element by zero")
+            if n < 0:
+                n, d = -n, -d
+            return QuadExt._reduced(self.F, self.A * d, self.B * d,
+                                    self.D * n)
+        if isinstance(other, QuadExt):
+            return self * other.inverse()
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        if is_rational(other):
+            return self.inverse() * other
+        return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadExt(1, 0, self.p)
+        out = QuadExt._make(self.F, 1, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -428,13 +496,17 @@ class QuadExt:
         return out
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if isinstance(other, QuadExt):
+            self._same_field(other)
+            return (self.A == other.A and self.B == other.B
+                    and self.D == other.D)
+        if is_rational(other):
+            return (not self.B and self.A == other.numerator
+                    and self.D == other.denominator)
+        return NotImplemented
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self.A) or bool(self.B)
 
     def __repr__(self):
         return f"({self.a} + {self.b}*s)"

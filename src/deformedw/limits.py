@@ -167,14 +167,15 @@ def z_algebra_expression(ctx: ScalarCtx, mu: int, nu: int, order_x: int):
 
 
 def verify_limit_II_relation(ctx: ScalarCtx, i: int, j: int,
-                             order_x: int = 12, order_h: int = 2):
+                             order_x: int = 12):
     """The quadratic relation begins at hbar^2 under the current substitution
-    and its hbar^2 coefficient is exactly the Z-algebra relation."""
+    and its hbar^2 coefficient is exactly the Z-algebra relation; the context
+    must know hbar^0..hbar^2 (trunc >= 3)."""
     if ctx.mode != "limit2":
         raise ValueError("needs a limit2 context")
     if not (1 <= i <= ctx.N - 1 and 1 <= j <= ctx.N - 1):
         raise ValueError("flavors must lie in 1..N-1")
-    if ctx.trunc < order_h + 1:
+    if ctx.trunc < 3:
         raise ValueError("context truncation too small")
     case = f"N={ctx.N}:k={ctx.level}:i={i}:j={j}:x<={order_x}"
     ok, msg = check_f_reduces_to_g(ctx, i, j, order_x)
@@ -189,7 +190,7 @@ def verify_limit_II_relation(ctx: ScalarCtx, i: int, j: int,
     eta_ij = ctx.eta_pow(i + j)
     for key in sorted(keys):
         diff = lhs.get(key, zero_h) - rhs.get(key, zero_h)
-        for h in range(min(2, order_h)):
+        for h in range(2):
             c = diff.coefficient(h)
             if not scalar_is_zero(c):
                 return CheckRecord("limit2", case, "fail",

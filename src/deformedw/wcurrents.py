@@ -202,6 +202,7 @@ class ModeEngine:
             self.wopen.setdefault(ia, []).append((ib, provider))
         self.skip_pairs = frozenset(skip_pairs)
         self.value_cache = {}
+        self.weight_splits = {}
         # everything the state after block c depends on, except the profile:
         # prefix_keys[c] names blocks[:c+1], the weights they open, the pair
         # exclusions landing on them and the tagged representation
@@ -235,82 +236,36 @@ class ModeEngine:
                 start, states = c + 1, hit
                 break
         for c in range(start, len(self.blocks)):
-            block = self.blocks[c]
             budget = profile[c] if c < self.gaps else 0
+            ctag = c if tagged else -1
             new_states = {}
-
-            def add_state(key, val):
-                if key in new_states:
-                    new_states[key] = new_states[key] + val
-                else:
-                    new_states[key] = val
-
             for state, weight in states.items():
-                # weight flows ending here evaporate; block flows may land
-                opens = [fl for fl in state if not (fl[0] == "W" and fl[1] == c)]
-                landable = [k for k, fl in enumerate(opens)
-                            if fl[0] == "B" and (fl[1], c) not in self.skip_pairs]
-                for coeff, slots in block.options:
+                patterns = {}
+                for coeff, slots in self.blocks[c].options:
                     if scalar_is_zero(coeff):
                         continue
-
-                    def alloc(idx, remaining_opens, acc):
-                        # choose how many units of each open block-flow land
-                        # on the current block
-                        if idx == len(landable):
-                            rest = [fl for fl in remaining_opens
-                                    if fl[0] == "W" or fl[3] > 0]
-                            used = sum(fl[2] if fl[0] == "W" else fl[3]
-                                       for fl in rest)
-                            free = budget - used
-                            if free < 0:
-                                return
-                            # split the remaining budget between the block's
-                            # own outgoing flow and newly opened weights
-                            wopen = self.wopen.get(c, [])
-
-                            def open_weights(widx, free_units, acc2, extra):
-                                if widx == len(wopen):
-                                    if free_units and not slots:
-                                        return
-                                    key = rest + extra
-                                    if free_units:
-                                        key = key + [("B", c if tagged else -1,
-                                                      slots, free_units)]
-                                    add_state(tuple(sorted(key)), acc2)
-                                    return
-                                ib, provider = wopen[widx]
-                                for yw in range(free_units + 1):
-                                    if yw:
-                                        wcoef = provider(yw)
-                                        if scalar_is_zero(wcoef):
-                                            continue
-                                        open_weights(widx + 1, free_units - yw,
-                                                     acc2 * wcoef,
-                                                     extra + [("W", ib, yw)])
-                                    else:
-                                        open_weights(widx + 1, free_units,
-                                                     acc2, extra)
-
-                            open_weights(0, free, acc, [])
-                            return
-                        k = landable[idx]
-                        _, tag, sslots, x = remaining_opens[k]
-                        # land ell units from this source on the block
-                        for ell in range(0, x + 1):
-                            if ell and not slots:
-                                break
-                            if ell:
-                                kc = _pair_kernel(ctx, sslots, slots, ell)[ell]
-                                if scalar_is_zero(kc):
-                                    continue
-                                nxt = list(remaining_opens)
-                                nxt[k] = ("B", tag, sslots, x - ell)
-                                alloc(idx + 1, nxt, acc * kc)
-                            else:
-                                alloc(idx + 1, remaining_opens, acc)
-
-                    alloc(0, list(opens), weight * coeff)
+                    has_slots = bool(slots)
+                    if has_slots not in patterns:
+                        patterns[has_slots] = self._landing_patterns(
+                            state, c, budget, has_slots)
+                    # accs[k]: the product of the pattern's first k factors
+                    accs = [weight * coeff]
+                    for share, factors, rest, free in patterns[has_slots]:
+                        del accs[share + 1:]
+                        for fac in factors[len(accs) - 1:]:
+                            if type(fac) is tuple:
+                                sslots, ell = fac
+                                fac = _pair_kernel(ctx, sslots, slots,
+                                                   ell)[ell]
+                                if scalar_is_zero(fac):
+                                    break
+                            accs.append(accs[-1] * fac)
+                        else:
+                            key = rest if not free else tuple(sorted(
+                                rest + (("B", ctag, slots, free),)))
+                            old = new_states.get(key)
+                            new_states[key] = accs[-1] if old is None \
+                                else old + accs[-1]
             states = new_states
             if c < self.gaps:
                 memo[(self.prefix_keys[c], profile[:c + 1])] = states
@@ -320,6 +275,79 @@ class ModeEngine:
                 total = total + weight
         self.value_cache[profile] = total
         return total
+
+    def _landing_patterns(self, state, c, budget, has_slots):
+        """The ways the open flows of `state` continue through block c, in
+        the order the transfer sum visits them: every open block flow lands
+        0..x of its x units on the block (the first flow outermost), the
+        units left open plus the block's own outgoing units fill the budget,
+        and the block's new weight flows take some of its own units (the
+        first weight outermost).  A block without slots takes no landing and
+        opens no flow of its own.
+
+        Returns a list of (share, factors, rest, free): `factors` lists
+        (source slots, ell) per landing, whose kernel coefficient depends on
+        the option's slots, then the nonzero coefficient of each opened
+        weight; its first `share` entries equal those of the previous
+        pattern, so their product can be reused.  `rest` is the sorted tuple
+        of flows still open, and `free` the own units of the block, which
+        open the flow ("B", tag, slots, free) when nonzero.
+        """
+        # weight flows ending here evaporate
+        opens = [fl for fl in state if fl[0] == "B" or fl[1] != c]
+        units = sum(fl[3] if fl[0] == "B" else fl[2] for fl in opens)
+        ranges = [range(fl[3] + 1) if has_slots and fl[0] == "B" and
+                  (fl[1], c) not in self.skip_pairs else (0,)
+                  for fl in opens]
+        out = []
+        prev = ()
+        for ells in product(*ranges):
+            free = budget - units + sum(ells)
+            if free < 0:
+                continue
+            lands, rest = [], []
+            for fl, ell in zip(opens, ells):
+                if not ell:
+                    rest.append(fl)
+                    continue
+                lands.append((fl[2], ell))
+                if ell < fl[3]:
+                    rest.append(("B", fl[1], fl[2], fl[3] - ell))
+            for wfactors, extra, left in self._weight_splits(c, free,
+                                                             has_slots):
+                factors = lands + wfactors
+                share = 0
+                for f, g in zip(factors, prev):
+                    if not (f is g or (type(f) is tuple and f == g)):
+                        break
+                    share += 1
+                prev = factors
+                out.append((share, tuple(factors),
+                            tuple(sorted(rest + extra)), left))
+        return out
+
+    def _weight_splits(self, c, free, has_slots):
+        """The ways block c's new weight flows take units of its `free` own
+        units, the first weight outermost: (coefficients, opened flows, units
+        left), without the splits whose coefficient vanishes.  A block
+        without slots keeps no unit of its own."""
+        key = (c, free, has_slots)
+        if key not in self.weight_splits:
+            wopen = self.wopen.get(c, ())
+            out = []
+            for yws in product(range(free + 1), repeat=len(wopen)):
+                left = free - sum(yws)
+                if left < 0 or (left and not has_slots):
+                    continue
+                coeffs, extra = [], []
+                for (ib, provider), yw in zip(wopen, yws):
+                    if yw:
+                        coeffs.append(provider(yw))
+                        extra.append(("W", ib, yw))
+                if not any(scalar_is_zero(w) for w in coeffs):
+                    out.append((coeffs, extra, left))
+            self.weight_splits[key] = out
+        return self.weight_splits[key]
 
 
 def mode_engine(ctx: ScalarCtx, blocks, weights=(), skip_pairs=()):

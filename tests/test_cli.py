@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +108,33 @@ def test_dump_objects(capsys):
 
 def test_dump_unknown_id(capsys):
     assert main(["dump", "nonsense:a=1"]) == 2
+
+
+@pytest.mark.parametrize("ident, message", [
+    ("gamma:N=3:a=1", "pole of gamma"),   # gamma(s^1) sits on a pole
+    ("gamma:N=3", "missing key 'a'"),
+])
+def test_dump_bad_input_fails_cleanly(capsys, ident, message):
+    assert main(["dump", ident]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dump {ident!r}: {message}\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("args, golden", [
+    (["f:N=3:i=1:j=2", "--order", "3"], "dump_f_N3_i1_j2_order3.json"),
+    (["gamma:N=3:a=2"], "dump_gamma_N3_a2.json"),
+    (["wvac:N=3:i=1"], "dump_wvac_N3_i1.json"),
+])
+def test_dump_matches_golden_output(capsys, args, golden):
+    # Q(s) values print their rational and s parts; the files hold the
+    # output of the Fraction-pair representation these bytes must keep
+    code, out = run_cli(["dump"] + args, capsys)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_console_entry_point():

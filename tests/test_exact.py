@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -235,3 +236,123 @@ def test_hbar_product_coefficient_types():
     assert prod.coeffs[2] == Cyc(6, [rat(5, 2), 3])
     assert prod.coeffs[3] == 5 * eta
     assert [type(c) for c in (b * a).coeffs] == [type(c) for c in prod.coeffs]
+
+
+# -- Q(s) against a reference model: a + b*s as a pair of Fractions, s^2 = p
+
+# non-square p, with numerators and denominators other than 1 so that the
+# integral basis pd*s differs from s, and one negative p
+QUAD_PS = (rat(9, 10), rat(2), rat(3, 5), rat(7, 12), rat(-5, 3), rat(1, 6))
+quad_ps = st.sampled_from(QUAD_PS)
+quad_pairs = st.tuples(small_rats, small_rats)
+
+
+def ref_mul(x, y, p):
+    (a1, b1), (a2, b2) = x, y
+    return (a1 * a2 + b1 * b2 * p, a1 * b2 + a2 * b1)
+
+
+def ref_inv(x, p):
+    a, b = x
+    n = a * a - b * b * p
+    return (a / n, -b / n)
+
+
+def ref_pow(x, n, p):
+    if n < 0:
+        return ref_pow(ref_inv(x, p), -n, p)
+    out = (RAT(1), RAT(0))
+    for _ in range(n):
+        out = ref_mul(out, x, p)
+    return out
+
+
+def assert_quad(x, ref, p):
+    """`x` has the value of the reference pair, rational coordinates read
+    back as RAT, and integer coordinates in canonical form."""
+    assert isinstance(x, QuadExt) and x.p == p
+    assert (x.a, x.b) == tuple(ref)
+    assert type(x.a) is type(RAT_ZERO) and type(x.b) is type(RAT_ZERO)
+    assert all(type(v) is int for v in (x.A, x.B, x.D))
+    assert x.D > 0 and gcd(x.A, x.B, x.D) == 1
+
+
+@given(quad_ps, quad_pairs, quad_pairs)
+def test_quad_ring_ops_match_reference(p, u, v):
+    x, y = QuadExt(*u, p), QuadExt(*v, p)
+    assert_quad(x + y, (u[0] + v[0], u[1] + v[1]), p)
+    assert_quad(x - y, (u[0] - v[0], u[1] - v[1]), p)
+    assert_quad(-x, (-u[0], -u[1]), p)
+    assert_quad(x * y, ref_mul(u, v, p), p)
+    if y:
+        assert_quad(y.inverse(), ref_inv(v, p), p)
+        assert_quad(x / y, ref_mul(u, ref_inv(v, p), p), p)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+
+
+@given(quad_ps, quad_pairs, scalars)
+def test_quad_rational_operands_on_both_sides(p, u, r):
+    x = QuadExt(*u, p)
+    a, b = u
+    assert_quad(x + r, (a + r, b), p)
+    assert_quad(r + x, (a + r, b), p)
+    assert_quad(x - r, (a - r, b), p)
+    assert_quad(r - x, (r - a, -b), p)
+    assert_quad(x * r, (a * r, b * r), p)
+    assert_quad(r * x, (a * r, b * r), p)
+    if r:
+        assert_quad(x / r, (a / RAT(r), b / RAT(r)), p)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / r
+    if x:
+        assert_quad(r / x, ref_mul((RAT(r), RAT(0)), ref_inv(u, p), p), p)
+
+
+@given(quad_ps, quad_pairs, st.integers(-4, 4))
+def test_quad_pow_matches_reference(p, u, n):
+    x = QuadExt(*u, p)
+    assume(x or n >= 0)
+    assert_quad(x ** n, ref_pow(u, n, p), p)
+
+
+@given(quad_ps, quad_pairs, quad_pairs, scalars)
+def test_quad_equality_and_round_trip(p, u, v, r):
+    x = QuadExt(*u, p)
+    assert (x == QuadExt(*v, p)) == (u == v)
+    if x:
+        assert x != x / 2
+    assert (x == r) == (u[1] == 0 and u[0] == r)
+    assert (r == x) == (x == r)
+    assert QuadExt(r, 0, p) == r and r == QuadExt(r, 0, p)
+    back = QuadExt(x.a, x.b, p)
+    assert (back.A, back.B, back.D) == (x.A, x.B, x.D)
+    assert back == x and (back.a, back.b) == u
+
+
+@given(quad_ps, quad_pairs, quad_pairs)
+def test_quad_coordinates_are_canonical(p, u, v):
+    x, y = QuadExt(*u, p), QuadExt(*v, p)
+    s = QuadExt(0, 1, p)
+    # equal values reached along different routes have identical coordinates
+    for got, want in (((x + y) - y, x), (x * y, y * x),
+                      (x * s * s, x * p), (u[0] + u[1] * s, x)):
+        assert (got.A, got.B, got.D) == (want.A, want.B, want.D)
+        assert got == want
+    if y:
+        got = (x * y) / y
+        assert (got.A, got.B, got.D) == (x.A, x.B, x.D)
+
+
+@given(quad_ps, quad_ps, quad_pairs, quad_pairs)
+def test_quad_mixed_extensions_raise(p1, p2, u, v):
+    assume(p1 != p2)
+    x, y = QuadExt(*u, p1), QuadExt(*v, p2)
+    ops = [lambda: x + y, lambda: x - y, lambda: x * y, lambda: x == y]
+    if y:
+        ops.append(lambda: x / y)
+    for op in ops:
+        with pytest.raises(ValueError):
+            op()

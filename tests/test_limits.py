@@ -79,6 +79,16 @@ def test_limit_II_rejects_bad_flavor():
         verify_limit_II_relation(ctx, 0, 1)
 
 
+def test_limit_II_rejects_truncation_below_hbar2():
+    # the check reads hbar^0, hbar^1 and hbar^2, so trunc = 2 is refused up
+    # front instead of failing on the hbar^2 read
+    ctx = ScalarCtx.limit2(2, 2, trunc=2)
+    with pytest.raises(ValueError, match="context truncation too small"):
+        verify_limit_II_relation(ctx, 1, 1, order_x=3)
+    ctx = ScalarCtx.limit2(2, 2, trunc=3)
+    assert verify_limit_II_relation(ctx, 1, 1, order_x=3).ok
+
+
 def test_single_current_vacuum_value_is_order_hbar():
     # <vac|W^1|vac> = [N]_p vanishes at hbar = 0 in the limit II context
     for (N, k) in ((2, 2), (3, 1)):

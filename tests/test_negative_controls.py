@@ -5,7 +5,7 @@ passes is required to report `fail`."""
 
 import pytest
 
-from deformedw import limits
+from deformedw import limits, relations
 from deformedw.context import ScalarCtx
 
 # (N, level, i, j) at order_x <= 5; the central cases (i + j = N) carry the
@@ -69,3 +69,38 @@ def test_limit2_fails_without_derivative_delta(no_derivative_delta,
 def test_limit2_controls_pass_unmutated(N, k, i, j):
     ctx = ScalarCtx.limit2(N, k, trunc=4)
     assert limits.verify_limit_II_relation(ctx, i, j, order_x=3).ok
+
+
+# relations at generic points, where every scalar lives in Q(s): (N, i, j)
+# for w1wj (i = 1) and wiwj, all at window 1, level 1
+RELATION_CASES = [(2, 1, 1), (3, 1, 2), (3, 2, 2)]
+RELATION_POINT = ("3/2", "5/3")
+
+
+@pytest.fixture
+def doubled_prefactor(monkeypatch):
+    """The prefactor A = (1 - q)(1 - 1/t)/(1 - p) of every delta term,
+    scaled by 2."""
+    prefactor = ScalarCtx.prefactor
+    monkeypatch.setattr(ScalarCtx, "prefactor", lambda ctx: 2 * prefactor(ctx))
+
+
+def _relation_record(N, i, j):
+    ctx = ScalarCtx.generic(N, *RELATION_POINT)
+    if i == 1:
+        return relations.verify_w1wj(ctx, j, window=1, level=1)
+    return relations.verify_wiwj(ctx, i, j, window=1, level=1)
+
+
+@pytest.mark.parametrize("N,i,j", RELATION_CASES)
+def test_relations_fail_on_doubled_prefactor(doubled_prefactor, N, i, j):
+    rec = _relation_record(N, i, j)
+    assert rec.status == "fail", rec.detail
+    # the two sides were compared, and differ
+    assert " lhs=" in rec.detail and " rhs=" in rec.detail, rec.detail
+
+
+@pytest.mark.parametrize("N,i,j", RELATION_CASES)
+def test_relations_controls_pass_unmutated(N, i, j):
+    rec = _relation_record(N, i, j)
+    assert rec.status == "pass", rec.detail
