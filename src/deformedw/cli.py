@@ -68,7 +68,8 @@ def _run_one(name, cfg):
 def cmd_verify(args):
     cp, text = load_config(args.config)
     if args.suite:
-        names = list(args.suite)
+        # a suite named twice runs once
+        names = list(dict.fromkeys(args.suite))
     elif cp.has_section("suites"):
         names = [k for k, v in cp["suites"].items()
                  if v.strip().lower() in ("1", "true", "yes", "on")]

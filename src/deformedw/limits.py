@@ -242,14 +242,16 @@ def verify_correlator_order(ctx: ScalarCtx, n_points: int, order_x: int = 8,
     return CheckRecord("limit2-corr", case, "pass", "", ("vacuum lambda",))
 
 
-def verify_limit_I_appendix(N: int, beta, i: int, window: int = 2,
-                            trunc: int = 8):
+def verify_limit_I_appendix(ctx: ScalarCtx, i: int, window: int = 2):
     """Conformal-side behavior: the vacuum eigenvalue of the rank-i current is
     binom(N, i) + O(hbar^2) (even in hbar), and low-lying nonzero-mode matrix
-    elements are O(hbar^2), for beta in {(N+1)/N, N/(N+1)}."""
+    elements are O(hbar^2), in a limit1 context (the suite takes beta in
+    {(N+1)/N, N/(N+1)})."""
     from math import comb
-    ctx = ScalarCtx.limit1(N, beta, trunc=trunc)
-    case = f"N={N}:beta={beta}:i={i}:w={window}"
+    if ctx.mode != "limit1":
+        raise ValueError("needs a limit1 context")
+    N = ctx.N
+    case = f"N={N}:beta={ctx.beta}:i={i}:w={window}"
     pb = p_binomial(ctx, N, i)
     if not scalar_is_zero(pb.coefficient(0) - comb(N, i)):
         return CheckRecord("limit1", case, "fail",

@@ -146,10 +146,11 @@ def suite_limit1(cfg):
     trunc = _int(cfg, "order_h", 6) + 2
     out = []
     for N in ns:
-        for i in range(0, N + 1):
-            for beta in (rat(N + 1, N), rat(N, N + 1)):
-                out.append(verify_limit_I_appendix(N, beta, i, window=window,
-                                                   trunc=trunc))
+        for beta in (rat(N + 1, N), rat(N, N + 1)):
+            ctx = ScalarCtx.limit1(N, beta, trunc=trunc)
+            for i in range(0, N + 1):
+                out.append(_case(verify_limit_I_appendix, ctx, i,
+                                 window=window))
     return out
 
 

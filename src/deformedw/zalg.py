@@ -10,6 +10,8 @@ integer only when comparing with structure-function series.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .exact import Cyc, rat
 from .relations import CheckRecord
 from .series import LaurentWindow, VarBound, series_exp
@@ -112,6 +114,19 @@ def gl_bracket(a: GlElement, b: GlElement) -> GlElement:
     return GlElement(N, out)
 
 
+@lru_cache(maxsize=None)
+def _omega_powers(N: int) -> tuple:
+    """omega^0 .. omega^{N-1} in closed form, as eta^{2k} with eta the
+    primitive 2N-th root."""
+    eta = Cyc.root(2 * N)
+    return tuple(eta.root_pow(2 * k) for k in range(N))
+
+
+def _omega_pow(N: int, k: int) -> Cyc:
+    """omega^k for any integer k (omega^N = 1)."""
+    return _omega_powers(N)[k % N]
+
+
 def beta_gen(N: int, n: int) -> GlElement:
     """Principal Heisenberg generator, n not divisible by N."""
     if n % N == 0:
@@ -129,24 +144,25 @@ def x_gen(N: int, mu: int, n: int) -> GlElement:
     """Principal-basis generator x^{(mu)}_n (mu mod N, nonzero)."""
     if mu % N == 0:
         raise ValueError("flavor must be nonzero mod N")
-    omega = Cyc.root(2 * N).root_pow(2)
     m, nu = divmod(n, N)
     acc = GlElement.zero(N)
     if nu:
         for i in range(1, N - nu + 1):
-            acc = acc + GlElement.E(N, i, i + nu, m, omega ** (mu * (i + nu - 1)))
+            acc = acc + GlElement.E(N, i, i + nu, m,
+                                    _omega_pow(N, mu * (i + nu - 1)))
         for i in range(N - nu + 1, N + 1):
             acc = acc + GlElement.E(N, i, i + nu - N, m + 1,
-                                    omega ** (mu * (i + nu - 1)))
+                                    _omega_pow(N, mu * (i + nu - 1)))
         return acc
     one = Cyc.const(2 * N, 1)
+    inv = (one - _omega_pow(N, mu)).inverse()
     for i in range(1, N):
-        coeff = (one - omega ** (mu * i)) / (one - omega ** mu)
+        coeff = (one - _omega_pow(N, mu * i)) * inv
         # H^i_m = E^{i,i}_m - E^{i+1,i+1}_m
         acc = acc + GlElement.E(N, i, i, m, coeff)
         acc = acc + GlElement.E(N, i + 1, i + 1, m, -coeff)
     if m == 0:
-        acc = acc + GlElement.center(N, -(one / (one - omega ** mu)))
+        acc = acc + GlElement.center(N, -inv)
     return acc
 
 
@@ -156,8 +172,21 @@ def verify_principal_relations(N: int, k_value: int, window_n: int):
     the central symbol stays formal.  Also checks principal-degree
     homogeneity of every realized generator."""
     case = f"N={N}:window={window_n}"
-    omega = Cyc.root(2 * N).root_pow(2)
     rng = [n for n in range(-window_n, window_n + 1)]
+    # each distinct generator is realized once per call, through the
+    # module-level x_gen / beta_gen
+    betas = {}
+    xs = {}
+
+    def beta_at(n):
+        if n not in betas:
+            betas[n] = beta_gen(N, n)
+        return betas[n]
+
+    def x_at(mu, n):
+        if (mu, n) not in xs:
+            xs[mu, n] = x_gen(N, mu, n)
+        return xs[mu, n]
 
     def fail(msg):
         return CheckRecord("zalg", case, "fail", msg)
@@ -165,34 +194,34 @@ def verify_principal_relations(N: int, k_value: int, window_n: int):
     # degree homogeneity
     for n in rng:
         if n % N:
-            degs = beta_gen(N, n).principal_degrees()
+            degs = beta_at(n).principal_degrees()
             if degs != {n}:
                 return fail(f"beta_{n} not homogeneous: degrees {degs}")
         for mu in range(1, N):
-            degs = x_gen(N, mu, n).principal_degrees()
+            degs = x_at(mu, n).principal_degrees()
             if degs and degs != {n}:
                 return fail(f"x^({mu})_{n} not homogeneous: degrees {degs}")
 
     for n in rng:
         for m in rng:
             if n % N and m % N:
-                got = gl_bracket(beta_gen(N, n), beta_gen(N, m))
+                got = gl_bracket(beta_at(n), beta_at(m))
                 want = GlElement.center(N, n) if n + m == 0 \
                     else GlElement.zero(N)
                 if got != want:
                     return fail(f"[beta_{n}, beta_{m}] = {got}, want {want}")
             for nu in range(1, N):
                 if n % N:
-                    got = gl_bracket(beta_gen(N, n), x_gen(N, nu, m))
-                    want = x_gen(N, nu, n + m).scale(1 - omega ** (-nu * n))
+                    got = gl_bracket(beta_at(n), x_at(nu, m))
+                    want = x_at(nu, n + m).scale(1 - _omega_pow(N, -nu * n))
                     if got != want:
                         return fail(f"[beta_{n}, x^({nu})_{m}] mismatch")
             for mu in range(1, N):
                 for nu in range(1, N):
-                    got = gl_bracket(x_gen(N, mu, n), x_gen(N, nu, m))
-                    cf = omega ** (-mu * m) - omega ** (-nu * n)
+                    got = gl_bracket(x_at(mu, n), x_at(nu, m))
+                    cf = _omega_pow(N, -mu * m) - _omega_pow(N, -nu * n)
                     if (mu + nu) % N:
-                        want = x_gen(N, mu + nu, n + m).scale(cf)
+                        want = x_at(mu + nu, n + m).scale(cf)
                     else:
                         want = GlElement.zero(N)
                         if cf:
@@ -200,10 +229,10 @@ def verify_principal_relations(N: int, k_value: int, window_n: int):
                                 return fail(
                                     f"beta_(0 mod N) needed at x-bracket "
                                     f"({mu},{n}),({nu},{m})")
-                            want = want + beta_gen(N, n + m).scale(cf)
+                            want = want + beta_at(n + m).scale(cf)
                         if n + m == 0:
                             want = want + GlElement.center(
-                                N, omega ** (mu * n) * n)
+                                N, _omega_pow(N, mu * n) * n)
                     if got != want:
                         return fail(
                             f"[x^({mu})_{n}, x^({nu})_{m}] = {got}, "
@@ -219,7 +248,6 @@ def exchange_factor_series(N: int, k_value: int, mu: int, nu: int,
     taken from the gl_N realization (not assumed)."""
     if k_value == 0:
         raise ValueError("level must be nonzero")
-    omega = Cyc.root(2 * N).root_pow(2)
     one = Cyc.const(2 * N, 1)
     terms = {}
     for n in range(1, order + 1):
@@ -230,7 +258,8 @@ def exchange_factor_series(N: int, k_value: int, mu: int, nu: int,
             raise ArithmeticError("beta bracket is not central")
         central = bkt.coefficient(CENTER)  # n, times the formal center
         level_value = central * k_value
-        coeff = (one - omega ** (mu * n)) * (one - omega ** (-nu * n)) \
+        coeff = (one - _omega_pow(N, mu * n)) \
+            * (one - _omega_pow(N, -nu * n)) \
             * level_value * rat(-1, k_value ** 2 * n ** 2)
         terms[(n,)] = coeff
     win = LaurentWindow(("zeta",), terms, [VarBound(0, order, True, False)])

@@ -125,9 +125,10 @@ def test_criterion_09_correlator_order():
 
 def test_criterion_10_limit1():
     for N in (2, 3, 4, 5):
-        for i in range(0, N + 1):
-            for beta in (rat(N + 1, N), rat(N, N + 1)):
-                rec = verify_limit_I_appendix(N, beta, i, window=1, trunc=8)
+        for beta in (rat(N + 1, N), rat(N, N + 1)):
+            ctx = ScalarCtx.limit1(N, beta, trunc=8)
+            for i in range(0, N + 1):
+                rec = verify_limit_I_appendix(ctx, i, window=1)
                 assert rec.ok, (N, i, beta, rec.detail)
     _done(10, "vacuum eigenvalue binom + O(hbar^2), exact to hbar^6")
 

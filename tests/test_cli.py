@@ -85,6 +85,15 @@ def test_verify_suite_flag_overrides(tmp_path, capsys):
     assert {c["suite"] for c in body["checks"]} <= {"zeta", "zeta-vac"}
 
 
+def test_verify_repeated_suite_flag_runs_once(tmp_path, capsys):
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    run_cli(["verify", "--suite", "characters", "--out", str(once)], capsys)
+    run_cli(["verify", "--suite", "characters", "--suite", "characters",
+             "--out", str(twice)], capsys)
+    assert twice.read_bytes() == once.read_bytes()
+    assert len(json.loads(once.read_text())["checks"]) == 12
+
+
 def test_dump_objects(capsys):
     code, out = run_cli(["dump", "g:N=2:k=2:mu=1:nu=1", "--order", "4"], capsys)
     assert code == 0

@@ -1,5 +1,6 @@
 import pytest
 
+from deformedw import suites
 from deformedw.context import ScalarCtx
 from deformedw.exact import Cyc, rat
 from deformedw.fock import HighestWeight, hw_eigenvalue_w
@@ -7,6 +8,7 @@ from deformedw.limits import (check_f_reduces_to_g, verify_correlator_order,
                               verify_limit_I_appendix,
                               verify_limit_II_relation)
 from deformedw.structfn import f_series
+from deformedw.wcurrents import PREFIX_MEMO
 from deformedw.zeta import p_binomial
 
 
@@ -128,7 +130,44 @@ def test_limit1_N2_value():
 
 
 def test_limit1_appendix():
-    rec = verify_limit_I_appendix(2, rat(3, 2), 1, window=2)
+    rec = verify_limit_I_appendix(ScalarCtx.limit1(2, rat(3, 2)), 1,
+                                  window=2)
     assert rec.ok, rec.detail
-    rec = verify_limit_I_appendix(3, rat(3, 4), 2, window=1)
+    rec = verify_limit_I_appendix(ScalarCtx.limit1(3, rat(3, 4)), 2,
+                                  window=1)
     assert rec.ok, rec.detail
+
+
+LIMIT1_CFG = {"n_values": "2 3", "window": "1", "order_h": "2"}
+
+
+def test_suite_limit1_matches_fresh_context_per_case():
+    # one context per (N, beta) gives the records of one context per case
+    want = [verify_limit_I_appendix(ScalarCtx.limit1(N, beta, trunc=4), i,
+                                    window=1)
+            for N in (2, 3) for beta in (rat(N + 1, N), rat(N, N + 1))
+            for i in range(0, N + 1)]
+    got = suites.suite_limit1(LIMIT1_CFG)
+    assert got == want
+    assert all(r.ok for r in got)
+
+
+def test_suite_limit1_drops_prefix_memo_per_case(monkeypatch):
+    made = []
+    limit1 = ScalarCtx.limit1
+    monkeypatch.setattr(ScalarCtx, "limit1", staticmethod(
+        lambda *a, **kw: made.append(limit1(*a, **kw)) or made[-1]))
+    recs = suites.suite_limit1(LIMIT1_CFG)
+    assert len(recs) == 14 and len(made) == 4
+    assert all(PREFIX_MEMO not in c.caches for c in made)
+    # the memo is there to drop: a direct call leaves it on the context
+    ctx = limit1(2, rat(3, 2), trunc=4)
+    verify_limit_I_appendix(ctx, 1, window=1)
+    assert PREFIX_MEMO in ctx.caches
+
+
+def test_limit1_appendix_needs_limit1_context():
+    with pytest.raises(ValueError, match="limit1"):
+        verify_limit_I_appendix(ScalarCtx.generic(2, rat(3, 2), rat(5, 3)), 1)
+    with pytest.raises(ValueError, match="limit1"):
+        verify_limit_I_appendix(ScalarCtx.limit2(2, 2), 1)

@@ -5,8 +5,10 @@ passes is required to report `fail`."""
 
 import pytest
 
-from deformedw import limits, relations
+from deformedw import limits, relations, zalg
 from deformedw.context import ScalarCtx
+from deformedw.exact import HbarSeries, rat
+from deformedw.series import LaurentWindow
 
 # (N, level, i, j) at order_x <= 5; the central cases (i + j = N) carry the
 # derivative-delta term
@@ -104,3 +106,112 @@ def test_relations_fail_on_doubled_prefactor(doubled_prefactor, N, i, j):
 def test_relations_controls_pass_unmutated(N, i, j):
     rec = _relation_record(N, i, j)
     assert rec.status == "pass", rec.detail
+
+
+# limit I: (N, beta, i) at window 1 and the default truncation hbar^7
+LIMIT1_CASES = [(2, rat(3, 2), 1), (3, rat(3, 4), 2), (3, rat(4, 3), 1)]
+
+
+@pytest.fixture
+def hbar1_in_matrix_elements(monkeypatch):
+    """Every low-mode matrix element gains the term hbar^1."""
+    element = limits.w_mode_matrix_element
+
+    def mutated(ctx, *args):
+        return element(ctx, *args) + HbarSeries.hbar(ctx.trunc)
+
+    monkeypatch.setattr(limits, "w_mode_matrix_element", mutated)
+
+
+@pytest.fixture
+def odd_term_in_p_binomial(monkeypatch):
+    """The vacuum eigenvalue gains the odd term hbar^3; its hbar^0 part, the
+    binomial coefficient, is untouched."""
+    binomial = limits.p_binomial
+
+    def mutated(ctx, N, i):
+        pb = binomial(ctx, N, i)
+        return pb + HbarSeries.hbar(pb.trunc) ** 3
+
+    monkeypatch.setattr(limits, "p_binomial", mutated)
+
+
+def _limit1_record(N, beta, i):
+    return limits.verify_limit_I_appendix(ScalarCtx.limit1(N, beta), i,
+                                          window=1)
+
+
+@pytest.mark.parametrize("N,beta,i", LIMIT1_CASES)
+def test_limit1_fails_on_hbar1_matrix_element(hbar1_in_matrix_elements,
+                                              N, beta, i):
+    rec = _limit1_record(N, beta, i)
+    assert rec.status == "fail"
+    assert rec.detail.endswith("has hbar^1 term"), rec.detail
+
+
+@pytest.mark.parametrize("N,beta,i", LIMIT1_CASES)
+def test_limit1_fails_on_odd_eigenvalue_term(odd_term_in_p_binomial,
+                                             N, beta, i):
+    rec = _limit1_record(N, beta, i)
+    assert rec.status == "fail"
+    assert rec.detail.startswith("odd hbar^3 "), rec.detail
+
+
+@pytest.mark.parametrize("N,beta,i", LIMIT1_CASES)
+def test_limit1_controls_pass_unmutated(N, beta, i):
+    assert _limit1_record(N, beta, i).ok
+
+
+# the principal relations at (N, window); the splitting at (N, k, mu, nu)
+ZALG_CASES = [(2, 5), (3, 3)]
+SPLIT_CASES = [(2, 1, 1, 1), (3, 2, 1, 2)]
+
+
+@pytest.fixture
+def rotated_x_generator(monkeypatch):
+    """x^{(1)}_1 alone is realized times omega."""
+    x_gen = zalg.x_gen
+
+    def mutated(N, mu, n):
+        x = x_gen(N, mu, n)
+        return x.scale(zalg._omega_pow(N, 1)) if (mu, n) == (1, 1) else x
+
+    monkeypatch.setattr(zalg, "x_gen", mutated)
+
+
+@pytest.fixture
+def nudged_g_coefficient(monkeypatch):
+    """The zeta^1 coefficient of g^{mu,nu} is shifted by 1."""
+    g_series = zalg.g_series
+
+    def mutated(*args):
+        win = g_series(*args)
+        coeffs = dict(win.coeffs)
+        coeffs[(1,)] = coeffs.get((1,), win.zero) + 1
+        return LaurentWindow(win.vars, coeffs, win.bounds, win.zero)
+
+    monkeypatch.setattr(zalg, "g_series", mutated)
+
+
+@pytest.mark.parametrize("N,window", ZALG_CASES)
+def test_principal_relations_fail_on_rotated_generator(rotated_x_generator,
+                                                       N, window):
+    rec = zalg.verify_principal_relations(N, 2, window)
+    assert rec.status == "fail", rec.detail
+
+
+@pytest.mark.parametrize("N,window", ZALG_CASES)
+def test_principal_relations_pass_unmutated(N, window):
+    assert zalg.verify_principal_relations(N, 2, window).ok
+
+
+@pytest.mark.parametrize("N,k,mu,nu", SPLIT_CASES)
+def test_splitting_fails_on_nudged_g(nudged_g_coefficient, N, k, mu, nu):
+    rec = zalg.verify_splitting_consistency(N, k, mu, nu, order=4)
+    assert rec.status == "fail"
+    assert "coefficient zeta^1" in rec.detail, rec.detail
+
+
+@pytest.mark.parametrize("N,k,mu,nu", SPLIT_CASES)
+def test_splitting_passes_unmutated(N, k, mu, nu):
+    assert zalg.verify_splitting_consistency(N, k, mu, nu, order=4).ok

@@ -1,8 +1,9 @@
 import random
 
 from deformedw.exact import Cyc
-from deformedw.zalg import (GlElement, beta_gen, exchange_factor_series,
-                            gl_bracket, verify_principal_relations,
+from deformedw.zalg import (GlElement, _omega_pow, beta_gen,
+                            exchange_factor_series, gl_bracket,
+                            verify_principal_relations,
                             verify_splitting_consistency, x_gen)
 
 
@@ -77,3 +78,12 @@ def test_exchange_factor_equals_g():
 def test_exchange_factor_constant_term():
     win = exchange_factor_series(3, 2, 1, 2, 6)
     assert win.coefficient((0,)) == 1
+
+
+def test_closed_form_omega_powers():
+    # the canonical Cyc form makes eta^{2k} identical to repeated squaring
+    # and the Euclid inverse
+    for N in range(2, 6):
+        omega = Cyc.root(2 * N).root_pow(2)
+        for k in range(-2 * N, 2 * N + 1):
+            assert _omega_pow(N, k).coeffs == (omega ** k).coeffs
