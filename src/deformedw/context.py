@@ -80,7 +80,7 @@ class ScalarCtx:
             self.one = HbarSeries.const(RAT_ONE, T)
             self.q = HbarSeries.exp_hbar(RAT_ONE, T)
             # t = omega^{-1} e^{h(k+N)/N};  p = omega e^{-hk/N};  s = eta e^{-hk/2N}
-            self.t = HbarSeries.exp_hbar(rat(k + N, N), T) * self.eta.root_pow(-2)
+            self.t = HbarSeries.exp_hbar(rat(k + N, N), T) * Cyc.root(order, -2)
             self.p = HbarSeries.exp_hbar(rat(-k, N), T) * self.omega
             self.s = HbarSeries.exp_hbar(rat(-k, 2 * N), T) * self.eta
 
@@ -146,12 +146,12 @@ class ScalarCtx:
     def eta_pow(self, a: int) -> Cyc:
         if self.mode != "limit2":
             raise ValueError("eta lives in the limit2 context")
-        return self.eta.root_pow(a)
+        return Cyc.root(self.order, a)
 
     def omega_pow(self, a: int) -> Cyc:
         if self.mode != "limit2":
             raise ValueError("omega lives in the limit2 context")
-        return self.eta.root_pow(2 * a)
+        return Cyc.root(self.order, 2 * a)
 
     # -- composite quantities
 

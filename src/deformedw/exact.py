@@ -8,7 +8,7 @@ arithmetic; nothing in this package ever touches floating point.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as RAT
@@ -110,44 +110,64 @@ class Cyc:
     """Element of the cyclotomic field Q(eta), eta a primitive `order`-th root
     of unity, reduced modulo the order-th cyclotomic polynomial.
 
-    Coefficients are stored as a tuple of rationals of length phi(order).
+    An element is stored as integers: a tuple N of phi(order) numerators and
+    one denominator D, its value being sum_i N[i] eta^i / D with D > 0 and
+    gcd(D, *N) = 1.  That form is unique (zero is all zeros over 1), so
+    equality compares coordinates, and each result costs integer products
+    and one gcd.  `coeffs` reads the rational coefficients back.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "N", "D")
     __hash__ = None
 
     def __init__(self, order: int, coeffs):
         phi = len(cyclotomic_poly(order)) - 1
-        coeffs = list(coeffs)
+        coeffs = [RAT(c) for c in coeffs]
         if len(coeffs) > phi:
             coeffs = _cyc_reduce_list(order, coeffs)
         coeffs += [RAT_ZERO] * (phi - len(coeffs))
+        # every coefficient is in lowest terms, so over the least common
+        # denominator the numerators and D share no factor
+        D = lcm(*(c.denominator for c in coeffs))
         self.order = order
-        self.coeffs = tuple(RAT(c) for c in coeffs)
+        self.N = tuple(c.numerator * (D // c.denominator) for c in coeffs)
+        self.D = D
 
     @staticmethod
-    def _make(order: int, coeffs: tuple) -> "Cyc":
-        # results of the arithmetic below: `coeffs` is already canonical (a
-        # tuple of phi(order) rationals), so the normalisation is skipped
+    def _make(order: int, N: tuple, D: int) -> "Cyc":
+        # results of the arithmetic below: (N, D) is already canonical
         out = object.__new__(Cyc)
-        out.order = order
-        out.coeffs = coeffs
+        out.order, out.N, out.D = order, N, D
         return out
+
+    @staticmethod
+    def _reduced(order: int, N: tuple, D: int) -> "Cyc":
+        # (N, D) with D > 0, divided by its common factor
+        g = gcd(D, *N)
+        if g != 1:
+            N = tuple(n // g for n in N)
+            D //= g
+        return Cyc._make(order, N, D)
+
+    @property
+    def coeffs(self) -> tuple:
+        D = self.D
+        return tuple(RAT(n, D) for n in self.N)
 
     # -- constructors
 
     @staticmethod
     def const(order: int, value) -> "Cyc":
-        return Cyc(order, [RAT(value)])
+        value = RAT(value)
+        phi = len(cyclotomic_poly(order)) - 1
+        return Cyc._make(order, (value.numerator,) + (0,) * (phi - 1),
+                         value.denominator)
 
     @staticmethod
-    def root(order: int) -> "Cyc":
-        return Cyc(order, [0, 1])
-
-    def root_pow(self, k: int) -> "Cyc":
-        """eta^k in the same field (k may be negative; eta^order = 1)."""
-        k %= self.order
-        return Cyc(self.order, [0] * k + [1])
+    def root(order: int, k: int = 1) -> "Cyc":
+        """eta^k for eta the primitive order-th root (k may be negative;
+        eta^order = 1)."""
+        return Cyc(order, [0] * (k % order) + [1])
 
     # -- ring structure
 
@@ -155,78 +175,84 @@ class Cyc:
         if other.order != self.order:
             raise ValueError("mixed cyclotomic orders")
 
-    def _coerce(self, other):
-        if isinstance(other, Cyc):
-            self._same_order(other)
-            return other
-        if is_rational(other):
-            return Cyc.const(self.order, other)
-        return None
-
     def __add__(self, other):
         if isinstance(other, Cyc):
             self._same_order(other)
-            return Cyc._make(self.order, tuple(
-                a + b for a, b in zip(self.coeffs, other.coeffs)))
+            D1, D2 = self.D, other.D
+            if D1 == D2:
+                return Cyc._reduced(self.order, tuple(
+                    a + b for a, b in zip(self.N, other.N)), D1)
+            return Cyc._reduced(self.order, tuple(
+                a * D2 + b * D1 for a, b in zip(self.N, other.N)), D1 * D2)
         if is_rational(other):
-            c = self.coeffs
-            return Cyc._make(self.order, (c[0] + other,) + c[1:])
+            return self._plus_rat(other.numerator, other.denominator)
         return NotImplemented
 
     __radd__ = __add__
 
+    def _plus_rat(self, n: int, d: int) -> "Cyc":
+        # self + n/d, with n/d in lowest terms and d > 0
+        N, D = self.N, self.D
+        if d == 1:
+            # gcd(D, N[0] + n D, *N[1:]) = gcd(D, *N) = 1
+            return Cyc._make(self.order, (N[0] + n * D,) + N[1:], D)
+        return Cyc._reduced(self.order, (N[0] * d + n * D,) + tuple(
+            a * d for a in N[1:]), D * d)
+
     def __neg__(self):
-        return Cyc._make(self.order, tuple(-a for a in self.coeffs))
+        return Cyc._make(self.order, tuple(-a for a in self.N), self.D)
 
     def __sub__(self, other):
         if isinstance(other, Cyc):
             self._same_order(other)
-            return Cyc._make(self.order, tuple(
-                a - b for a, b in zip(self.coeffs, other.coeffs)))
+            D1, D2 = self.D, other.D
+            if D1 == D2:
+                return Cyc._reduced(self.order, tuple(
+                    a - b for a, b in zip(self.N, other.N)), D1)
+            return Cyc._reduced(self.order, tuple(
+                a * D2 - b * D1 for a, b in zip(self.N, other.N)), D1 * D2)
         if is_rational(other):
-            c = self.coeffs
-            return Cyc._make(self.order, (c[0] - other,) + c[1:])
+            return self._plus_rat(-other.numerator, other.denominator)
         return NotImplemented
 
     def __rsub__(self, other):
         if is_rational(other):
-            c = self.coeffs
-            return Cyc._make(self.order,
-                             (other - c[0],) + tuple(-a for a in c[1:]))
+            return (-self)._plus_rat(other.numerator, other.denominator)
         return NotImplemented
 
     def __mul__(self, other):
+        if isinstance(other, Cyc):
+            self._same_order(other)
+            A, B = self.N, other.N
+            phi = len(A)
+            raw = [0] * (2 * phi - 1)
+            for i, a in enumerate(A):
+                if a:
+                    for j, b in enumerate(B):
+                        if b:
+                            raw[i + j] += a * b
+            # reduce modulo the monic cyclotomic polynomial, top degree
+            # first; its coefficients are mostly 0 and +-1, which need no
+            # product
+            mod = cyclotomic_poly(self.order)
+            for i in range(len(raw) - 1, phi - 1, -1):
+                c = raw[i]
+                if c:
+                    for j in range(phi):
+                        m = mod[j]
+                        if m == 1:
+                            raw[i - phi + j] -= c
+                        elif m == -1:
+                            raw[i - phi + j] += c
+                        elif m:
+                            raw[i - phi + j] -= c * m
+            return Cyc._reduced(self.order, tuple(raw[:phi]),
+                                self.D * other.D)
         if is_rational(other):
-            return Cyc._make(self.order,
-                             tuple(a * other for a in self.coeffs))
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        self._same_order(other)
-        phi = len(self.coeffs)
-        # as in HbarSeries.__mul__, a slot holds None until a product lands
-        raw = [None] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        acc = raw[i + j]
-                        raw[i + j] = a * b if acc is None else acc + a * b
-        raw = [RAT_ZERO if c is None else c for c in raw]
-        # reduce modulo the monic cyclotomic polynomial, top degree first;
-        # its coefficients are mostly 0 and +-1, which need no product
-        mod = cyclotomic_poly(self.order)
-        for i in range(len(raw) - 1, phi - 1, -1):
-            c = raw[i]
-            if c:
-                for j in range(phi):
-                    m = mod[j]
-                    if m == 1:
-                        raw[i - phi + j] -= c
-                    elif m == -1:
-                        raw[i - phi + j] += c
-                    elif m:
-                        raw[i - phi + j] -= c * m
-        return Cyc._make(self.order, tuple(raw[:phi]))
+            n = other.numerator
+            return Cyc._reduced(self.order, tuple(a * n for a in self.N),
+                                self.D * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -234,28 +260,38 @@ class Cyc:
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         mod = [RAT(c) for c in cyclotomic_poly(self.order)]
-        # extended Euclid over Q[x]: find u with u*self = 1 (mod Phi)
-        r0, r1 = mod, list(self.coeffs)
+        # extended Euclid over Q[x]: find u with u*N = 1 (mod Phi), so that
+        # 1/(N/D) = D*u
+        r0, r1 = mod, [RAT(n) for n in self.N]
         s0, s1 = [RAT_ZERO], [RAT_ONE]
         while True:
             while r1 and not r1[-1]:
                 r1.pop()
             if len(r1) == 1:
-                inv = r1[0] ** -1
+                inv = self.D / r1[0]
                 return Cyc(self.order, [c * inv for c in s1])
             q = _ratpoly_div(r0, r1)
             r0, r1 = r1, _ratpoly_sub(r0, _ratpoly_mul(q, r1))
             s0, s1 = s1, _ratpoly_sub(s0, _ratpoly_mul(q, s1))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, Cyc):
+            self._same_order(other)
+            return self * other.inverse()
+        if is_rational(other):
+            n, d = other.numerator, other.denominator
+            if not n:
+                raise ZeroDivisionError("division of cyclotomic element by "
+                                        "zero")
+            if n < 0:
+                n, d = -n, -d
+            return Cyc._reduced(self.order, tuple(a * d for a in self.N),
+                                self.D * n)
+        return NotImplemented
 
     def __rtruediv__(self, other):
         if is_rational(other):
-            return Cyc.const(self.order, other) * self.inverse()
+            return self.inverse() * other
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -271,13 +307,17 @@ class Cyc:
         return out
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        if isinstance(other, Cyc):
+            self._same_order(other)
+            return self.D == other.D and self.N == other.N
+        if is_rational(other):
+            N = self.N
+            return (self.D == other.denominator and N[0] == other.numerator
+                    and not any(N[1:]))
+        return NotImplemented
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.N)
 
     def __repr__(self):
         terms = []
@@ -625,15 +665,13 @@ class HbarSeries:
     def inverse(self) -> "HbarSeries":
         if not self.coeffs or not self.coeffs[0]:
             raise ZeroDivisionError("inverse needs an invertible constant term")
-        c0 = self.coeffs[0]
-        inv0 = 1 / RAT(c0) if is_rational(c0) else c0.inverse()
-        return HbarSeries(inverse_coeffs(self.coeffs, inv0, RAT_ZERO),
+        return HbarSeries(inverse_coeffs(self.coeffs,
+                                         scalar_inv(self.coeffs[0]), RAT_ZERO),
                           self.trunc)
 
     def __truediv__(self, other):
         if is_rational(other) or isinstance(other, Cyc):
-            inv = 1 / RAT(other) if is_rational(other) else other.inverse()
-            return self * inv
+            return self * scalar_inv(other)
         if not isinstance(other, HbarSeries):
             return NotImplemented
         v = other.valuation()

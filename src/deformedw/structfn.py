@@ -275,12 +275,13 @@ def g_series(N: int, k: int, mu: int, nu: int, order: int,
     if not (1 <= mu % N <= N - 1) or not (1 <= nu % N <= N - 1):
         raise ValueError("flavors must be nonzero mod N")
     order2 = 2 * N
-    omega = Cyc.root(order2).root_pow(2)
     terms = {}
     for n in range(1, order + 1):
         if n % N == 0:
             continue
-        val = (1 - omega.root_pow(2 * mu * n)) * (1 - omega.root_pow(-2 * nu * n))
+        # omega = eta^2, eta the primitive 2N-th root
+        val = (1 - Cyc.root(order2, 2 * mu * n)) \
+            * (1 - Cyc.root(order2, -2 * nu * n))
         terms[(n,)] = val * rat(-1, k * n)
     log_win = LaurentWindow((var,), terms, [VarBound(0, order, True, False)])
     return series_exp(log_win)

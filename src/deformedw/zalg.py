@@ -118,8 +118,7 @@ def gl_bracket(a: GlElement, b: GlElement) -> GlElement:
 def _omega_powers(N: int) -> tuple:
     """omega^0 .. omega^{N-1} in closed form, as eta^{2k} with eta the
     primitive 2N-th root."""
-    eta = Cyc.root(2 * N)
-    return tuple(eta.root_pow(2 * k) for k in range(N))
+    return tuple(Cyc.root(2 * N, 2 * k) for k in range(N))
 
 
 def _omega_pow(N: int, k: int) -> Cyc:

@@ -137,10 +137,13 @@ GOLDEN = Path(__file__).parent / "golden"
     (["f:N=3:i=1:j=2", "--order", "3"], "dump_f_N3_i1_j2_order3.json"),
     (["gamma:N=3:a=2"], "dump_gamma_N3_a2.json"),
     (["wvac:N=3:i=1"], "dump_wvac_N3_i1.json"),
+    (["g:N=3:k=2:mu=1:nu=2", "--order", "4"],
+     "dump_g_N3_k2_mu1_nu2_order4.json"),
 ])
 def test_dump_matches_golden_output(capsys, args, golden):
-    # Q(s) values print their rational and s parts; the files hold the
-    # output of the Fraction-pair representation these bytes must keep
+    # Q(s) values print their rational and s parts and cyclotomic values
+    # their rational coefficients; the files hold the output of the
+    # Fraction-coordinate representations these bytes must keep
     code, out = run_cli(["dump"] + args, capsys)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()

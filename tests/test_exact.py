@@ -2,7 +2,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from deformedw.exact import (Cyc, HbarSeries, QuadExt, RAT, RAT_ZERO,
                              cyc_reduce, cyclotomic_poly, exp_coeffs,
@@ -142,7 +142,7 @@ def test_hbar_division_with_valuation_cancellation():
 
 
 def test_hbar_cyc_coefficients():
-    omega = Cyc.root(6).root_pow(2)
+    omega = Cyc.root(6, 2)
     f = HbarSeries.exp_hbar(rat(1, 3), 5) * omega
     g = f * f * f  # omega^3 = 1, exp(h)
     assert g == HbarSeries.exp_hbar(1, 5)
@@ -171,13 +171,25 @@ def convolve(a, b):
     return out
 
 
-def assert_canonical(x, ref):
-    """`x` equals the fully normalised reference, and its coefficients are
-    a tuple of phi(order) RAT values."""
-    assert isinstance(x, Cyc) and x.order == ref.order
-    assert type(x.coeffs) is tuple
-    assert len(x.coeffs) == len(cyclotomic_poly(x.order)) - 1
+def assert_int_coords(x):
+    """`x` is stored as phi(order) int numerators over one int denominator,
+    in the canonical form D > 0, gcd(D, *N) = 1, and reads back a tuple of
+    RAT coefficients."""
+    assert isinstance(x, Cyc)
+    phi = len(cyclotomic_poly(x.order)) - 1
+    assert type(x.N) is tuple and len(x.N) == phi
+    assert all(type(n) is int for n in x.N) and type(x.D) is int
+    assert x.D > 0 and gcd(x.D, *x.N) == 1
+    assert type(x.coeffs) is tuple and len(x.coeffs) == phi
     assert all(type(c) is type(RAT_ZERO) for c in x.coeffs)
+
+
+def assert_canonical(x, ref):
+    """`x` equals the fully normalised reference, coordinate by coordinate,
+    and its coordinates are canonical."""
+    assert isinstance(x, Cyc) and x.order == ref.order
+    assert_int_coords(x)
+    assert (x.N, x.D) == (ref.N, ref.D)
     assert x.coeffs == ref.coeffs
 
 
@@ -236,6 +248,182 @@ def test_hbar_product_coefficient_types():
     assert prod.coeffs[2] == Cyc(6, [rat(5, 2), 3])
     assert prod.coeffs[3] == 5 * eta
     assert [type(c) for c in (b * a).coeffs] == [type(c) for c in prod.coeffs]
+
+
+# -- Cyc against a reference model: a tuple of phi(order) Fractions, the
+# coefficients of eta^0 .. eta^(phi-1), reduced by long division
+
+MODEL_ORDERS = CYC_ORDERS + (105,)
+
+
+@st.composite
+def cyc_models(draw, count, dense_105=True):
+    """An order and `count` model values.  Dense values at order 105
+    (phi = 48) make the rational Euclid of `inverse` take seconds, so with
+    `dense_105` false the values there are binomials a + b*eta^k."""
+    order = draw(st.sampled_from(MODEL_ORDERS))
+    phi = len(cyclotomic_poly(order)) - 1
+    values = []
+    for _ in range(count):
+        if order == 105 and not dense_105:
+            u = [RAT(0)] * phi
+            u[0] = draw(small_rats)
+            u[draw(st.integers(1, phi - 1))] = draw(small_rats)
+        else:
+            u = draw(st.lists(small_rats, min_size=phi, max_size=phi))
+        values.append(tuple(u))
+    return (order,) + tuple(values)
+
+
+def model_const(order, r):
+    phi = len(cyclotomic_poly(order)) - 1
+    return (RAT(r),) + (RAT(0),) * (phi - 1)
+
+
+def model_mul(order, u, v):
+    mod = cyclotomic_poly(order)
+    phi = len(mod) - 1
+    raw = convolve(u, v)
+    for i in range(len(raw) - 1, phi - 1, -1):
+        c = raw[i]
+        for j in range(phi + 1):
+            raw[i - phi + j] -= c * mod[j]
+    return tuple(raw[:phi])
+
+
+def model_pow(order, u, n):
+    out = model_const(order, 1)
+    for _ in range(n):
+        out = model_mul(order, out, u)
+    return out
+
+
+def assert_model(x, order, u):
+    """`x` has the model value `u` and canonical integer coordinates."""
+    assert x.order == order
+    assert_int_coords(x)
+    assert x.coeffs == tuple(u)
+
+
+def assert_inverse_of(x, order, u):
+    """`x` times the model value `u` is one, and `x` is canonical."""
+    assert x.order == order
+    assert_int_coords(x)
+    assert model_mul(order, x.coeffs, u) == model_const(order, 1)
+
+
+@given(cyc_models(2))
+def test_cyc_ring_ops_match_reference(data):
+    order, u, v = data
+    x, y = Cyc(order, u), Cyc(order, v)
+    assert_model(x, order, u)
+    assert_model(x + y, order, [a + b for a, b in zip(u, v)])
+    assert_model(x - y, order, [a - b for a, b in zip(u, v)])
+    assert_model(-x, order, [-a for a in u])
+    assert_model(x * y, order, model_mul(order, u, v))
+
+
+@settings(deadline=None)
+@given(cyc_models(2, dense_105=False))
+def test_cyc_inverse_and_division_match_reference(data):
+    order, u, v = data
+    x, y = Cyc(order, u), Cyc(order, v)
+    if y:
+        assert_inverse_of(y.inverse(), order, v)
+        q = x / y
+        assert_int_coords(q)
+        assert model_mul(order, q.coeffs, v) == u
+    else:
+        for op in (y.inverse, lambda: x / y, lambda: 1 / y):
+            with pytest.raises(ZeroDivisionError):
+                op()
+
+
+@settings(deadline=None)
+@given(cyc_models(1, dense_105=False), scalars)
+def test_cyc_rational_operands_on_both_sides(data, r):
+    order, u = data
+    x = Cyc(order, u)
+    rest = list(u[1:])
+    assert_model(x + r, order, [u[0] + r] + rest)
+    assert_model(r + x, order, [u[0] + r] + rest)
+    assert_model(x - r, order, [u[0] - r] + rest)
+    assert_model(r - x, order, [r - u[0]] + [-a for a in rest])
+    assert_model(x * r, order, [a * r for a in u])
+    assert_model(r * x, order, [a * r for a in u])
+    if r:
+        assert_model(x / r, order, [a / RAT(r) for a in u])
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / r
+    if x:
+        q = r / x
+        assert_int_coords(q)
+        assert model_mul(order, q.coeffs, u) == model_const(order, r)
+    assert (x == r) == (tuple(u) == model_const(order, r))
+    assert (r == x) == (x == r)
+
+
+@settings(deadline=None)
+@given(cyc_models(1, dense_105=False), st.integers(-4, 4))
+def test_cyc_pow_matches_reference(data, n):
+    order, u = data
+    x = Cyc(order, u)
+    assume(x or n >= 0)
+    if n >= 0:
+        assert_model(x ** n, order, model_pow(order, u, n))
+    else:
+        assert_inverse_of(x ** n, order, model_pow(order, u, -n))
+
+
+@settings(deadline=None)
+@given(cyc_models(2, dense_105=False))
+def test_cyc_coordinates_are_canonical(data):
+    order, u, v = data
+    x, y = Cyc(order, u), Cyc(order, v)
+    eta = Cyc.root(order)
+    by_powers = sum((a * eta ** i for i, a in enumerate(u)),
+                    Cyc.const(order, 0))
+    # equal values reached along different routes have identical coordinates
+    routes = [((x + y) - y, x), (x * y, y * x), (by_powers, x),
+              (x * eta ** order, x), ((x * 3) / 3, x), (-(-x), x)]
+    if y:
+        routes.append(((x * y) / y, x))
+    for got, want in routes:
+        assert (got.N, got.D) == (want.N, want.D)
+        assert got == want
+
+
+@given(cyc_models(2))
+def test_cyc_equality_matches_reference(data):
+    order, u, v = data
+    x, y = Cyc(order, u), Cyc(order, v)
+    assert (x == y) == (u == v)
+    assert (x != y) == (u != v)
+    if x:
+        assert x != x / 2 and x != 2 * x
+
+
+@given(cyc_models(1))
+def test_cyc_coeffs_round_trip_and_zero_form(data):
+    order, u = data
+    x = Cyc(order, u)
+    assert x.coeffs == u
+    back = Cyc(order, x.coeffs)
+    assert (back.N, back.D) == (x.N, x.D)
+    phi = len(u)
+    for zero in (x - x, x * 0, Cyc(order, []), Cyc.const(order, 0),
+                 Cyc(order, [0] * phi)):
+        assert (zero.N, zero.D) == ((0,) * phi, 1)
+        assert not zero and zero == 0
+    assert bool(x) == any(u)
+
+
+@pytest.mark.parametrize("m", MODEL_ORDERS)
+def test_cyc_root_is_power_of_eta(m):
+    eta = Cyc.root(m)
+    for k in range(-2 * m, 2 * m + 1):
+        assert Cyc.root(m, k) == eta ** k
 
 
 # -- Q(s) against a reference model: a + b*s as a pair of Fractions, s^2 = p

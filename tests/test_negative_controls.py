@@ -7,7 +7,7 @@ import pytest
 
 from deformedw import limits, relations, zalg
 from deformedw.context import ScalarCtx
-from deformedw.exact import HbarSeries, rat
+from deformedw.exact import Cyc, HbarSeries, rat
 from deformedw.series import LaurentWindow
 
 # (N, level, i, j) at order_x <= 5; the central cases (i + j = N) carry the
@@ -215,3 +215,34 @@ def test_splitting_fails_on_nudged_g(nudged_g_coefficient, N, k, mu, nu):
 @pytest.mark.parametrize("N,k,mu,nu", SPLIT_CASES)
 def test_splitting_passes_unmutated(N, k, mu, nu):
     assert zalg.verify_splitting_consistency(N, k, mu, nu, order=4).ok
+
+
+# (N, level, n points) at order_x = 4.  The mutation below leaves (3, 1, 2)
+# at `pass`, and moving only the root of unity in t leaves every case at
+# `pass`, so the control moves s and p.
+CORR_CASES = [(2, 2, 2), (2, 2, 3), (3, 1, 3)]
+
+
+def _corr_record(N, k, n, wrong_root):
+    """The correlator-order check on a fresh limit II context; with
+    `wrong_root` its s and p carry eta^2 and eta^4 in place of eta and
+    omega = eta^2, set before any power of them is cached."""
+    ctx = ScalarCtx.limit2(N, k, trunc=n + 1)
+    if wrong_root:
+        ctx.s = HbarSeries.exp_hbar(rat(-k, 2 * N), ctx.trunc) \
+            * Cyc.root(2 * N, 2)
+        ctx.p = HbarSeries.exp_hbar(rat(-k, N), ctx.trunc) \
+            * Cyc.root(2 * N, 4)
+    return limits.verify_correlator_order(ctx, n, order_x=4)
+
+
+@pytest.mark.parametrize("N,k,n", CORR_CASES)
+def test_correlator_order_fails_on_wrong_root(N, k, n):
+    rec = _corr_record(N, k, n, wrong_root=True)
+    assert rec.status == "fail"
+    assert rec.detail.startswith("profile "), rec.detail
+
+
+@pytest.mark.parametrize("N,k,n", CORR_CASES)
+def test_correlator_order_passes_unmutated(N, k, n):
+    assert _corr_record(N, k, n, wrong_root=False).ok

@@ -48,7 +48,7 @@ def test_beta_example_N2():
 def test_x_bracket_central_N2():
     # [x^(1)_1, x^(1)_{-1}] = -K at N=2 (omega = -1)
     got = gl_bracket(x_gen(2, 1, 1), x_gen(2, 1, -1))
-    omega = Cyc.root(4).root_pow(2)
+    omega = Cyc.root(4, 2)
     assert got == GlElement.center(2, omega)  # omega^{1*1} * 1 = -1
 
 
@@ -84,6 +84,6 @@ def test_closed_form_omega_powers():
     # the canonical Cyc form makes eta^{2k} identical to repeated squaring
     # and the Euclid inverse
     for N in range(2, 6):
-        omega = Cyc.root(2 * N).root_pow(2)
+        omega = Cyc.root(2 * N, 2)
         for k in range(-2 * N, 2 * N + 1):
             assert _omega_pow(N, k).coeffs == (omega ** k).coeffs
