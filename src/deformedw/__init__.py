@@ -1,7 +1,7 @@
 """Exact-arithmetic verification engine for deformed W_N current algebras."""
 
 from .context import DEFAULT_GENERIC_POINTS, ScalarCtx
-from .exact import Cyc, HbarSeries, QuadExt, RAT, cyc_reduce, rat
+from .exact import Cyc, HbarSeries, QuadExt, RAT, rat
 from .fock import HighestWeight, boson_commutator, hw_eigenvalue_w, \
     lambda_correlator
 from .series import LaurentWindow, WindowError, rational_reconstruct, \
@@ -12,8 +12,8 @@ from .wcurrents import WInsertion, composite_no_mode, w_correlator, \
 
 __all__ = [
     "DEFAULT_GENERIC_POINTS", "ScalarCtx", "Cyc", "HbarSeries", "QuadExt",
-    "RAT", "cyc_reduce", "rat", "HighestWeight", "boson_commutator",
-    "hw_eigenvalue_w", "lambda_correlator", "LaurentWindow", "WindowError",
+    "RAT", "rat", "HighestWeight", "boson_commutator", "hw_eigenvalue_w",
+    "lambda_correlator", "LaurentWindow", "WindowError",
     "rational_reconstruct", "series_exp", "series_log", "check_f_identities",
     "f_series", "g_series", "gamma_at", "WInsertion", "composite_no_mode",
     "w_correlator", "w_mode_matrix_element",

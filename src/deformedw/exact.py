@@ -106,6 +106,39 @@ def cyclotomic_poly(m: int) -> tuple:
     return tuple(poly)
 
 
+def _phi_reduce(order: int, raw: list) -> tuple:
+    """The phi(order) coefficients of the integer polynomial `raw` (constant
+    term first, changed in place) modulo the order-th cyclotomic polynomial."""
+    mod = cyclotomic_poly(order)
+    phi = len(mod) - 1
+    # top degree first; the modulus is monic and its coefficients are mostly
+    # 0 and +-1, which need no product
+    for i in range(len(raw) - 1, phi - 1, -1):
+        c = raw[i]
+        if c:
+            for j in range(phi):
+                m = mod[j]
+                if m == 1:
+                    raw[i - phi + j] -= c
+                elif m == -1:
+                    raw[i - phi + j] += c
+                elif m:
+                    raw[i - phi + j] -= c * m
+    return tuple(raw[:phi]) + (0,) * (phi - len(raw))
+
+
+def _phi_mul(order: int, A, B) -> tuple:
+    """Product of two integer coordinate tuples modulo the order-th
+    cyclotomic polynomial."""
+    raw = [0] * (len(A) + len(B) - 1)
+    for i, a in enumerate(A):
+        if a:
+            for j, b in enumerate(B):
+                if b:
+                    raw[i + j] += a * b
+    return _phi_reduce(order, raw)
+
+
 class Cyc:
     """Element of the cyclotomic field Q(eta), eta a primitive `order`-th root
     of unity, reduced modulo the order-th cyclotomic polynomial.
@@ -121,17 +154,15 @@ class Cyc:
     __hash__ = None
 
     def __init__(self, order: int, coeffs):
-        phi = len(cyclotomic_poly(order)) - 1
         coeffs = [RAT(c) for c in coeffs]
-        if len(coeffs) > phi:
-            coeffs = _cyc_reduce_list(order, coeffs)
-        coeffs += [RAT_ZERO] * (phi - len(coeffs))
-        # every coefficient is in lowest terms, so over the least common
-        # denominator the numerators and D share no factor
+        # over the least common denominator the numerators are integers
         D = lcm(*(c.denominator for c in coeffs))
+        N = _phi_reduce(order, [c.numerator * (D // c.denominator)
+                                for c in coeffs])
+        g = gcd(D, *N)
         self.order = order
-        self.N = tuple(c.numerator * (D // c.denominator) for c in coeffs)
-        self.D = D
+        self.N = tuple(n // g for n in N)
+        self.D = D // g
 
     @staticmethod
     def _make(order: int, N: tuple, D: int) -> "Cyc":
@@ -223,30 +254,8 @@ class Cyc:
     def __mul__(self, other):
         if isinstance(other, Cyc):
             self._same_order(other)
-            A, B = self.N, other.N
-            phi = len(A)
-            raw = [0] * (2 * phi - 1)
-            for i, a in enumerate(A):
-                if a:
-                    for j, b in enumerate(B):
-                        if b:
-                            raw[i + j] += a * b
-            # reduce modulo the monic cyclotomic polynomial, top degree
-            # first; its coefficients are mostly 0 and +-1, which need no
-            # product
-            mod = cyclotomic_poly(self.order)
-            for i in range(len(raw) - 1, phi - 1, -1):
-                c = raw[i]
-                if c:
-                    for j in range(phi):
-                        m = mod[j]
-                        if m == 1:
-                            raw[i - phi + j] -= c
-                        elif m == -1:
-                            raw[i - phi + j] += c
-                        elif m:
-                            raw[i - phi + j] -= c * m
-            return Cyc._reduced(self.order, tuple(raw[:phi]),
+            return Cyc._reduced(self.order,
+                                _phi_mul(self.order, self.N, other.N),
                                 self.D * other.D)
         if is_rational(other):
             n = other.numerator
@@ -257,22 +266,24 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
+        # by the Galois norm, as QuadExt.inverse: for x = N/D let P be the
+        # product of the conjugates of N other than N itself; then N*P is
+        # the norm n of N, a nonzero integer, and 1/x = D*P/n
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        mod = [RAT(c) for c in cyclotomic_poly(self.order)]
-        # extended Euclid over Q[x]: find u with u*N = 1 (mod Phi), so that
-        # 1/(N/D) = D*u
-        r0, r1 = mod, [RAT(n) for n in self.N]
-        s0, s1 = [RAT_ZERO], [RAT_ONE]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = self.D / r1[0]
-                return Cyc(self.order, [c * inv for c in s1])
-            q = _ratpoly_div(r0, r1)
-            r0, r1 = r1, _ratpoly_sub(r0, _ratpoly_mul(q, r1))
-            s0, s1 = s1, _ratpoly_sub(s0, _ratpoly_mul(q, s1))
+        order, N = self.order, self.N
+        P = (1,) + (0,) * (len(N) - 1)
+        for k in range(2, order):
+            if gcd(k, order) == 1:
+                # the conjugate eta -> eta^k
+                raw = [0] * order
+                for i, c in enumerate(N):
+                    raw[i * k % order] += c
+                P = _phi_mul(order, P, _phi_reduce(order, raw))
+        n, D = _phi_mul(order, N, P)[0], self.D
+        if n < 0:  # only at orders 1 and 2, where the field is Q
+            n, D = -n, -D
+        return Cyc._reduced(order, tuple(D * c for c in P), n)
 
     def __truediv__(self, other):
         if isinstance(other, Cyc):
@@ -325,60 +336,6 @@ class Cyc:
             if c:
                 terms.append(f"{c}" if i == 0 else f"({c})*eta^{i}")
         return " + ".join(terms) if terms else "0"
-
-
-def _cyc_reduce_list(order, coeffs):
-    mod = cyclotomic_poly(order)
-    phi = len(mod) - 1
-    coeffs = [RAT(c) for c in coeffs]
-    for i in range(len(coeffs) - 1, phi - 1, -1):
-        c = coeffs[i]
-        if c:
-            coeffs[i] = RAT_ZERO
-            for j in range(phi):
-                coeffs[i - phi + j] -= c * mod[j]
-    return coeffs[:phi]
-
-
-def cyc_reduce(order: int, raw_coeffs) -> Cyc:
-    """Canonical representative of a polynomial in eta modulo the order-th
-    cyclotomic polynomial; `raw_coeffs` lists rationals, constant term first."""
-    if order < 2:
-        raise ValueError("order must be at least 2")
-    return Cyc(order, list(raw_coeffs))
-
-
-def _ratpoly_mul(a, b):
-    out = [RAT_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _ratpoly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [RAT_ZERO] * (n - len(a))
-    for i, bi in enumerate(b):
-        a[i] -= bi
-    return a
-
-
-def _ratpoly_div(a, b):
-    # quotient of a by b over Q (b nonzero, trailing zeros stripped)
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    if len(a) < len(b):
-        return [RAT_ZERO]
-    q = [RAT_ZERO] * (len(a) - db)
-    for i in range(len(q) - 1, -1, -1):
-        c = a[i + db] / lb
-        q[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return q
 
 
 class QuadExt:
@@ -704,11 +661,6 @@ class HbarSeries:
             raise ValueError("exp needs zero constant term")
         return HbarSeries(exp_coeffs(self.coeffs, [RAT_ONE], RAT_ZERO),
                           self.trunc)
-
-    def log(self) -> "HbarSeries":
-        if not self.coeffs or self.coeffs[0] != 1:
-            raise ValueError("log needs constant term 1")
-        return HbarSeries(log_coeffs(self.coeffs, RAT_ZERO), self.trunc)
 
     def __eq__(self, other):
         """Equality of all known coefficients on the common truncation."""

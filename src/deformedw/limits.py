@@ -263,7 +263,7 @@ def verify_limit_I_appendix(ctx: ScalarCtx, i: int, window: int = 2):
     hw = HighestWeight.vacuum(ctx)
     for jr in range(1, N):
         for n in range(1, window + 1):
-            me = w_mode_matrix_element(ctx, hw, [(i, n)], [], [(jr, -n)])
+            me = w_mode_matrix_element(ctx, hw, [(i, n)], [(jr, -n)])
             if isinstance(me, HbarSeries):
                 for h in range(min(2, me.trunc)):
                     if not scalar_is_zero(me.coeffs[h]):

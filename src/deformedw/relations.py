@@ -122,6 +122,27 @@ def _scalar_eq(a, b):
     return scalar_is_zero(a - b)
 
 
+def _mode_table_record(suite, case, window, level, labels, sides):
+    """Compare the two mode tables `sides(bra, ket, nm)` over the bra/ket
+    family up to `level` and the mode grid of `window`.  The record fails at
+    the first unequal key, its detail naming the two sides by `labels`."""
+    family = default_braket_family(level)
+    for bra in family:
+        for ket in family:
+            nm = _nm_grid(window, bra, ket)
+            if not nm:
+                continue
+            a, b = sides(bra, ket, nm)
+            for key in nm:
+                if not _scalar_eq(a[key], b[key]):
+                    return CheckRecord(
+                        suite, case, "fail",
+                        f"(n,m)={key} bra={bra} ket={ket}: "
+                        f"{labels[0]}={a[key]} {labels[1]}={b[key]}",
+                        (ZERO_MODES_CENTRAL,))
+    return CheckRecord(suite, case, "pass", "", (ZERO_MODES_CENTRAL,))
+
+
 def verify_wiwj(ctx: ScalarCtx, i: int, j: int, window: int, level: int,
                 hw: HighestWeight | None = None, suite="wiwj"):
     """General quadratic relation in mode form on the whole bra/ket family up
@@ -132,22 +153,10 @@ def verify_wiwj(ctx: ScalarCtx, i: int, j: int, window: int, level: int,
     if hw is None:
         hw = HighestWeight.generic(ctx)
     case = f"N={N}:i={i}:j={j}:w={window}:L={level}:{ctx.describe()}"
-    family = default_braket_family(level)
-    for bra in family:
-        for ket in family:
-            nm = _nm_grid(window, bra, ket)
-            if not nm:
-                continue
-            lhs = lhs_mode_table(ctx, hw, i, j, bra, ket, nm)
-            rhs = rhs_mode_table(ctx, hw, i, j, bra, ket, nm)
-            for key in nm:
-                if not _scalar_eq(lhs[key], rhs[key]):
-                    return CheckRecord(
-                        suite, case, "fail",
-                        f"(n,m)={key} bra={bra} ket={ket}: "
-                        f"lhs={lhs[key]} rhs={rhs[key]}",
-                        (ZERO_MODES_CENTRAL,))
-    return CheckRecord(suite, case, "pass", "", (ZERO_MODES_CENTRAL,))
+    return _mode_table_record(
+        suite, case, window, level, ("lhs", "rhs"),
+        lambda bra, ket, nm: (lhs_mode_table(ctx, hw, i, j, bra, ket, nm),
+                              rhs_mode_table(ctx, hw, i, j, bra, ket, nm)))
 
 
 def verify_w1wj(ctx: ScalarCtx, j: int, window: int = 3, level: int = 3,
@@ -221,22 +230,10 @@ def verify_w2wj(ctx: ScalarCtx, j: int, window: int = 2, level: int = 2,
     if hw is None:
         hw = HighestWeight.generic(ctx)
     case = f"N={N}:j={j}:w={window}:L={level}:{ctx.describe()}"
-    family = default_braket_family(level)
-    for bra in family:
-        for ket in family:
-            nm = _nm_grid(window, bra, ket)
-            if not nm:
-                continue
-            lhs = lhs_mode_table(ctx, hw, 2, j, bra, ket, nm)
-            rhs = w2wj_rhs_paper_form(ctx, hw, j, bra, ket, nm)
-            for key in nm:
-                if not _scalar_eq(lhs[key], rhs[key]):
-                    return CheckRecord(
-                        "w2wj", case, "fail",
-                        f"(n,m)={key} bra={bra} ket={ket}: "
-                        f"lhs={lhs[key]} rhs={rhs[key]}",
-                        (ZERO_MODES_CENTRAL,))
-    return CheckRecord("w2wj", case, "pass", "", (ZERO_MODES_CENTRAL,))
+    return _mode_table_record(
+        "w2wj", case, window, level, ("lhs", "rhs"),
+        lambda bra, ket, nm: (lhs_mode_table(ctx, hw, 2, j, bra, ket, nm),
+                              w2wj_rhs_paper_form(ctx, hw, j, bra, ket, nm)))
 
 
 def cross_check_w2_route(ctx: ScalarCtx, j: int, window: int = 2,
@@ -247,22 +244,10 @@ def cross_check_w2_route(ctx: ScalarCtx, j: int, window: int = 2,
     if hw is None:
         hw = HighestWeight.generic(ctx)
     case = f"N={N}:j={j}:w={window}:L={level}:{ctx.describe()}"
-    family = default_braket_family(level)
-    for bra in family:
-        for ket in family:
-            nm = _nm_grid(window, bra, ket)
-            if not nm:
-                continue
-            a = w2wj_rhs_paper_form(ctx, hw, j, bra, ket, nm)
-            b = rhs_mode_table(ctx, hw, 2, j, bra, ket, nm)
-            for key in nm:
-                if not _scalar_eq(a[key], b[key]):
-                    return CheckRecord(
-                        "w2-route", case, "fail",
-                        f"(n,m)={key} bra={bra} ket={ket}: "
-                        f"paper={a[key]} rewrite={b[key]}",
-                        (ZERO_MODES_CENTRAL,))
-    return CheckRecord("w2-route", case, "pass", "", (ZERO_MODES_CENTRAL,))
+    return _mode_table_record(
+        "w2-route", case, window, level, ("paper", "rewrite"),
+        lambda bra, ket, nm: (w2wj_rhs_paper_form(ctx, hw, j, bra, ket, nm),
+                              rhs_mode_table(ctx, hw, 2, j, bra, ket, nm)))
 
 
 def verify_nowwj(ctx: ScalarCtx, i: int, j: int, r_sexp: int,

@@ -34,6 +34,15 @@ def _int(cfg, key, default):
     return int(cfg.get(key, default))
 
 
+def _pairs(cfg, key, default):
+    """(N, k) pairs from a "N,k; N,k" option."""
+    out = []
+    for chunk in cfg.get(key, default).split(";"):
+        a, b = chunk.split(",")
+        out.append((int(a), int(b)))
+    return out
+
+
 def _points(cfg):
     raw = cfg.get("points")
     if raw is None:
@@ -155,26 +164,16 @@ def suite_limit1(cfg):
 
 
 def suite_limit2(cfg):
-    pairs_raw = cfg.get("nk_pairs", "2,2; 2,3; 3,1; 3,2")
-    pairs = []
-    for chunk in pairs_raw.split(";"):
-        a, b = chunk.split(",")
-        pairs.append((int(a), int(b)))
     order_x = _int(cfg, "order_x", 12)
     corr_n = _int(cfg, "correlator_points", 4)
     corr_x = _int(cfg, "correlator_order_x", 8)
-    corr_pairs_raw = cfg.get("correlator_nk_pairs", "2,2; 3,2")
-    corr_pairs = []
-    for chunk in corr_pairs_raw.split(";"):
-        a, b = chunk.split(",")
-        corr_pairs.append((int(a), int(b)))
     out = []
-    for N, k in pairs:
+    for N, k in _pairs(cfg, "nk_pairs", "2,2; 2,3; 3,1; 3,2"):
         ctx = ScalarCtx.limit2(N, k, trunc=4)
         for i in range(1, N):
             for j in range(1, N):
                 out.append(verify_limit_II_relation(ctx, i, j, order_x=order_x))
-    for N, k in corr_pairs:
+    for N, k in _pairs(cfg, "correlator_nk_pairs", "2,2; 3,2"):
         for n in range(1, corr_n + 1):
             ctx = ScalarCtx.limit2(N, k, trunc=n + 1)
             out.append(verify_correlator_order(ctx, n, order_x=corr_x))
@@ -187,10 +186,7 @@ def suite_zalgebra(cfg):
     out = []
     for N in ns:
         out.append(verify_principal_relations(N, 2, 2 * N + 1))
-    pairs_raw = cfg.get("nk_pairs", "2,1; 2,2; 3,1; 3,2")
-    for chunk in pairs_raw.split(";"):
-        a, b = chunk.split(",")
-        N, k = int(a), int(b)
+    for N, k in _pairs(cfg, "nk_pairs", "2,1; 2,2; 3,1; 3,2"):
         for mu in range(1, N):
             for nu in range(1, N):
                 out.append(verify_splitting_consistency(N, k, mu, nu, order))

@@ -19,7 +19,7 @@ from .context import ScalarCtx
 from .exact import scalar_is_zero
 from .fock import HighestWeight, Insertion, hw_eigenvalue_w, kernel_coeffs, \
     lambda_correlator, zero_mode
-from .series import LaurentWindow, VarBound
+from .series import LaurentWindow
 from .structfn import GammaFactors, PoleError, contraction_logkernel, \
     f_coeffs, f_logkernel
 
@@ -606,15 +606,11 @@ def single_current_mode_value(ctx, hw, bra, rank, sshift, ket, total_mode):
                              ket, total_mode)
 
 
-def w_mode_matrix_element(ctx: ScalarCtx, hw: HighestWeight, bra, mid, ket,
-                          mode_bound: int = 4):
-    """<lambda| prod W (bra, annihilation modes) * mid currents * prod W (ket,
-    creation modes) |lambda>.
+def w_mode_matrix_element(ctx: ScalarCtx, hw: HighestWeight, bra, ket):
+    """<lambda| prod W (bra, annihilation modes) prod W (ket, creation modes)
+    |lambda>, an exact scalar.
 
-    bra is a list of (rank, mode >= 0), ket a list of (rank, mode <= 0).  With
-    no mid currents the result is an exact scalar; with mid currents it is a
-    LaurentWindow over the mid points' exponents, exact for |exponent| <=
-    mode_bound.
+    bra is a list of (rank, mode >= 0), ket a list of (rank, mode <= 0).
     """
     for _, h in bra:
         if h < 0:
@@ -623,25 +619,11 @@ def w_mode_matrix_element(ctx: ScalarCtx, hw: HighestWeight, bra, mid, ket,
         if k > 0:
             raise ValueError("ket modes must be creation side (<= 0)")
     kets = [(r, -k) for r, k in ket]
-    if not mid:
-        prof = mode_profile(bra, (), kets)
-        if prof is None:
-            return ctx.zero
-        blocks = _aux_blocks(ctx, hw, bra, "b") + _aux_blocks(ctx, hw, kets, "k")
-        return mode_engine(ctx, blocks).value(prof)
-    mids = [current_block(ctx, hw, w) for w in mid]
-    if any(b is None for b in mids):
-        return LaurentWindow.constant(tuple(w.var for w in mid), ctx.zero, ctx.zero)
-    blocks = _aux_blocks(ctx, hw, bra, "b") + mids + _aux_blocks(ctx, hw, kets, "k")
-    eng = mode_engine(ctx, blocks)
-    coeffs = {}
-    grid = range(-mode_bound, mode_bound + 1)
-    for exps in product(grid, repeat=len(mid)):
-        prof = mode_profile(bra, exps, kets)
-        if prof is not None:
-            coeffs[exps] = eng.value(prof)
-    bounds = [VarBound(-mode_bound, mode_bound, False, False)] * len(mid)
-    return LaurentWindow(tuple(w.var for w in mid), coeffs, bounds, ctx.zero)
+    prof = mode_profile(bra, (), kets)
+    if prof is None:
+        return ctx.zero
+    blocks = _aux_blocks(ctx, hw, bra, "b") + _aux_blocks(ctx, hw, kets, "k")
+    return mode_engine(ctx, blocks).value(prof)
 
 
 def composite_no_mode(ctx: ScalarCtx, hw: HighestWeight, i: int, j: int,

@@ -5,7 +5,7 @@ passes is required to report `fail`."""
 
 import pytest
 
-from deformedw import limits, relations, zalg
+from deformedw import limits, relations, structfn, suites, zalg, zeta
 from deformedw.context import ScalarCtx
 from deformedw.exact import Cyc, HbarSeries, rat
 from deformedw.series import LaurentWindow
@@ -106,6 +106,97 @@ def test_relations_fail_on_doubled_prefactor(doubled_prefactor, N, i, j):
 def test_relations_controls_pass_unmutated(N, i, j):
     rec = _relation_record(N, i, j)
     assert rec.status == "pass", rec.detail
+
+
+# the rank-2 relation in printed form and its cross check against the
+# rewrite route, (N, j) at window and level 1, all with j + 1 <= N, so that
+# the printed right side carries composite normal-ordered W^1 W^{j+1} terms
+W2_CASES = [(3, 2), (4, 2), (4, 3)]
+
+
+@pytest.fixture
+def doubled_composite(monkeypatch):
+    """Every composite normal-ordered mode that the printed rank-2 right side
+    reads, scaled by 2."""
+    composite = relations.composite_no_mode
+    monkeypatch.setattr(relations, "composite_no_mode",
+                        lambda *args: 2 * composite(*args))
+
+
+def _w2_records(N, j):
+    ctx = ScalarCtx.generic(N, *RELATION_POINT)
+    return (relations.verify_w2wj(ctx, j, window=1, level=1),
+            relations.cross_check_w2_route(ctx, j, window=1, level=1))
+
+
+@pytest.mark.parametrize("N,j", W2_CASES)
+def test_w2_relations_fail_on_doubled_composite(doubled_composite, N, j):
+    printed, route = _w2_records(N, j)
+    assert printed.status == "fail", printed.detail
+    assert " lhs=" in printed.detail and " rhs=" in printed.detail
+    assert route.status == "fail", route.detail
+    assert " paper=" in route.detail and " rewrite=" in route.detail
+
+
+@pytest.mark.parametrize("N,j", W2_CASES)
+def test_w2_relations_pass_unmutated(N, j):
+    for rec in _w2_records(N, j):
+        assert rec.status == "pass", rec.detail
+
+
+# the vacuum eigenvalue of W^i_0 at the generic point, (N, i)
+VACUUM_CASES = [(2, 1), (3, 0), (4, 2)]
+
+
+@pytest.fixture
+def doubled_p_binomial(monkeypatch):
+    """The p-binomial the vacuum eigenvalue is compared with, scaled by 2."""
+    binomial = zeta.p_binomial
+    monkeypatch.setattr(zeta, "p_binomial",
+                        lambda *args: 2 * binomial(*args))
+
+
+def _vacuum_record(N, i):
+    return zeta.verify_vacuum_eigenvalue(
+        ScalarCtx.generic(N, *RELATION_POINT), i)
+
+
+@pytest.mark.parametrize("N,i", VACUUM_CASES)
+def test_vacuum_eigenvalue_fails_on_doubled_p_binomial(doubled_p_binomial,
+                                                       N, i):
+    rec = _vacuum_record(N, i)
+    assert rec.status == "fail"
+    assert " != " in rec.detail, rec.detail
+
+
+@pytest.mark.parametrize("N,i", VACUUM_CASES)
+def test_vacuum_eigenvalue_passes_unmutated(N, i):
+    assert _vacuum_record(N, i).ok
+
+
+# the f-identities suite at one generic point, order 4
+F_IDENTITIES_CFG = {"n_values": "2 3", "order": "4",
+                    "points": ",".join(RELATION_POINT)}
+
+
+@pytest.fixture
+def doubled_gamma_series(monkeypatch):
+    """gamma(s^a z), as the product identities read it, scaled by 2."""
+    gamma_series = structfn.gamma_series
+    monkeypatch.setattr(structfn, "gamma_series",
+                        lambda *args: gamma_series(*args).scale(2))
+
+
+def test_f_identities_fail_on_doubled_gamma(doubled_gamma_series):
+    records = suites.suite_f_identities(F_IDENTITIES_CFG)
+    assert [r.status for r in records] == ["fail", "fail"]
+    for rec in records:
+        assert "coefficient x^0" in rec.detail, rec.detail
+
+
+def test_f_identities_pass_unmutated():
+    records = suites.suite_f_identities(F_IDENTITIES_CFG)
+    assert [r.status for r in records] == ["pass", "pass"]
 
 
 # limit I: (N, beta, i) at window 1 and the default truncation hbar^7

@@ -22,7 +22,6 @@ TEST_ONLY = {
     "is_empty",         # LaurentWindow: the empty window of a bad product
     "partition_count",  # characters: brute-force partition oracle
     "leading",          # QSeries.leading: character tests and demo 04
-    "log",              # HbarSeries.log: the exp/log round trip
 }
 
 

@@ -89,7 +89,7 @@ def test_w_zero_mode_eigenvalue_via_modes():
         ctx = ctx_n(N)
         for hw in (HighestWeight.vacuum(ctx), HighestWeight.generic(ctx)):
             for i in range(N + 1):
-                assert w_mode_matrix_element(ctx, hw, [(i, 0)], [], []) == \
+                assert w_mode_matrix_element(ctx, hw, [(i, 0)], []) == \
                     hw_eigenvalue_w(ctx, hw, i)
 
 
@@ -97,22 +97,23 @@ def test_vacuum_level_one_degeneracy_N2():
     # <vac| W^1_1 W^1_{-1} |vac> = 0 at N=2: the vacuum is degenerate
     ctx = ctx_n(2)
     vac = HighestWeight.vacuum(ctx)
-    assert not w_mode_matrix_element(ctx, vac, [(1, 1)], [], [(1, -1)])
+    assert not w_mode_matrix_element(ctx, vac, [(1, 1)], [(1, -1)])
     gen = HighestWeight.generic(ctx)
-    assert w_mode_matrix_element(ctx, gen, [(1, 1)], [], [(1, -1)])
+    assert w_mode_matrix_element(ctx, gen, [(1, 1)], [(1, -1)])
 
 
 def test_mode_window_object():
     ctx = ctx_n(2)
     hw = HighestWeight.generic(ctx)
-    win = w_mode_matrix_element(ctx, hw, [], [WInsertion(1, "z1"),
-                                              WInsertion(1, "z2")], [],
-                                mode_bound=3)
-    # two-point function: coefficient at (-n, n) matches the correlator
-    ref = w_correlator(ctx, hw, [WInsertion(1, "z1"), WInsertion(1, "z2")], [3])
+    inserts = [WInsertion(1, "z1"), WInsertion(1, "z2")]
+    eng = mode_engine(ctx, [current_block(ctx, hw, w) for w in inserts])
+    # two-point function: the mode (-n, n) matches the correlator, and an
+    # unbalanced mode pair has no profile
+    ref = w_correlator(ctx, hw, inserts, [3])
     for n in range(4):
-        assert win.coefficient((-n, n)) == ref.coefficient((n,))
-    assert not win.coefficient((-1, 2))
+        assert eng.value(mode_profile([], (-n, n), [])) == \
+            ref.coefficient((n,))
+    assert mode_profile([], (-1, 2), []) is None
 
 
 def test_two_current_mode_table_vs_explicit_mode_sum():
