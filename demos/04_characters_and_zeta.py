@@ -24,8 +24,9 @@ print(" ", [int(ch.coefficient(n)) for n in range(7)])
 print("\ncharacter identity for k = 2, all spins, cutoff y^20:")
 for j in admissible_spins(2):
     rec = verify_char_identity(2, j, 20)
-    lead = dza_character(2, j, 6).leading()
-    print(f"  j = {j}: {rec.status}   leading term y^({lead[0]})")
+    dza = dza_character(2, j, 6)
+    lead = rat(min(dza.coeffs), dza.res)
+    print(f"  j = {j}: {rec.status}   leading term y^({lead})")
 
 print("\nbernoulli numbers (positive convention) and zeta values:")
 print(" ", {m: str(bernoulli(m)) for m in (1, 2, 3)})

@@ -91,12 +91,6 @@ class QSeries:
             {k for k in b.coeffs if k < cutoff}
         return all(a.coeffs.get(k, 0) == b.coeffs.get(k, 0) for k in keys)
 
-    def leading(self):
-        if not self.coeffs:
-            return None
-        k = min(self.coeffs)
-        return rat(k, self.res), self.coeffs[k]
-
     def __repr__(self):
         bits = []
         for k in sorted(self.coeffs)[:8]:
@@ -114,10 +108,6 @@ def partition_series(cutoff: int) -> QSeries:
         for n in range(part, cutoff):
             table[n] += table[n - part]
     return QSeries(1, cutoff, {n: v for n, v in enumerate(table)})
-
-
-def partition_count(n: int) -> int:
-    return int(partition_series(n + 1).coefficient(n))
 
 
 def rocha_caridi(p1: int, p2: int, r, s, cutoff) -> QSeries:

@@ -8,8 +8,8 @@ Subcommands:
 * ``dump`` prints exact series/value data for a named object.
 * ``list-suites`` lists the registry.
 
-The parallelism degree comes from --jobs or the DWNV_JOBS environment
-variable; the pool runs whole suites, and results merge sorted by case key.
+The parallelism degree comes from --jobs (default 1); the pool runs whole
+suites, and results merge sorted by case key.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 import time
 
@@ -82,14 +81,12 @@ def cmd_verify(args):
     if not names:
         print("no suites selected", file=sys.stderr)
         return 2
-    source, raw = ("--jobs", args.jobs) if args.jobs is not None else \
-        ("DWNV_JOBS", os.environ.get("DWNV_JOBS", "1"))
     try:
-        jobs = int(raw)
+        jobs = int(args.jobs)
     except ValueError:
         jobs = 0
     if jobs < 1:
-        print(f"{source} must be an integer >= 1, got {raw!r}",
+        print(f"--jobs must be an integer >= 1, got {args.jobs!r}",
               file=sys.stderr)
         return 2
     report, timings = run_suites(sorted(names), cp, jobs)
@@ -226,8 +223,8 @@ def main(argv=None):
     v.add_argument("--suite", action="append",
                    help="suite name (repeatable; overrides config)")
     v.add_argument("--out", help="write the JSON report here")
-    v.add_argument("--jobs",
-                   help="worker processes, one suite each (or DWNV_JOBS)")
+    v.add_argument("--jobs", default="1",
+                   help="worker processes, one suite each (default 1)")
     v.add_argument("--with-timings", action="store_true",
                    help="include wall times (breaks byte reproducibility)")
     v.set_defaults(fn=cmd_verify)

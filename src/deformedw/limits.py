@@ -17,7 +17,7 @@ expression with the structure function g.
 from __future__ import annotations
 
 from .context import ScalarCtx
-from .exact import Cyc, HbarSeries, scalar_is_zero
+from .exact import HbarSeries, scalar_is_zero
 from .fock import HighestWeight
 from .relations import CheckRecord
 from .structfn import f_series, g_series, gamma_ladder
@@ -226,14 +226,11 @@ def verify_correlator_order(ctx: ScalarCtx, n_points: int, order_x: int = 8,
                 if sum(prof) <= order_x]
     for prof in profiles:
         val = eng.value(prof)
-        if isinstance(val, HbarSeries):
-            bad = next((h for h in range(min(n_points, val.trunc))
-                        if not scalar_is_zero(val.coeffs[h])), None)
-            if val.trunc < n_points:
-                return CheckRecord("limit2-corr", case, "inconclusive",
-                                   f"profile {prof}: only O(hbar^{val.trunc}) known")
-        else:
-            bad = None if scalar_is_zero(val) else 0
+        if val.trunc < n_points:
+            return CheckRecord("limit2-corr", case, "inconclusive",
+                               f"profile {prof}: only O(hbar^{val.trunc}) known")
+        bad = next((h for h in range(n_points)
+                    if not scalar_is_zero(val.coeffs[h])), None)
         if bad is not None:
             return CheckRecord("limit2-corr", case, "fail",
                                f"profile {prof}: hbar^{bad} coefficient "
@@ -264,10 +261,9 @@ def verify_limit_I_appendix(ctx: ScalarCtx, i: int, window: int = 2):
     for jr in range(1, N):
         for n in range(1, window + 1):
             me = w_mode_matrix_element(ctx, hw, [(i, n)], [(jr, -n)])
-            if isinstance(me, HbarSeries):
-                for h in range(min(2, me.trunc)):
-                    if not scalar_is_zero(me.coeffs[h]):
-                        return CheckRecord(
-                            "limit1", case, "fail",
-                            f"<vac|W^{i}_{n} W^{jr}_{-n}|vac> has hbar^{h} term")
+            for h in range(min(2, me.trunc)):
+                if not scalar_is_zero(me.coeffs[h]):
+                    return CheckRecord(
+                        "limit1", case, "fail",
+                        f"<vac|W^{i}_{n} W^{jr}_{-n}|vac> has hbar^{h} term")
     return CheckRecord("limit1", case, "pass", "", ("vacuum lambda",))

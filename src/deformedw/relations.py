@@ -118,26 +118,31 @@ def _nm_grid(window: int, bra, ket):
             for m in range(-window, window + 1) if n + m == shift]
 
 
-def _scalar_eq(a, b):
-    return scalar_is_zero(a - b)
+def _balanced_mode(window: int, bra, ket):
+    """The one z-mode M that the bra/ket level balance allows, if
+    |M| <= 2 window."""
+    M = sum(k for _, k in ket) - sum(h for _, h in bra)
+    return [M] if abs(M) <= 2 * window else []
 
 
-def _mode_table_record(suite, case, window, level, labels, sides):
-    """Compare the two mode tables `sides(bra, ket, nm)` over the bra/ket
-    family up to `level` and the mode grid of `window`.  The record fails at
-    the first unequal key, its detail naming the two sides by `labels`."""
+def _sweep(suite, case, keys, window, level, labels, sides):
+    """Compare the two tables `sides(bra, ket, ks)` over the bra/ket family
+    up to `level`, at the keys `ks = keys(window, bra, ket)` (`_nm_grid` or
+    `_balanced_mode`).  The record fails at the first unequal key, its detail
+    naming the key, the bra, the ket and the two sides by `labels`."""
+    name = "(n,m)" if keys is _nm_grid else "M"
     family = default_braket_family(level)
     for bra in family:
         for ket in family:
-            nm = _nm_grid(window, bra, ket)
-            if not nm:
+            ks = keys(window, bra, ket)
+            if not ks:
                 continue
-            a, b = sides(bra, ket, nm)
-            for key in nm:
-                if not _scalar_eq(a[key], b[key]):
+            a, b = sides(bra, ket, ks)
+            for key in ks:
+                if not scalar_is_zero(a[key] - b[key]):
                     return CheckRecord(
                         suite, case, "fail",
-                        f"(n,m)={key} bra={bra} ket={ket}: "
+                        f"{name}={key} bra={bra} ket={ket}: "
                         f"{labels[0]}={a[key]} {labels[1]}={b[key]}",
                         (ZERO_MODES_CENTRAL,))
     return CheckRecord(suite, case, "pass", "", (ZERO_MODES_CENTRAL,))
@@ -153,8 +158,8 @@ def verify_wiwj(ctx: ScalarCtx, i: int, j: int, window: int, level: int,
     if hw is None:
         hw = HighestWeight.generic(ctx)
     case = f"N={N}:i={i}:j={j}:w={window}:L={level}:{ctx.describe()}"
-    return _mode_table_record(
-        suite, case, window, level, ("lhs", "rhs"),
+    return _sweep(
+        suite, case, _nm_grid, window, level, ("lhs", "rhs"),
         lambda bra, ket, nm: (lhs_mode_table(ctx, hw, i, j, bra, ket, nm),
                               rhs_mode_table(ctx, hw, i, j, bra, ket, nm)))
 
@@ -230,8 +235,8 @@ def verify_w2wj(ctx: ScalarCtx, j: int, window: int = 2, level: int = 2,
     if hw is None:
         hw = HighestWeight.generic(ctx)
     case = f"N={N}:j={j}:w={window}:L={level}:{ctx.describe()}"
-    return _mode_table_record(
-        "w2wj", case, window, level, ("lhs", "rhs"),
+    return _sweep(
+        "w2wj", case, _nm_grid, window, level, ("lhs", "rhs"),
         lambda bra, ket, nm: (lhs_mode_table(ctx, hw, 2, j, bra, ket, nm),
                               w2wj_rhs_paper_form(ctx, hw, j, bra, ket, nm)))
 
@@ -244,8 +249,8 @@ def cross_check_w2_route(ctx: ScalarCtx, j: int, window: int = 2,
     if hw is None:
         hw = HighestWeight.generic(ctx)
     case = f"N={N}:j={j}:w={window}:L={level}:{ctx.describe()}"
-    return _mode_table_record(
-        "w2-route", case, window, level, ("paper", "rewrite"),
+    return _sweep(
+        "w2-route", case, _nm_grid, window, level, ("paper", "rewrite"),
         lambda bra, ket, nm: (w2wj_rhs_paper_form(ctx, hw, j, bra, ket, nm),
                               rhs_mode_table(ctx, hw, 2, j, bra, ket, nm)))
 
@@ -265,39 +270,32 @@ def verify_nowwj(ctx: ScalarCtx, i: int, j: int, r_sexp: int,
             raise ValueError("r hits a pole of the dressed product")
     case = f"N={N}:i={i}:j={j}:r=s^{r_sexp}:w={window}:L={level}:{ctx.describe()}"
     pref = ctx.prefactor()
-    family = default_braket_family(level)
-    for bra in family:
-        for ket in family:
-            shift = sum(k for _, k in ket) - sum(h for _, h in bra)
-            if abs(shift) > 2 * window:
+
+    def sides(bra, ket, modes):
+        [M] = modes
+        lhs = pinned_mode_value(
+            ctx, hw, bra,
+            {"ranks_shifts": (i, r_sexp, j, 0), "dress": (i, j)}, ket, M)
+        rhs = composite_no_mode(ctx, hw, i, j, r_sexp, M, bra, ket)
+        for k in range(1, i + 1):
+            if j + k > N:
                 continue
-            M = shift  # the only z-mode the bra/ket balance allows
-            lhs = pinned_mode_value(
+            lad = gamma_ladder(ctx, k)
+            den_m = 1 - ctx.s_pow(r_sexp - (j - i) - 2 * k)
+            den_p = 1 - ctx.s_pow(r_sexp + (j - i) + 2 * k)
+            plus = pinned_mode_value(
                 ctx, hw, bra,
-                {"ranks_shifts": (i, r_sexp, j, 0), "dress": (i, j)},
-                ket, M)
-            rhs = composite_no_mode(ctx, hw, i, j, r_sexp, M, bra, ket)
-            for k in range(1, i + 1):
-                if j + k > N:
-                    continue
-                lad = gamma_ladder(ctx, k)
-                den_m = 1 - ctx.s_pow(r_sexp - (j - i) - 2 * k)
-                den_p = 1 - ctx.s_pow(r_sexp + (j - i) + 2 * k)
-                plus = pinned_mode_value(
-                    ctx, hw, bra,
-                    {"ranks_shifts": (i - k, (j - i + k), j + k, k),
-                     "dress": (i - k, j + k)}, ket, M)
-                minus = pinned_mode_value(
-                    ctx, hw, bra,
-                    {"ranks_shifts": (i - k, -(j - i + k), j + k, -k),
-                     "dress": (i - k, j + k)}, ket, M)
-                rhs = rhs + pref * lad * (plus / den_m - minus / den_p)
-            if not _scalar_eq(lhs, rhs):
-                return CheckRecord(
-                    "noww", case, "fail",
-                    f"M={M} bra={bra} ket={ket}: lhs={lhs} rhs={rhs}",
-                    (ZERO_MODES_CENTRAL,))
-    return CheckRecord("noww", case, "pass", "", (ZERO_MODES_CENTRAL,))
+                {"ranks_shifts": (i - k, (j - i + k), j + k, k),
+                 "dress": (i - k, j + k)}, ket, M)
+            minus = pinned_mode_value(
+                ctx, hw, bra,
+                {"ranks_shifts": (i - k, -(j - i + k), j + k, -k),
+                 "dress": (i - k, j + k)}, ket, M)
+            rhs = rhs + pref * lad * (plus / den_m - minus / den_p)
+        return {M: lhs}, {M: rhs}
+
+    return _sweep("noww", case, _balanced_mode, window, level,
+                  ("lhs", "rhs"), sides)
 
 
 def verify_fusion(ctx: ScalarCtx, i: int, j: int, window: int = 2,
@@ -316,26 +314,19 @@ def verify_fusion(ctx: ScalarCtx, i: int, j: int, window: int = 2,
         hw = HighestWeight.generic(ctx)
     case = f"N={N}:i={i}:j={j}:w={window}:L={level}:{ctx.describe()}"
     pref = ctx.prefactor()
-    family = default_braket_family(level)
 
     def run_side(pinned_spec, rhs_coeff, rhs_rank, rhs_shift, label):
-        for bra in family:
-            for ket in family:
-                M = sum(k for _, k in ket) - sum(h for _, h in bra)
-                if abs(M) > 2 * window:
-                    continue
-                lhs = pinned_mode_value(ctx, hw, bra, pinned_spec, ket, M)
-                if rhs_rank < 0 or rhs_rank > N:
-                    rhs = ctx.zero
-                else:
-                    rhs = rhs_coeff * single_current_mode_value(
-                        ctx, hw, bra, rhs_rank, rhs_shift, ket, M)
-                if not _scalar_eq(lhs, rhs):
-                    return CheckRecord(
-                        "fusion", case + ":" + label, "fail",
-                        f"M={M} bra={bra} ket={ket}: lhs={lhs} rhs={rhs}",
-                        (ZERO_MODES_CENTRAL,))
-        return None
+        def sides(bra, ket, modes):
+            [M] = modes
+            lhs = pinned_mode_value(ctx, hw, bra, pinned_spec, ket, M)
+            if rhs_rank < 0 or rhs_rank > N:
+                rhs = ctx.zero
+            else:
+                rhs = rhs_coeff * single_current_mode_value(
+                    ctx, hw, bra, rhs_rank, rhs_shift, ket, M)
+            return {M: lhs}, {M: rhs}
+        return _sweep("fusion", case + ":" + label, _balanced_mode, window,
+                      level, ("lhs", "rhs"), sides)
 
     checks = []
     if 1 <= j <= N:
@@ -343,10 +334,10 @@ def verify_fusion(ctx: ScalarCtx, i: int, j: int, window: int = 2,
             # pinned: z1 = s^{sign(j+1)} z2; clear factor (1 - s^{sign(j+1)} z2/z1)
             spec = {"ranks_shifts": (1, sign * (j + 1), j, 0),
                     "dress": (1, j), "clear_sexp": sign * (j + 1)}
-            bad = run_side(spec, -sign * pref, j + 1, sign,
+            rec = run_side(spec, -sign * pref, j + 1, sign,
                            f"rank1:sign={sign:+d}")
-            if bad:
-                return bad
+            if not rec.ok:
+                return rec
             checks.append(f"rank1:{sign:+d}")
     if 0 <= i <= j <= N:
         for sign in (1, -1):
@@ -358,10 +349,10 @@ def verify_fusion(ctx: ScalarCtx, i: int, j: int, window: int = 2,
             # the fusion point, and the cleared limit vanishes identically
             coeff = ctx.zero if i == 0 else \
                 sign * pref * gamma_ladder(ctx, i)
-            bad = run_side(spec, coeff, j + i, -sign * j,
+            rec = run_side(spec, coeff, j + i, -sign * j,
                            f"general:sign={sign:+d}")
-            if bad:
-                return bad
+            if not rec.ok:
+                return rec
             checks.append(f"general:{sign:+d}")
     return CheckRecord("fusion", case, "pass", ";".join(checks),
                        (ZERO_MODES_CENTRAL,))
@@ -422,24 +413,22 @@ def order_reversal_check(ctx: ScalarCtx, i: int, j: int, window: int = 2,
     if hw is None:
         hw = HighestWeight.generic(ctx)
     case = f"N={N}:i={i}:j={j}:{ctx.describe()}"
-    family = default_braket_family(level)
     for k in range(1, min(i, N - j) + 1):
         a, b = i - k, j + k
-        for bra in family:
-            for ket in family:
-                M = sum(kk for _, kk in ket) - sum(h for _, h in bra)
-                if abs(M) > 2 * window:
-                    continue
-                fwd = pinned_mode_value(
-                    ctx, hw, bra,
-                    {"ranks_shifts": (a, (j - i) + k, b, k), "dress": (a, b)},
-                    ket, M)
-                rev = pinned_mode_value(
-                    ctx, hw, bra,
-                    {"ranks_shifts": (b, k, a, (j - i) + k), "dress": (b, a)},
-                    ket, M)
-                if not _scalar_eq(fwd, rev):
-                    return CheckRecord("reversal", case, "fail",
-                                       f"k={k} M={M} bra={bra} ket={ket}",
-                                       (ZERO_MODES_CENTRAL,))
+
+        def sides(bra, ket, modes):
+            [M] = modes
+            fwd = pinned_mode_value(
+                ctx, hw, bra,
+                {"ranks_shifts": (a, (j - i) + k, b, k), "dress": (a, b)},
+                ket, M)
+            rev = pinned_mode_value(
+                ctx, hw, bra,
+                {"ranks_shifts": (b, k, a, (j - i) + k), "dress": (b, a)},
+                ket, M)
+            return {M: fwd}, {M: rev}
+        rec = _sweep("reversal", f"{case}:k={k}", _balanced_mode, window,
+                     level, ("fwd", "rev"), sides)
+        if not rec.ok:
+            return rec
     return CheckRecord("reversal", case, "pass", "", (ZERO_MODES_CENTRAL,))

@@ -4,19 +4,14 @@ from __future__ import annotations
 
 import json
 
-from .relations import CheckRecord
-
 SCHEMA_VERSION = 1
 
 
 class Report:
     """Ordered collection of check records, merged deterministically."""
 
-    def __init__(self, records=()):
-        self.records = list(records)
-
-    def add(self, record: CheckRecord):
-        self.records.append(record)
+    def __init__(self):
+        self.records = []
 
     def extend(self, records):
         self.records.extend(records)

@@ -51,39 +51,16 @@ class LaurentWindow:
         return LaurentWindow(vars, coeffs, [VarBound(0, 0, True, True)] * n, zero)
 
     @staticmethod
-    def from_terms(vars, terms, zero=RAT_ZERO) -> "LaurentWindow":
-        """Exact Laurent polynomial (hard on both sides)."""
-        vars = tuple(vars)
-        if not terms:
-            return LaurentWindow.constant(vars, zero, zero)
-        bounds = []
-        for k in range(len(vars)):
-            es = [e[k] for e in terms]
-            bounds.append(VarBound(min(es), max(es), True, True))
-        return LaurentWindow(vars, dict(terms), bounds, zero)
-
-    @staticmethod
     def taylor(var, coeff_list, zero=RAT_ZERO) -> "LaurentWindow":
         """One-variable truncated Taylor series: hard floor at 0, soft top."""
         coeffs = {(i,): c for i, c in enumerate(coeff_list)}
         b = VarBound(0, len(coeff_list) - 1, True, False)
         return LaurentWindow((var,), coeffs, [b], zero)
 
-    @staticmethod
-    def delta_window(var, radius, zero=RAT_ZERO) -> "LaurentWindow":
-        """The formal delta distribution sum(z^n, n in Z), materialized as the
-        all-ones window on [-radius, radius]; soft on both sides."""
-        one = 1 if zero is RAT_ZERO else zero + 1
-        coeffs = {(n,): one for n in range(-radius, radius + 1)}
-        return LaurentWindow((var,), coeffs, [VarBound(-radius, radius, False, False)], zero)
-
     # -- bookkeeping ---------------------------------------------------------
 
     def _vi(self, var) -> int:
         return self.vars.index(var)
-
-    def is_empty(self) -> bool:
-        return any(b.lo > b.hi for b in self.bounds)
 
     def coefficient(self, expo):
         """Exact coefficient at the exponent tuple, or WindowError."""

@@ -13,7 +13,7 @@ from .exact import RAT, rat
 from .fock import HighestWeight
 from .limits import (verify_correlator_order, verify_limit_I_appendix,
                      verify_limit_II_relation)
-from .relations import (CheckRecord, cross_check_w2_route, default_braket_family,
+from .relations import (CheckRecord, cross_check_w2_route,
                         order_reversal_check, verify_fusion, verify_nowwj,
                         verify_poles, verify_w1wj, verify_w2wj, verify_wiwj)
 from .structfn import check_f_identities

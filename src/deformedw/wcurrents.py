@@ -17,7 +17,7 @@ from itertools import combinations, product
 
 from .context import ScalarCtx
 from .exact import scalar_is_zero
-from .fock import HighestWeight, Insertion, hw_eigenvalue_w, kernel_coeffs, \
+from .fock import HighestWeight, Insertion, kernel_coeffs, \
     lambda_correlator, zero_mode
 from .series import LaurentWindow
 from .structfn import GammaFactors, PoleError, contraction_logkernel, \
@@ -150,7 +150,7 @@ def _pair_kernel(ctx: ScalarCtx, slotsA, slotsB, order: int):
     if cache is None:
         cache = ctx.caches[key] = {"order": 0, "coeffs": [ctx.one]}
     if cache["order"] < order:
-        cur = [ctx.one]
+        cur = [ctx.one] + [ctx.zero] * order
         for fa, sa in slotsA:
             for fb, sb in slotsB:
                 kc = kernel_coeffs(ctx, fa, fb, sb - sa, order)
@@ -178,13 +178,13 @@ class ModeEngine:
     """Exact coefficient extraction from <lambda| prod blocks |lambda>.
 
     Transfer evaluation: blocks are absorbed left to right; the state is the
-    multiset of open contraction flows, each a pair (source slots, units still
-    to land on later blocks), plus open series-weight flows.  Crossing the
-    boundary behind block c, the open units must total exactly profile[c], so
-    the state space stays tiny and every enumeration is finite.  When a flow
-    lands on a block it contributes one cached kernel coefficient; flavor
-    summation happens automatically because states only remember the slot
-    content of their open sources.
+    multiset of open contraction flows, each ("B", source slots, units still
+    to land on later blocks), plus open series-weight flows ("W", target
+    block, units).  Crossing the boundary behind block c, the open units
+    must total exactly profile[c], so the state space stays tiny and every
+    enumeration is finite.  When a flow lands on a block it contributes one
+    cached kernel coefficient; flavor summation happens automatically because
+    states only remember the slot content of their open sources.
 
     The states behind every block but the last are memoized in
     ctx.caches[PREFIX_MEMO] under (prefix_keys[c], profile[:c+1]), so a
@@ -193,27 +193,23 @@ class ModeEngine:
     naming the provider's coefficients.
     """
 
-    def __init__(self, ctx: ScalarCtx, blocks, weights=(), skip_pairs=()):
+    def __init__(self, ctx: ScalarCtx, blocks, weights=()):
         self.ctx = ctx
         self.blocks = blocks
         self.gaps = len(blocks) - 1
         self.wopen = {}   # block index -> list of (partner, provider)
         for ia, ib, provider, _ in weights:
             self.wopen.setdefault(ia, []).append((ib, provider))
-        self.skip_pairs = frozenset(skip_pairs)
         self.value_cache = {}
         self.weight_splits = {}
         # everything the state after block c depends on, except the profile:
-        # prefix_keys[c] names blocks[:c+1], the weights they open, the pair
-        # exclusions landing on them and the tagged representation
-        prefix = (bool(self.skip_pairs),)
+        # prefix_keys[c] names blocks[:c+1] and the weights they open
+        prefix = ()
         self.prefix_keys = []
         for c, block in enumerate(blocks[:-1]):
             prefix += (block.key,
                        tuple((ia, ib, wk) for ia, ib, _, wk in weights
-                             if ia == c),
-                       tuple(sorted(pr for pr in self.skip_pairs
-                                    if pr[1] == c)))
+                             if ia == c))
             self.prefix_keys.append(prefix)
 
     def value(self, profile):
@@ -224,10 +220,7 @@ class ModeEngine:
         if profile in self.value_cache:
             return self.value_cache[profile]
         ctx = self.ctx
-        tagged = bool(self.skip_pairs)
-        # state: tuple of open flows, ("B", src_tag, slots, x) or ("W", ib, x);
-        # src_tag is the source block index when pair exclusions are active,
-        # else a constant so that equal-slot flows merge
+        # state: sorted tuple of open flows, ("B", slots, x) or ("W", ib, x)
         memo = ctx.caches.setdefault(PREFIX_MEMO, {})
         start, states = 0, {(): ctx.one}
         for c in range(self.gaps - 1, -1, -1):
@@ -237,7 +230,6 @@ class ModeEngine:
                 break
         for c in range(start, len(self.blocks)):
             budget = profile[c] if c < self.gaps else 0
-            ctag = c if tagged else -1
             new_states = {}
             for state, weight in states.items():
                 patterns = {}
@@ -262,7 +254,7 @@ class ModeEngine:
                             accs.append(accs[-1] * fac)
                         else:
                             key = rest if not free else tuple(sorted(
-                                rest + (("B", ctag, slots, free),)))
+                                rest + (("B", slots, free),)))
                             old = new_states.get(key)
                             new_states[key] = accs[-1] if old is None \
                                 else old + accs[-1]
@@ -291,13 +283,12 @@ class ModeEngine:
         weight; its first `share` entries equal those of the previous
         pattern, so their product can be reused.  `rest` is the sorted tuple
         of flows still open, and `free` the own units of the block, which
-        open the flow ("B", tag, slots, free) when nonzero.
+        open the flow ("B", slots, free) when nonzero.
         """
         # weight flows ending here evaporate
         opens = [fl for fl in state if fl[0] == "B" or fl[1] != c]
-        units = sum(fl[3] if fl[0] == "B" else fl[2] for fl in opens)
-        ranges = [range(fl[3] + 1) if has_slots and fl[0] == "B" and
-                  (fl[1], c) not in self.skip_pairs else (0,)
+        units = sum(fl[2] for fl in opens)
+        ranges = [range(fl[2] + 1) if has_slots and fl[0] == "B" else (0,)
                   for fl in opens]
         out = []
         prev = ()
@@ -310,9 +301,9 @@ class ModeEngine:
                 if not ell:
                     rest.append(fl)
                     continue
-                lands.append((fl[2], ell))
-                if ell < fl[3]:
-                    rest.append(("B", fl[1], fl[2], fl[3] - ell))
+                lands.append((fl[1], ell))
+                if ell < fl[2]:
+                    rest.append(("B", fl[1], fl[2] - ell))
             for wfactors, extra, left in self._weight_splits(c, free,
                                                              has_slots):
                 factors = lands + wfactors
@@ -350,12 +341,12 @@ class ModeEngine:
         return self.weight_splits[key]
 
 
-def mode_engine(ctx: ScalarCtx, blocks, weights=(), skip_pairs=()):
-    """Cached ModeEngine per block assembly, weight set and pair exclusions."""
+def mode_engine(ctx: ScalarCtx, blocks, weights=()):
+    """Cached ModeEngine per block assembly and weight set."""
     wkey = tuple((ia, ib, wk) for ia, ib, _, wk in weights)
-    key = ("ME", tuple(b.key for b in blocks), wkey, frozenset(skip_pairs))
+    key = ("ME", tuple(b.key for b in blocks), wkey)
     if key not in ctx.caches:
-        ctx.caches[key] = ModeEngine(ctx, blocks, weights, skip_pairs)
+        ctx.caches[key] = ModeEngine(ctx, blocks, weights)
     return ctx.caches[key]
 
 
@@ -489,10 +480,13 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
 
     Per flavor subset the dressed pair is a finite gamma product (a rational
     function of the unpinned ratio); the external contractions multiply it by
-    a small polynomial, extracted with the direct pair excluded.  Everything
-    is put over the union denominator, factors vanishing at the pinning are
-    divided out exactly (their survival in the numerator would contradict the
-    regularity of the full product and raises), and the result is evaluated.
+    a small polynomial E.  The engine's full values V also carry the direct
+    pair kernel K, the one contraction that crosses only the middle gap, so
+    V = K * E in the middle-gap exponent and E follows by dividing K out.
+    Everything is put over the union denominator, factors vanishing at the
+    pinning are divided out exactly (their survival in the numerator would
+    contradict the regularity of the full product and raises), and the
+    result is evaluated.
     """
     r1, sh1, r2, sh2 = pinned["ranks_shifts"]
     dress = pinned.get("dress") or (r1, r2)
@@ -520,7 +514,6 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
                     denom[fkey] = max(denom.get(fkey, 0), -mult)
     helper = GammaFactors()
     P = [ctx.zero]
-    mid = len(bra)
     for s1, s2, gf in options:
         zm = ctx.one
         for f, _ in s1 + s2:
@@ -537,17 +530,22 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
             if fkey not in gf.factors:
                 numpoly = _poly_mul_factor(ctx, numpoly,
                                            helper.base(ctx, fkey), mult)
-        # external contraction polynomial with the direct pair excluded
+        # external contraction polynomial: E[g] = V[g] - sum_l K[l] E[g-l]
         b1 = Block("zA", [(ctx.one, s1)], ("fix", s1, "zA"))
         b2 = Block("zB", [(ctx.one, s2)], ("fix", s2, "zB"))
         blocks = _aux_blocks(ctx, hw, bra, "b") + [b1, b2] + \
             _aux_blocks(ctx, hw, ket, "k")
-        eng = mode_engine(ctx, blocks, (), skip_pairs=((mid, mid + 1),))
+        eng = mode_engine(ctx, blocks)
+        K = _pair_kernel(ctx, s1, s2, ext_deg)
         E = []
         for g in range(ext_deg + 1):
             n1 = g - braSum
             prof = mode_profile(bra, (-n1, -(total_mode - n1)), ket)
-            E.append(eng.value(prof) if prof is not None else ctx.zero)
+            e = eng.value(prof) if prof is not None else ctx.zero
+            for ell in range(1, g + 1):
+                if not scalar_is_zero(K[ell]):
+                    e = e - K[ell] * E[g - ell]
+            E.append(e)
         # P += numpoly * E
         conv = [ctx.zero] * (len(numpoly) + len(E) - 1)
         for a, pa in enumerate(numpoly):

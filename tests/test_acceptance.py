@@ -21,6 +21,7 @@ from deformedw.zalg import verify_principal_relations, \
     verify_splitting_consistency
 from deformedw.zeta import (log_sinh_identity_holds, verify_vacuum_eigenvalue,
                             verify_zeta_identity, zeta_value)
+from oracles import window_from_terms
 
 POINTS = DEFAULT_GENERIC_POINTS
 
@@ -215,7 +216,7 @@ def test_criterion_16_infrastructure():
     ta = {(rng.randint(0, 5),): rat(rng.randint(-5, 5)) for _ in range(5)}
     tb = {(rng.randint(-3, 3),): rat(rng.randint(-5, 5)) for _ in range(5)}
     A = LaurentWindow(("x",), ta, [VarBound(0, 5, True, False)])
-    B = LaurentWindow.from_terms(("x",), tb)
+    B = window_from_terms(("x",), tb)
     P = A * B
     for e in range(P.bounds[0].lo, P.bounds[0].hi + 1):
         brute = sum((ta.get((e - k[0],), rat(0)) * v for k, v in tb.items()),

@@ -73,10 +73,19 @@ def test_limit2_controls_pass_unmutated(N, k, i, j):
     assert limits.verify_limit_II_relation(ctx, i, j, order_x=3).ok
 
 
-# relations at generic points, where every scalar lives in Q(s): (N, i, j)
-# for w1wj (i = 1) and wiwj, all at window 1, level 1
-RELATION_CASES = [(2, 1, 1), (3, 1, 2), (3, 2, 2)]
+# relations at generic points, where every scalar lives in Q(s): (check,
+# N, i, j) for w1wj (i = 1) and wiwj, the normal-ordering rewrite at
+# r = s^8 and both fusion relations, all at window 1, level 1; the fusion
+# cases fail on their rank-1 side, whose right side is -+A W^{j+1}
+RELATION_CASES = [("wiwj", 2, 1, 1), ("wiwj", 3, 1, 2), ("wiwj", 3, 2, 2),
+                  ("noww", 3, 1, 2), ("fusion", 3, 1, 1), ("fusion", 3, 1, 2)]
 RELATION_POINT = ("3/2", "5/3")
+
+
+def _relation_id(case):
+    check, *nij = case
+    tag = "-".join(map(str, nij))
+    return tag if check == "wiwj" else f"{check}-{tag}"
 
 
 @pytest.fixture
@@ -87,24 +96,63 @@ def doubled_prefactor(monkeypatch):
     monkeypatch.setattr(ScalarCtx, "prefactor", lambda ctx: 2 * prefactor(ctx))
 
 
-def _relation_record(N, i, j):
+def _relation_record(check, N, i, j):
     ctx = ScalarCtx.generic(N, *RELATION_POINT)
+    if check == "noww":
+        return relations.verify_nowwj(ctx, i, j, 8, window=1, level=1)
+    if check == "fusion":
+        return relations.verify_fusion(ctx, i, j, window=1, level=1)
     if i == 1:
         return relations.verify_w1wj(ctx, j, window=1, level=1)
     return relations.verify_wiwj(ctx, i, j, window=1, level=1)
 
 
-@pytest.mark.parametrize("N,i,j", RELATION_CASES)
-def test_relations_fail_on_doubled_prefactor(doubled_prefactor, N, i, j):
-    rec = _relation_record(N, i, j)
+@pytest.mark.parametrize("case", RELATION_CASES, ids=_relation_id)
+def test_relations_fail_on_doubled_prefactor(doubled_prefactor, case):
+    rec = _relation_record(*case)
     assert rec.status == "fail", rec.detail
     # the two sides were compared, and differ
     assert " lhs=" in rec.detail and " rhs=" in rec.detail, rec.detail
 
 
-@pytest.mark.parametrize("N,i,j", RELATION_CASES)
-def test_relations_controls_pass_unmutated(N, i, j):
-    rec = _relation_record(N, i, j)
+@pytest.mark.parametrize("case", RELATION_CASES, ids=_relation_id)
+def test_relations_controls_pass_unmutated(case):
+    rec = _relation_record(*case)
+    assert rec.status == "pass", rec.detail
+
+
+# order reversal of the pinned pairs the relation uses, (N, i, j) at the
+# default window and level
+REVERSAL_CASES = [(3, 1, 1), (3, 2, 2), (4, 2, 2)]
+
+
+@pytest.fixture
+def doubled_reversed_pair(monkeypatch):
+    """Every reversed pinned pair f^{b,a}(p^{-c}) W^b W^a (dress (b, a) with
+    b > a) that the relations read, scaled by 2."""
+    pinned = relations.pinned_mode_value
+
+    def mutated(ctx, hw, bra, spec, ket, M):
+        val = pinned(ctx, hw, bra, spec, ket, M)
+        a, b = spec["dress"]
+        return 2 * val if a > b else val
+
+    monkeypatch.setattr(relations, "pinned_mode_value", mutated)
+
+
+@pytest.mark.parametrize("N,i,j", REVERSAL_CASES)
+def test_order_reversal_fails_on_doubled_reversed_pair(doubled_reversed_pair,
+                                                      N, i, j):
+    ctx = ScalarCtx.generic(N, *RELATION_POINT)
+    rec = relations.order_reversal_check(ctx, i, j)
+    assert rec.status == "fail", rec.detail
+    assert " fwd=" in rec.detail and " rev=" in rec.detail, rec.detail
+
+
+@pytest.mark.parametrize("N,i,j", REVERSAL_CASES)
+def test_order_reversal_passes_unmutated(N, i, j):
+    ctx = ScalarCtx.generic(N, *RELATION_POINT)
+    rec = relations.order_reversal_check(ctx, i, j)
     assert rec.status == "pass", rec.detail
 
 

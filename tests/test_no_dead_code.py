@@ -14,21 +14,13 @@ import deformedw
 
 SRC = Path(deformedw.__file__).resolve().parent
 
-# Kept although nothing in the package calls them: test fixtures and oracles,
-# and one demo helper.
-TEST_ONLY = {
-    "from_terms",       # LaurentWindow: exact Laurent polynomial operands
-    "delta_window",     # LaurentWindow: the formal delta distribution
-    "is_empty",         # LaurentWindow: the empty window of a bad product
-    "partition_count",  # characters: brute-force partition oracle
-    "leading",          # QSeries.leading: character tests and demo 04
-}
 
-
-def _references(tree) -> Counter:
+def _references(tree, methods_only=False) -> Counter:
+    """Name and attribute references in the tree; a method is called through
+    an attribute, so with methods_only plain names are not counted."""
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not methods_only:
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
@@ -36,23 +28,29 @@ def _references(tree) -> Counter:
 
 
 def _definitions(tree):
+    """(node, is_method) for every function and class definition."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [node for node in ast.walk(tree) if isinstance(node, defs)]
+    methods = {id(child) for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for child in node.body}
+    return [(node, id(node) in methods) for node in ast.walk(tree)
+            if isinstance(node, defs)]
 
 
 def test_every_definition_is_referenced():
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
-    refs = Counter()
+    refs, attr_refs = Counter(), Counter()
     for tree in trees.values():
         refs.update(_references(tree))
-    exempt = set(deformedw.__all__) | TEST_ONLY
+        attr_refs.update(_references(tree, methods_only=True))
+    exempt = set(deformedw.__all__)
     unused = []
     for module, tree in trees.items():
-        for node in _definitions(tree):
+        for node, is_method in _definitions(tree):
             name = node.name
             if name in exempt or (name.startswith("__") and name.endswith("__")):
                 continue
-            if refs[name] - _references(node)[name] <= 0:
+            seen = attr_refs if is_method else refs
+            if seen[name] - _references(node, is_method)[name] <= 0:
                 unused.append(f"{module}:{node.lineno} {name}")
     assert not unused, unused

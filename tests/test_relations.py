@@ -12,6 +12,7 @@ from deformedw.report import Report
 from deformedw import suites
 from deformedw.suites import suite_poles
 from deformedw.wcurrents import PREFIX_MEMO
+from oracles import delta_window
 
 
 def ctx_n(N, point=0):
@@ -28,10 +29,9 @@ def test_braket_family():
 def test_delta_mode_weight_against_literal_delta():
     # delta(u z2/z1) F: the coefficient of z1^{-n} picks u^n; check against
     # the materialized all-ones window of the delta distribution
-    from deformedw.series import LaurentWindow
     ctx = ctx_n(2)
     u = ctx.s_pow(4)
-    d = LaurentWindow.delta_window("x", 8)
+    d = delta_window("x", 8)
     d = d.scale_var("x", u)  # delta(u x): coefficients u^r
     for n in range(-3, 4):
         assert d.coeffs[(n,)] == delta_mode_weight(ctx, 4, n)
@@ -124,8 +124,9 @@ def test_poles_suite_case_keys_are_unique():
 def test_check_record_rejects_unknown_status():
     with pytest.raises(ValueError):
         CheckRecord("zeta", "c", "passed")
-    report = Report([CheckRecord("zeta", "c", s)
-                     for s in ("pass", "fail", "inconclusive")])
+    report = Report()
+    report.extend(CheckRecord("zeta", "c", s)
+                  for s in ("pass", "fail", "inconclusive"))
     assert report.summary_lines()[-1] == \
         "total: 1 passed, 1 failed, 1 inconclusive"
 

@@ -3,9 +3,10 @@ import pytest
 from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from deformedw.fock import HighestWeight, hw_eigenvalue_w, kernel_coeffs, \
     zero_mode
-from deformedw.structfn import gamma_at
-from deformedw.wcurrents import (PREFIX_MEMO, Block, WInsertion,
-                                 block_slots, composite_no_mode,
+from deformedw.exact import scalar_is_zero
+from deformedw.relations import default_braket_family
+from deformedw.structfn import PoleError, gamma_at
+from deformedw.wcurrents import (PREFIX_MEMO, WInsertion, composite_no_mode,
                                  current_block, mode_engine, mode_profile,
                                  pinned_block, pinned_mode_value,
                                  pinned_mode_value_resummed,
@@ -215,31 +216,13 @@ def test_prefix_memo_shared_across_weights_matches_fresh_contexts():
 
 
 def test_prefix_memo_shared_across_pair_exclusions_matches_fresh_contexts():
-    # the resummed pinned route's engines at N=4 (direct pair excluded)
-    # interleaved with engines on the same blocks that exclude other pairs
-    # or none; every value must equal the one computed on a fresh context
+    # the resummed pinned route at N=4 builds one engine per flavor option,
+    # all on the same bra prefix, and divides the direct pair out of each;
+    # on one context they share memoized prefixes, and every value must
+    # equal the one computed on a fresh context
     N = 4
     bra, ket = [(1, 1)], [(1, 1)]
-    mid = len(bra)
-
-    def engines(ctx):
-        hw = HighestWeight.generic(ctx)
-        s1 = block_slots(1, 1, (2,))
-        s2 = block_slots(3, 1, (1, 3, 4))
-        blocks = [current_block(ctx, hw, WInsertion(1, "b0")),
-                  Block("zA", [(ctx.one, s1)], ("fix", s1, "zA")),
-                  Block("zB", [(ctx.one, s2)], ("fix", s2, "zB")),
-                  current_block(ctx, hw, WInsertion(1, "k0"))]
-        return [mode_engine(ctx, blocks, (), skip_pairs=sp)
-                for sp in ((), ((mid, mid + 1),), ((0, mid + 1),),
-                           ((0, mid), (mid, mid + 1)))]
-
     ctx = ctx_n(N)
-    shared = engines(ctx)
-    for n1 in range(-1, 3):
-        prof = mode_profile(bra, (-n1, n1), ket)
-        for k, eng in enumerate(shared):
-            assert eng.value(prof) == engines(ctx_n(N))[k].value(prof)
     pinned = {"ranks_shifts": (1, 1, 3, 1), "dress": (1, 3)}
     for M in (-1, 0, 1):
         got = pinned_mode_value_resummed(ctx, HighestWeight.generic(ctx),
@@ -247,3 +230,52 @@ def test_prefix_memo_shared_across_pair_exclusions_matches_fresh_contexts():
         fresh = ctx_n(N)
         assert got == pinned_mode_value_resummed(
             fresh, HighestWeight.generic(fresh), bra, pinned, ket, M)
+
+
+def _pinned_specs(N):
+    """The pinned dressed pairs that rhs_mode_table (the delta terms of the
+    general relation) and verify_fusion (both fusion limits, both signs)
+    build at rank N."""
+    specs = []
+    for i in range(N + 1):
+        for j in range(i, N + 1):
+            for k in range(1, min(i, N - j) + 1):
+                for sign in (1, -1):
+                    specs.append({"ranks_shifts": (i - k, sign * (j - i + k),
+                                                   j + k, sign * k),
+                                  "dress": (i - k, j + k)})
+            for sign in (1, -1):
+                specs.append({"ranks_shifts": (j, -sign * (j + i), i, 0),
+                              "dress": (j, i), "clear_sexp": -sign * (j + i)})
+        if i >= 1:
+            for sign in (1, -1):
+                specs.append({"ranks_shifts": (1, sign * (i + 1), i, 0),
+                              "dress": (1, i), "clear_sexp": sign * (i + 1)})
+    return specs
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_resummed_route_matches_closed_form(N):
+    # wherever the per-option gamma closed form exists, the resummation
+    # (the external polynomial divided out of the full engine values by the
+    # direct pair kernel) must give the same matrix element
+    ctx = ctx_n(N)
+    hw = HighestWeight.generic(ctx)
+    family = default_braket_family(1)
+    checked = 0
+    for spec in _pinned_specs(N):
+        try:
+            pinned_block(ctx, hw, "z", *spec["ranks_shifts"],
+                         dress=spec["dress"],
+                         clear_sexp=spec.get("clear_sexp"))
+        except PoleError:
+            continue
+        for bra in family:
+            for ket in family:
+                M = sum(k for _, k in ket) - sum(h for _, h in bra)
+                closed = pinned_mode_value(ctx, hw, bra, spec, ket, M)
+                resummed = pinned_mode_value_resummed(ctx, hw, bra, spec,
+                                                      ket, M)
+                assert scalar_is_zero(closed - resummed), (spec, bra, ket)
+                checked += 1
+    assert checked
