@@ -509,24 +509,95 @@ class QuadExt:
         return f"({self.a} + {self.b}*s)"
 
 
+def _slot_nonzero(r) -> bool:
+    # an HbarSeries slot: an int, or a tuple of cyclotomic numerators
+    return bool(r) if type(r) is int else any(r)
+
+
 class HbarSeries:
     """Truncated power series in hbar: coefficients for exponents 0..trunc-1
     are known exactly, everything from hbar^trunc on is unknown.
 
-    Coefficients may be rationals or Cyc elements (mixing is fine, arithmetic
-    promotes).  Multiplication tracks truncation precisely through valuations,
-    so products of small quantities keep extra known orders.
+    A series is stored as integers: `rows` holds one slot per known
+    coefficient, an int for a rational slot or a tuple of phi(order) ints
+    (the numerators of a Cyc) for a cyclotomic slot, and every slot is read
+    over one denominator D > 0 with gcd(D, all ints) = 1; `order` is None
+    when no slot is cyclotomic.  A product is an integer convolution, each
+    cyclotomic slot reduced once, and a sum one rescale; either costs one
+    gcd.  `coeffs` and `coefficient` read RAT and Cyc values back.
+
+    A slot is cyclotomic iff a Cyc operand landed in it: a Cyc coefficient,
+    a sum with a cyclotomic slot, a product of nonzero slots one of which is
+    cyclotomic, or a Cyc scalar factor, which makes every slot cyclotomic.
+    A slot that no product reaches is a rational zero.  The series in one
+    operation share one cyclotomic order (ValueError otherwise).
+
+    Multiplication tracks truncation precisely through valuations, so
+    products of small quantities keep extra known orders.
     """
 
-    __slots__ = ("coeffs", "trunc")
+    __slots__ = ("order", "rows", "D", "trunc")
     __hash__ = None
 
     def __init__(self, coeffs, trunc: int):
-        coeffs = list(coeffs)
-        if len(coeffs) > trunc:
-            coeffs = coeffs[:trunc]
-        self.coeffs = tuple(coeffs) + (RAT_ZERO,) * (trunc - len(coeffs))
+        order = None
+        parts = []
+        for c in list(coeffs)[:trunc]:
+            if isinstance(c, Cyc):
+                if order is None:
+                    order = c.order
+                elif c.order != order:
+                    raise ValueError("mixed cyclotomic orders")
+                parts.append((c.N, c.D))
+            else:
+                c = RAT(c)
+                parts.append((c.numerator, c.denominator))
+        # over the least common denominator of values in lowest terms the
+        # numerators are integers with no factor common to all of them
+        D = lcm(1, *(d for _, d in parts))
+        rows = tuple(n * (D // d) if type(n) is int
+                     else tuple(x * (D // d) for x in n) for n, d in parts)
+        self.order = order
+        self.rows = rows + (0,) * (trunc - len(rows))
+        self.D = D
         self.trunc = trunc
+
+    @staticmethod
+    def _make(order, rows: tuple, D: int, trunc: int) -> "HbarSeries":
+        # results of the arithmetic below: (rows, D) is already canonical
+        out = object.__new__(HbarSeries)
+        out.order, out.rows, out.D, out.trunc = order, rows, D, trunc
+        return out
+
+    @staticmethod
+    def _reduced(order, rows: list, D: int, trunc: int) -> "HbarSeries":
+        # rows over D > 0, divided by their common factor; the order is
+        # dropped when no cyclotomic slot is left
+        if order is None or tuple not in map(type, rows):
+            g = gcd(D, *rows)
+            if g != 1:
+                rows = [r // g for r in rows]
+                D //= g
+            return HbarSeries._make(None, tuple(rows), D, trunc)
+        g = D
+        for r in rows:
+            if g == 1:
+                break
+            g = gcd(g, r) if type(r) is int else gcd(g, *r)
+        if g != 1:
+            rows = [r // g if type(r) is int else tuple([x // g for x in r])
+                    for r in rows]
+            D //= g
+        return HbarSeries._make(order, tuple(rows), D, trunc)
+
+    def _value(self, r):
+        if type(r) is int:
+            return RAT(r, self.D)
+        return Cyc._reduced(self.order, r, self.D)
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self._value(r) for r in self.rows)
 
     @staticmethod
     def const(value, trunc: int) -> "HbarSeries":
@@ -550,15 +621,15 @@ class HbarSeries:
 
     def valuation(self) -> int:
         """Index of the first known nonzero coefficient (trunc if none)."""
-        for i, c in enumerate(self.coeffs):
-            if c:
+        for i, r in enumerate(self.rows):
+            if _slot_nonzero(r):
                 return i
         return self.trunc
 
     def coefficient(self, j: int):
         if j >= self.trunc:
             raise ValueError(f"coefficient hbar^{j} beyond truncation {self.trunc}")
-        return self.coeffs[j]
+        return self._value(self.rows[j])
 
     def _coerce(self, other):
         if isinstance(other, HbarSeries):
@@ -567,64 +638,156 @@ class HbarSeries:
             return HbarSeries.const(other, self.trunc)
         return None
 
+    def _order_with(self, order):
+        # the cyclotomic order of a result with an operand of the given order
+        if self.order is None:
+            return order
+        if order is not None and order != self.order:
+            raise ValueError("mixed cyclotomic orders")
+        return self.order
+
+    def _plus(self, o: "HbarSeries", sign: int) -> "HbarSeries":
+        # self + sign * o on the common truncation
+        order = self._order_with(o.order)
+        t = min(self.trunc, o.trunc)
+        D1, D2 = self.D, o.D
+        if D1 == D2:
+            u, v, D = 1, sign, D1
+        else:
+            u, v, D = D2, sign * D1, D1 * D2
+        n = max(t, 0)  # t < 0 after a shift past the truncation
+        pairs = zip(self.rows[:n], o.rows[:n])
+        if order is None:
+            rows = [a * u + b * v for a, b in pairs]
+        else:
+            rows = []
+            for a, b in pairs:
+                if type(a) is int:
+                    if type(b) is int:
+                        rows.append(a * u + b * v)
+                    else:
+                        rows.append((a * u + b[0] * v,)
+                                    + tuple([y * v for y in b[1:]]))
+                elif type(b) is int:
+                    rows.append((a[0] * u + b * v,)
+                                + tuple([x * u for x in a[1:]]))
+                else:
+                    rows.append(tuple([x * u + y * v for x, y in zip(a, b)]))
+        return HbarSeries._reduced(order, rows, D, t)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t = min(self.trunc, o.trunc)
-        return HbarSeries([self.coeffs[i] + o.coeffs[i] for i in range(t)], t)
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HbarSeries([-c for c in self.coeffs], self.trunc)
+        return HbarSeries._make(self.order, tuple(
+            -r if type(r) is int else tuple(-x for x in r)
+            for r in self.rows), self.D, self.trunc)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t = min(self.trunc, o.trunc)
-        return HbarSeries([self.coeffs[i] - o.coeffs[i] for i in range(t)], t)
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o._plus(self, -1)
 
     def __mul__(self, other):
-        if is_rational(other) or isinstance(other, Cyc):
-            return HbarSeries([c * other for c in self.coeffs], self.trunc)
-        if not isinstance(other, HbarSeries):
-            return NotImplemented
-        t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
-        # a slot stays None until a product lands in it, so the first
-        # product is stored as it is; slots no product reaches are RAT_ZERO
-        out = [None] * t
-        for i, a in enumerate(self.coeffs):
-            if a and i < t:
-                for j, b in enumerate(other.coeffs):
-                    k = i + j
-                    if k >= t:
-                        break
-                    if b:
-                        acc = out[k]
-                        out[k] = a * b if acc is None else acc + a * b
-        return HbarSeries([RAT_ZERO if c is None else c for c in out], t)
+        if isinstance(other, HbarSeries):
+            return self._times(other)
+        if is_rational(other):
+            n = other.numerator
+            return HbarSeries._reduced(self.order, [
+                r * n if type(r) is int else tuple(x * n for x in r)
+                for r in self.rows], self.D * other.denominator, self.trunc)
+        if isinstance(other, Cyc):
+            order, c = self._order_with(other.order), other.N
+            return HbarSeries._reduced(order, [
+                tuple(r * x for x in c) if type(r) is int
+                else _phi_mul(order, r, c) for r in self.rows],
+                self.D * other.D, self.trunc)
+        return NotImplemented
 
     __rmul__ = __mul__
+
+    def _times(self, o: "HbarSeries") -> "HbarSeries":
+        order = self._order_with(o.order)
+        t = min(self.trunc + o.valuation(), o.trunc + self.valuation())
+        # the nonzero slots of o; zero slots land nowhere
+        right = [(j, b) for j, b in enumerate(o.rows[:t]) if _slot_nonzero(b)]
+        if order is None:
+            rows = [0] * t
+            for i, a in enumerate(self.rows[:t]):
+                if a:
+                    for j, b in right:
+                        k = i + j
+                        if k >= t:
+                            break
+                        rows[k] += a * b
+            return HbarSeries._reduced(None, rows, self.D * o.D, t)
+        # cyclotomic slots accumulate an unreduced polynomial in eta, and
+        # rational products go to `ints`
+        width = 2 * len(cyclotomic_poly(order)) - 3
+        ints = [0] * t
+        raws = [None] * t
+        for i, a in enumerate(self.rows[:t]):
+            a_int = type(a) is int
+            if not (a if a_int else any(a)):
+                continue
+            for j, b in right:
+                k = i + j
+                if k >= t:
+                    break
+                if a_int and type(b) is int:
+                    ints[k] += a * b
+                    continue
+                raw = raws[k]
+                if raw is None:
+                    raw = raws[k] = [0] * width
+                if a_int:
+                    for y, by in enumerate(b):
+                        raw[y] += a * by
+                elif type(b) is int:
+                    for x, ax in enumerate(a):
+                        raw[x] += ax * b
+                else:
+                    for x, ax in enumerate(a):
+                        if ax:
+                            for y, by in enumerate(b):
+                                raw[x + y] += ax * by
+        rows = []
+        for n, raw in zip(ints, raws):
+            if raw is None:
+                rows.append(n)
+            else:
+                raw[0] += n
+                rows.append(_phi_reduce(order, raw))
+        return HbarSeries._reduced(order, rows, self.D * o.D, t)
 
     def shift(self, k: int) -> "HbarSeries":
         """Multiply by hbar^k (k may be negative if divisible)."""
         if k >= 0:
-            return HbarSeries([RAT_ZERO] * k + list(self.coeffs), self.trunc + k)
-        if any(self.coeffs[:-k]):
+            return HbarSeries._make(self.order, (0,) * k + self.rows, self.D,
+                                    self.trunc + k)
+        if any(map(_slot_nonzero, self.rows[:-k])):
             raise ValueError("not divisible by hbar^%d" % -k)
-        return HbarSeries(self.coeffs[-k:], self.trunc + k)
+        return HbarSeries._reduced(self.order, list(self.rows[-k:]), self.D,
+                                   self.trunc + k)
 
     def inverse(self) -> "HbarSeries":
-        if not self.coeffs or not self.coeffs[0]:
+        coeffs = self.coeffs
+        if not coeffs or not coeffs[0]:
             raise ZeroDivisionError("inverse needs an invertible constant term")
-        return HbarSeries(inverse_coeffs(self.coeffs,
-                                         scalar_inv(self.coeffs[0]), RAT_ZERO),
-                          self.trunc)
+        return HbarSeries(inverse_coeffs(coeffs, scalar_inv(coeffs[0]),
+                                         RAT_ZERO), self.trunc)
 
     def __truediv__(self, other):
         if is_rational(other) or isinstance(other, Cyc):
@@ -657,21 +820,35 @@ class HbarSeries:
         return out
 
     def exp(self) -> "HbarSeries":
-        if self.coeffs and self.coeffs[0]:
+        coeffs = self.coeffs
+        if coeffs and coeffs[0]:
             raise ValueError("exp needs zero constant term")
-        return HbarSeries(exp_coeffs(self.coeffs, [RAT_ONE], RAT_ZERO),
-                          self.trunc)
+        return HbarSeries(exp_coeffs(coeffs, [RAT_ONE], RAT_ZERO), self.trunc)
 
     def __eq__(self, other):
         """Equality of all known coefficients on the common truncation."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        self._order_with(o.order)
         t = min(self.trunc, o.trunc)
-        return all(self.coeffs[i] == o.coeffs[i] for i in range(t))
+        D1, D2 = self.D, o.D
+        n = max(t, 0)
+        for a, b in zip(self.rows[:n], o.rows[:n]):
+            if type(a) is int and type(b) is int:
+                if a * D2 != b * D1:
+                    return False
+                continue
+            if type(a) is int:
+                a = (a,) + (0,) * (len(b) - 1)
+            elif type(b) is int:
+                b = (b,) + (0,) * (len(a) - 1)
+            if any(x * D2 != y * D1 for x, y in zip(a, b)):
+                return False
+        return True
 
     def __bool__(self):
-        return any(bool(c) for c in self.coeffs)
+        return any(map(_slot_nonzero, self.rows))
 
     def __repr__(self):
         terms = [f"({c})*h^{i}" for i, c in enumerate(self.coeffs) if c]

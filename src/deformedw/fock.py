@@ -14,7 +14,7 @@ full rank-N current the constant 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .context import ScalarCtx
 from .exact import scalar_inv
@@ -28,6 +28,11 @@ class HighestWeight:
 
     N: int
     a: tuple
+    _key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # built once: every zero mode and block key of the weight reads it
+        object.__setattr__(self, "_key", ",".join(str(x) for x in self.a))
 
     @staticmethod
     def vacuum(ctx: ScalarCtx) -> "HighestWeight":
@@ -50,7 +55,7 @@ class HighestWeight:
         return HighestWeight.from_rationals(ctx, primes[:ctx.N - 1])
 
     def key(self) -> str:
-        return ",".join(str(x) for x in self.a)
+        return self._key
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from weakref import ref
 
 from .context import ScalarCtx
 from .exact import scalar_is_zero
@@ -144,29 +145,41 @@ def pinned_block(ctx: ScalarCtx, hw: HighestWeight, var: str,
 
 
 def _pair_kernel(ctx: ScalarCtx, slotsA, slotsB, order: int):
-    """Coefficients of prod_{a in A, b in B} C_{f_a f_b}(s^{s_b - s_a} x)."""
+    """Coefficients of prod_{a in A, b in B} C_{f_a f_b}(s^{s_b - s_a} x),
+    at least order + 1 of them.
+
+    ctx.caches holds the partial product after each slot pair (or the
+    constant 1 for no pair), and a larger order only appends to each:
+    coefficient m of a partial product needs coefficients 0..m of the one
+    before and of the pair's kernel."""
     key = ("KB", slotsA, slotsB)
-    cache = ctx.caches.get(key)
-    if cache is None:
-        cache = ctx.caches[key] = {"order": 0, "coeffs": [ctx.one]}
-    if cache["order"] < order:
-        cur = [ctx.one] + [ctx.zero] * order
-        for fa, sa in slotsA:
-            for fb, sb in slotsB:
-                kc = kernel_coeffs(ctx, fa, fb, sb - sa, order)
-                new = [ctx.zero] * (order + 1)
-                for i, c in enumerate(cur):
+    stages = ctx.caches.get(key, ())
+    done = len(stages[-1]) if stages else 0
+    if done <= order:
+        # the constant 1, then the product over the first p + 1 slot pairs
+        prev = (ctx.one,) + (ctx.zero,) * order
+        grown = []
+        pairs = ((fa, fb, sb - sa) for fa, sa in slotsA for fb, sb in slotsB)
+        for p, (fa, fb, delta) in enumerate(pairs):
+            # coefficient 0 is 1 times the previous stage's; order 0 asks
+            # no kernel
+            kc = kernel_coeffs(ctx, fa, fb, delta, order) if order else ()
+            new = []
+            for m in range(done, order + 1):
+                acc = ctx.zero
+                for i in range(m + 1):
+                    c = prev[i]
                     if scalar_is_zero(c):
                         continue
-                    for ell in range(order + 1 - i):
-                        k = kc[ell]
-                        if ell and scalar_is_zero(k):
-                            continue
-                        new[i + ell] = new[i + ell] + (c * k if ell else c)
-                cur = new
-        cache["coeffs"] = cur
-        cache["order"] = order
-    return cache["coeffs"]
+                    if i == m:
+                        acc = acc + c
+                    elif not scalar_is_zero(kc[m - i]):
+                        acc = acc + c * kc[m - i]
+                new.append(acc)
+            prev = (stages[p] if stages else ()) + tuple(new)
+            grown.append(prev)
+        stages = ctx.caches[key] = tuple(grown) or (prev,)
+    return stages[-1]
 
 
 # ctx.caches key of the transfer states shared by every engine of a context;
@@ -194,7 +207,11 @@ class ModeEngine:
     """
 
     def __init__(self, ctx: ScalarCtx, blocks, weights=()):
-        self.ctx = ctx
+        # the context owns its engines (mode_engine caches them in
+        # ctx.caches), so an engine refers back to it weakly: a strong
+        # reference leaves every finished context cyclic garbage that
+        # waits for a full collection
+        self.ctx = ref(ctx)
         self.blocks = blocks
         self.gaps = len(blocks) - 1
         self.wopen = {}   # block index -> list of (partner, provider)
@@ -219,7 +236,7 @@ class ModeEngine:
             raise ValueError("bad profile")
         if profile in self.value_cache:
             return self.value_cache[profile]
-        ctx = self.ctx
+        ctx = self.ctx()
         # state: sorted tuple of open flows, ("B", slots, x) or ("W", ib, x)
         memo = ctx.caches.setdefault(PREFIX_MEMO, {})
         start, states = 0, {(): ctx.one}

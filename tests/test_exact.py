@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from deformedw.exact import (Cyc, HbarSeries, QuadExt, RAT, RAT_ZERO,
                              cyclotomic_poly, exp_coeffs, inverse_coeffs,
                              log_coeffs, rat)
+from oracles import HbarModel
 
 small_rats = st.builds(rat, st.integers(-20, 20), st.integers(1, 15))
 # int and RAT scalars, both of which Cyc arithmetic takes as rationals
@@ -535,3 +536,170 @@ def test_quad_mixed_extensions_raise(p1, p2, u, v):
     for op in ops:
         with pytest.raises(ValueError):
             op()
+
+
+# -- HbarSeries against the reference model oracles.HbarModel, the
+# coefficient-tuple series it replaced: one RAT or Cyc value per slot, every
+# operation done slot by slot in the scalar types
+
+# None draws rational-only series; orders 4 and 6 mix rational and Cyc slots
+HBAR_ORDERS = (None, 4, 6)
+
+
+def cyc_values(order):
+    phi = len(cyclotomic_poly(order)) - 1
+    return st.lists(small_rats, min_size=phi, max_size=phi).map(
+        lambda u: Cyc(order, u))
+
+
+def hbar_scalars(order):
+    return scalars if order is None else st.one_of(scalars, cyc_values(order))
+
+
+@st.composite
+def hbar_values(draw, order):
+    """(coefficient list, truncation): up to three leading zeros, so that
+    valuations matter, then rational and (at an order) Cyc coefficients;
+    the list may run past the truncation."""
+    trunc = draw(st.integers(1, 9))
+    lead = draw(st.integers(0, 3))
+    body = draw(st.lists(hbar_scalars(order), max_size=trunc))
+    return [RAT(0)] * lead + body, trunc
+
+
+@st.composite
+def hbar_models(draw, count):
+    """An order from HBAR_ORDERS and `count` series drawn at it, each as a
+    pair (HbarSeries, HbarModel) of the same coefficients."""
+    order = draw(st.sampled_from(HBAR_ORDERS))
+    out = [order]
+    for _ in range(count):
+        values, trunc = draw(hbar_values(order))
+        out.append((HbarSeries(values, trunc), HbarModel(values, trunc)))
+    return tuple(out)
+
+
+def assert_hbar_canonical(x):
+    """`x` stores one int or phi(order)-tuple of ints per known slot over one
+    denominator D > 0 with gcd(D, all ints) = 1, its order is None exactly
+    when no slot is cyclotomic, and it reads RAT and Cyc values back."""
+    assert isinstance(x, HbarSeries)
+    # a shift or quotient past the truncation leaves trunc < 0, no slots
+    assert type(x.rows) is tuple and len(x.rows) == max(x.trunc, 0)
+    assert type(x.D) is int and x.D > 0
+    ints = [r for r in x.rows if type(r) is int]
+    cyc = [r for r in x.rows if type(r) is not int]
+    assert (x.order is None) == (not cyc)
+    for r in cyc:
+        assert type(r) is tuple
+        assert len(r) == len(cyclotomic_poly(x.order)) - 1
+        assert all(type(n) is int for n in r)
+        ints.extend(r)
+    assert gcd(x.D, *ints) == 1
+    for r, c in zip(x.rows, x.coeffs):
+        assert type(c) is (type(RAT_ZERO) if type(r) is int else Cyc)
+
+
+def assert_hbar(x, ref):
+    """`x` has the model's values, slot types and truncation, and canonical
+    integer storage."""
+    assert_hbar_canonical(x)
+    assert x.trunc == ref.trunc
+    assert [isinstance(c, Cyc) for c in x.coeffs] == \
+        [isinstance(c, Cyc) for c in ref.coeffs]
+    assert x.coeffs == ref.coeffs
+
+
+def assert_same_outcome(op, model_op):
+    """`op()` matches `model_op()`, or raises the same error type."""
+    try:
+        want = model_op()
+    except (ZeroDivisionError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            op()
+        return
+    assert_hbar(op(), want)
+
+
+@settings(deadline=None)
+@given(hbar_models(2))
+def test_hbar_ring_ops_match_model(data):
+    _, (x, X), (y, Y) = data
+    assert_hbar(x, X)
+    assert_hbar(x + y, X + Y)
+    assert_hbar(y + x, Y + X)
+    assert_hbar(x - y, X - Y)
+    assert_hbar(y - x, Y - X)
+    assert_hbar(x * y, X * Y)
+    assert_hbar(y * x, Y * X)
+    assert_hbar(-x, -X)
+    assert (x == y) == (X == Y)
+    assert (x != y) == (X != Y)
+    assert x == x and bool(x) == bool(X)
+    assert x.valuation() == X.valuation()
+
+
+@settings(deadline=None)
+@given(hbar_models(1), st.data())
+def test_hbar_scalar_operands_on_both_sides(data, draw):
+    order, (x, X) = data
+    # a Cyc scalar on a rational-only series brings in an order of its own
+    r = draw.draw(hbar_scalars(order or 4))
+    assert_hbar(x + r, X + r)
+    assert_hbar(r + x, r + X)
+    assert_hbar(x - r, X - r)
+    assert_hbar(r - x, r - X)
+    assert_hbar(x * r, X * r)
+    assert_hbar(r * x, r * X)
+    assert_same_outcome(lambda: x / r, lambda: X / r)
+    assert_same_outcome(lambda: r / x, lambda: r / X)
+    assert (x == r) == (X == r)
+    assert (r == x) == (x == r)
+
+
+@settings(deadline=None)
+@given(hbar_models(1), st.integers(-4, 4))
+def test_hbar_shift_matches_model(data, k):
+    _, (x, X) = data
+    assert_same_outcome(lambda: x.shift(k), lambda: X.shift(k))
+    v = X.valuation()
+    if v:
+        assert_hbar(x.shift(-v), X.shift(-v))
+
+
+@settings(deadline=None)
+@given(hbar_models(2), st.integers(-3, 3))
+def test_hbar_inverse_division_pow_match_model(data, n):
+    _, (x, X), (y, Y) = data
+    assert_same_outcome(x.inverse, X.inverse)
+    assert_same_outcome(lambda: x / y, lambda: X / Y)
+    assert_same_outcome(lambda: x ** n, lambda: X ** n)
+
+
+@settings(deadline=None)
+@given(hbar_models(1))
+def test_hbar_exp_matches_model(data):
+    _, (x, X) = data
+    assert_same_outcome(x.exp, X.exp)
+    tail = x - x.coefficient(0)
+    assert_hbar(tail.exp(), (X - X.coeffs[0]).exp())
+
+
+@st.composite
+def cyclotomic_series(draw, order):
+    """A series at `order` with at least one Cyc slot."""
+    values, trunc = draw(hbar_values(order))
+    values = (values + [RAT(0)] * trunc)[:trunc]
+    values[draw(st.integers(0, trunc - 1))] = draw(cyc_values(order))
+    return HbarSeries(values, trunc)
+
+
+@given(cyclotomic_series(4), cyclotomic_series(6))
+def test_hbar_mixed_orders_raise(x, y):
+    assert (x.order, y.order) == (4, 6)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x == y,
+               lambda: y * Cyc.root(4), lambda: x + Cyc.root(6)):
+        with pytest.raises(ValueError):
+            op()
+    with pytest.raises(ValueError):
+        HbarSeries([Cyc.root(4), Cyc.root(6)], 2)

@@ -222,6 +222,44 @@ def test_vacuum_eigenvalue_passes_unmutated(N, i):
     assert _vacuum_record(N, i).ok
 
 
+# the zeta identity (N, i, beta), both beta = (N+1)/N and N/(N+1), M = 6
+ZETA_CASES = [(2, 1, rat(3, 2)), (3, 1, rat(3, 4)), (4, 2, rat(5, 4))]
+
+
+@pytest.fixture
+def shifted_bernoulli(monkeypatch):
+    """The Bernoulli table moved one place: B_{m+1} under key m, for the
+    zeta values and the log-sinh series alike."""
+    table = zeta.bernoulli_table
+
+    def shifted(M):
+        true = table(M + 1)
+        return {m: true[m + 1] for m in range(1, M + 1)}
+
+    monkeypatch.setattr(zeta, "bernoulli_table", shifted)
+
+
+@pytest.mark.parametrize("N,i,beta", ZETA_CASES)
+def test_zeta_identity_fails_on_shifted_bernoulli(shifted_bernoulli,
+                                                  N, i, beta):
+    rec = zeta.verify_zeta_identity(N, i, beta)
+    assert rec.status == "fail"
+    assert rec.detail.startswith("hbar^"), rec.detail
+
+
+@pytest.mark.parametrize("N,i,beta", ZETA_CASES)
+def test_zeta_identity_passes_unmutated(N, i, beta):
+    assert zeta.verify_zeta_identity(N, i, beta).ok
+
+
+def test_log_sinh_fails_on_shifted_bernoulli(shifted_bernoulli):
+    assert zeta.log_sinh_identity_holds(6) is False
+
+
+def test_log_sinh_holds_unmutated():
+    assert zeta.log_sinh_identity_holds(6) is True
+
+
 # the f-identities suite at one generic point, order 4
 F_IDENTITIES_CFG = {"n_values": "2 3", "order": "4",
                     "points": ",".join(RELATION_POINT)}

@@ -3,10 +3,11 @@ import pytest
 from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from deformedw.fock import HighestWeight, hw_eigenvalue_w, kernel_coeffs, \
     zero_mode
-from deformedw.exact import scalar_is_zero
+from deformedw.exact import HbarSeries, rat, scalar_is_zero
 from deformedw.relations import default_braket_family
 from deformedw.structfn import PoleError, gamma_at
-from deformedw.wcurrents import (PREFIX_MEMO, WInsertion, composite_no_mode,
+from deformedw.wcurrents import (PREFIX_MEMO, WInsertion, _pair_kernel,
+                                 block_slots, composite_no_mode,
                                  current_block, mode_engine, mode_profile,
                                  pinned_block, pinned_mode_value,
                                  pinned_mode_value_resummed,
@@ -279,3 +280,60 @@ def test_resummed_route_matches_closed_form(N):
                 assert scalar_is_zero(closed - resummed), (spec, bra, ket)
                 checked += 1
     assert checked
+
+
+KERNEL_CONTEXTS = {
+    "generic": lambda: ctx_n(3),
+    "limit1": lambda: ScalarCtx.limit1(3, rat(4, 3), trunc=6),
+    "limit2": lambda: ScalarCtx.limit2(3, 1, trunc=4),
+}
+KERNEL_SLOTS = [
+    (block_slots(2, 1, (1, 3)), block_slots(2, -1, (2, 3))),
+    (block_slots(1, 0, (2,)), block_slots(3, 2, (1, 2, 3))),
+    (block_slots(1, 0, (1,)), ()),
+]
+
+
+def kernel_product(ctx, slotsA, slotsB, order):
+    """The pair kernel product built from scratch: one truncated series
+    product per slot pair, each coefficient summed with i ascending."""
+    cur = [ctx.one] + [ctx.zero] * order
+    for fa, sa in slotsA:
+        for fb, sb in slotsB:
+            kc = kernel_coeffs(ctx, fa, fb, sb - sa, order)
+            new = [ctx.zero] * (order + 1)
+            for i, c in enumerate(cur):
+                if scalar_is_zero(c):
+                    continue
+                for ell in range(order + 1 - i):
+                    if ell and scalar_is_zero(kc[ell]):
+                        continue
+                    new[i + ell] = new[i + ell] + (c * kc[ell] if ell else c)
+            cur = new
+    return cur
+
+
+def stored_form(x):
+    """Value and type of a scalar; for an hbar series also its slot types
+    and truncation, through its canonical stored form."""
+    if isinstance(x, HbarSeries):
+        return (x.order, x.rows, x.D, x.trunc)
+    return (type(x), x)
+
+
+@pytest.mark.parametrize("mode", sorted(KERNEL_CONTEXTS))
+@pytest.mark.parametrize("slots", range(len(KERNEL_SLOTS)))
+def test_pair_kernel_grown_one_order_at_a_time_equals_fresh_build(mode, slots):
+    slotsA, slotsB = KERNEL_SLOTS[slots]
+    order = 5
+    grown = KERNEL_CONTEXTS[mode]()
+    for o in range(order + 1):
+        got = _pair_kernel(grown, slotsA, slotsB, o)
+        assert len(got) == o + 1
+    fresh = KERNEL_CONTEXTS[mode]()
+    built = _pair_kernel(fresh, slotsA, slotsB, order)
+    want = kernel_product(KERNEL_CONTEXTS[mode](), slotsA, slotsB, order)
+    assert [stored_form(c) for c in got] == [stored_form(c) for c in built]
+    assert [stored_form(c) for c in built] == [stored_form(c) for c in want]
+    # a smaller order reads the cached coefficients back
+    assert _pair_kernel(grown, slotsA, slotsB, 2) is got
