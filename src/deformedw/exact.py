@@ -542,16 +542,18 @@ class HbarSeries:
     def __init__(self, coeffs, trunc: int):
         order = None
         parts = []
+        # slots hold exact ints, and a slot that is not an int is taken for
+        # a tuple: gmpy2's mpq (and a Cyc built from it) gives mpz numerators
         for c in list(coeffs)[:trunc]:
             if isinstance(c, Cyc):
                 if order is None:
                     order = c.order
                 elif c.order != order:
                     raise ValueError("mixed cyclotomic orders")
-                parts.append((c.N, c.D))
+                parts.append((tuple(map(int, c.N)), int(c.D)))
             else:
                 c = RAT(c)
-                parts.append((c.numerator, c.denominator))
+                parts.append((int(c.numerator), int(c.denominator)))
         # over the least common denominator of values in lowest terms the
         # numerators are integers with no factor common to all of them
         D = lcm(1, *(d for _, d in parts))
@@ -703,17 +705,19 @@ class HbarSeries:
     def __mul__(self, other):
         if isinstance(other, HbarSeries):
             return self._times(other)
+        # int coordinates of the scalar, as in __init__
         if is_rational(other):
-            n = other.numerator
+            n = int(other.numerator)
             return HbarSeries._reduced(self.order, [
                 r * n if type(r) is int else tuple(x * n for x in r)
-                for r in self.rows], self.D * other.denominator, self.trunc)
+                for r in self.rows], self.D * int(other.denominator),
+                self.trunc)
         if isinstance(other, Cyc):
-            order, c = self._order_with(other.order), other.N
+            order, c = self._order_with(other.order), tuple(map(int, other.N))
             return HbarSeries._reduced(order, [
                 tuple(r * x for x in c) if type(r) is int
                 else _phi_mul(order, r, c) for r in self.rows],
-                self.D * other.D, self.trunc)
+                self.D * int(other.D), self.trunc)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -830,22 +834,7 @@ class HbarSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        self._order_with(o.order)
-        t = min(self.trunc, o.trunc)
-        D1, D2 = self.D, o.D
-        n = max(t, 0)
-        for a, b in zip(self.rows[:n], o.rows[:n]):
-            if type(a) is int and type(b) is int:
-                if a * D2 != b * D1:
-                    return False
-                continue
-            if type(a) is int:
-                a = (a,) + (0,) * (len(b) - 1)
-            elif type(b) is int:
-                b = (b,) + (0,) * (len(a) - 1)
-            if any(x * D2 != y * D1 for x, y in zip(a, b)):
-                return False
-        return True
+        return not self._plus(o, -1)
 
     def __bool__(self):
         return any(map(_slot_nonzero, self.rows))

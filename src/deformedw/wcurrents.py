@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from weakref import ref
 
 from .context import ScalarCtx
 from .exact import scalar_is_zero
@@ -207,11 +206,7 @@ class ModeEngine:
     """
 
     def __init__(self, ctx: ScalarCtx, blocks, weights=()):
-        # the context owns its engines (mode_engine caches them in
-        # ctx.caches), so an engine refers back to it weakly: a strong
-        # reference leaves every finished context cyclic garbage that
-        # waits for a full collection
-        self.ctx = ref(ctx)
+        self.ctx = ctx
         self.blocks = blocks
         self.gaps = len(blocks) - 1
         self.wopen = {}   # block index -> list of (partner, provider)
@@ -236,7 +231,7 @@ class ModeEngine:
             raise ValueError("bad profile")
         if profile in self.value_cache:
             return self.value_cache[profile]
-        ctx = self.ctx()
+        ctx = self.ctx
         # state: sorted tuple of open flows, ("B", slots, x) or ("W", ib, x)
         memo = ctx.caches.setdefault(PREFIX_MEMO, {})
         start, states = 0, {(): ctx.one}

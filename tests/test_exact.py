@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from deformedw.exact import (Cyc, HbarSeries, QuadExt, RAT, RAT_ZERO,
+from deformedw.exact import (Cyc, HbarSeries, QuadExt, RAT, RAT_ONE, RAT_ZERO,
                              cyclotomic_poly, exp_coeffs, inverse_coeffs,
                              log_coeffs, rat)
 from oracles import HbarModel
@@ -683,6 +684,33 @@ def test_hbar_exp_matches_model(data):
     assert_same_outcome(x.exp, X.exp)
     tail = x - x.coefficient(0)
     assert_hbar(tail.exp(), (X - X.coeffs[0]).exp())
+
+
+class WideInt(int):
+    """An integer type other than int, as gmpy2's mpz is."""
+
+
+class WideRat(Fraction):
+    """A rational whose numerator and denominator are WideInt, as those of
+    gmpy2's mpq are mpz."""
+    numerator = property(lambda self: WideInt(self._numerator))
+    denominator = property(lambda self: WideInt(self._denominator))
+
+
+def test_hbar_stores_ints_from_other_integer_types():
+    # with gmpy2 installed RAT itself is mpq and its numerators are mpz
+    wide = WideRat if type(RAT_ONE.numerator) is int else RAT
+    wide_cyc = Cyc._make(4, (WideInt(1), WideInt(-1)), WideInt(3))
+    c = Cyc(4, [RAT(1, 3), RAT(-1, 3)])
+    assert wide_cyc == c
+    x = HbarSeries([wide(1, 2), wide(0), wide(-3, 4)], 3)
+    X = HbarModel([RAT(1, 2), RAT(0), RAT(-3, 4)], 3)
+    assert_hbar(x, X)
+    assert_hbar(x + wide(1, 3), X + RAT(1, 3))
+    assert_hbar(x * wide(2, 3), X * RAT(2, 3))
+    assert_hbar(x / wide(2, 3), X / RAT(2, 3))
+    assert_hbar(x * wide_cyc, X * c)
+    assert_hbar(HbarSeries([wide_cyc, wide(5)], 2), HbarModel([c, RAT(5)], 2))
 
 
 @st.composite
