@@ -32,7 +32,7 @@ def load_config(path):
     if path:
         with open(path) as fh:
             text = fh.read()
-        cp.read_string(text)
+        cp.read_string(text, source=path)
     return cp, text
 
 
@@ -65,7 +65,13 @@ def _run_one(name, cfg):
 
 
 def cmd_verify(args):
-    cp, text = load_config(args.config)
+    try:
+        cp, text = load_config(args.config)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        # configparser's messages span lines; print them on one
+        print(f"verify --config {args.config!r}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
+        return 2
     if args.suite:
         # a suite named twice runs once
         names = list(dict.fromkeys(args.suite))

@@ -10,10 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 
-try:
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as RAT
+from fractions import Fraction as RAT
 
 
 def rat(a, b=1):
@@ -25,7 +22,7 @@ RAT_ONE = RAT(1)
 
 
 def is_rational(x) -> bool:
-    return isinstance(x, (int, type(RAT_ZERO)))
+    return isinstance(x, (int, RAT))
 
 
 # ---------------------------------------------------------------------------
@@ -542,18 +539,16 @@ class HbarSeries:
     def __init__(self, coeffs, trunc: int):
         order = None
         parts = []
-        # slots hold exact ints, and a slot that is not an int is taken for
-        # a tuple: gmpy2's mpq (and a Cyc built from it) gives mpz numerators
         for c in list(coeffs)[:trunc]:
             if isinstance(c, Cyc):
                 if order is None:
                     order = c.order
                 elif c.order != order:
                     raise ValueError("mixed cyclotomic orders")
-                parts.append((tuple(map(int, c.N)), int(c.D)))
+                parts.append((c.N, c.D))
             else:
                 c = RAT(c)
-                parts.append((int(c.numerator), int(c.denominator)))
+                parts.append((c.numerator, c.denominator))
         # over the least common denominator of values in lowest terms the
         # numerators are integers with no factor common to all of them
         D = lcm(1, *(d for _, d in parts))
@@ -705,19 +700,17 @@ class HbarSeries:
     def __mul__(self, other):
         if isinstance(other, HbarSeries):
             return self._times(other)
-        # int coordinates of the scalar, as in __init__
         if is_rational(other):
-            n = int(other.numerator)
+            n = other.numerator
             return HbarSeries._reduced(self.order, [
                 r * n if type(r) is int else tuple(x * n for x in r)
-                for r in self.rows], self.D * int(other.denominator),
-                self.trunc)
+                for r in self.rows], self.D * other.denominator, self.trunc)
         if isinstance(other, Cyc):
-            order, c = self._order_with(other.order), tuple(map(int, other.N))
+            order, c = self._order_with(other.order), other.N
             return HbarSeries._reduced(order, [
                 tuple(r * x for x in c) if type(r) is int
                 else _phi_mul(order, r, c) for r in self.rows],
-                self.D * int(other.D), self.trunc)
+                self.D * other.D, self.trunc)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -843,12 +836,6 @@ class HbarSeries:
         terms = [f"({c})*h^{i}" for i, c in enumerate(self.coeffs) if c]
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(h^{self.trunc})"
-
-
-def scalar_is_zero(x) -> bool:
-    """Exact zero test for any member of the scalar tower (for HbarSeries:
-    all known coefficients vanish)."""
-    return not bool(x)
 
 
 def scalar_inv(x):

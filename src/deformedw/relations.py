@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .context import ScalarCtx
-from .exact import scalar_is_zero
 from .fock import HighestWeight
 from .series import rational_reconstruct
 from .structfn import f_series, gamma_ladder
@@ -139,7 +138,7 @@ def _sweep(suite, case, keys, window, level, labels, sides):
                 continue
             a, b = sides(bra, ket, ks)
             for key in ks:
-                if not scalar_is_zero(a[key] - b[key]):
+                if a[key] - b[key]:
                     return CheckRecord(
                         suite, case, "fail",
                         f"{name}={key} bra={bra} ket={ket}: "
@@ -396,7 +395,7 @@ def verify_poles(ctx: ScalarCtx, i: int, j: int, order: int = 14, hw=None):
         val = ctx.zero
         for kk, c in enumerate(den):
             val = val + c * x ** kk
-        if not scalar_is_zero(val):
+        if val:
             return CheckRecord("poles", case, "fail",
                                f"claimed pole s^{sexp} is not a denominator root",
                                (ZERO_MODES_CENTRAL, "reconstructed"))

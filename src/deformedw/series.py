@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import RAT_ZERO, HbarSeries, exp_coeffs, is_rational, \
-    log_coeffs, scalar_is_zero
+    log_coeffs
 
 
 class WindowError(ValueError):
@@ -30,7 +30,7 @@ class VarBound:
 
 def _prunable(x) -> bool:
     # HbarSeries zeros are kept: dropping them would forget their truncation.
-    return not isinstance(x, HbarSeries) and scalar_is_zero(x)
+    return not isinstance(x, HbarSeries) and not x
 
 
 class LaurentWindow:
@@ -121,7 +121,7 @@ class LaurentWindow:
         return self + (-other)
 
     def scale(self, scalar) -> "LaurentWindow":
-        if scalar_is_zero(scalar) and not isinstance(scalar, HbarSeries):
+        if not scalar and not isinstance(scalar, HbarSeries):
             return LaurentWindow(self.vars, {}, self.bounds, self.zero)
         return LaurentWindow(self.vars, {e: c * scalar for e, c in self.coeffs.items()},
                              self.bounds, self.zero)
@@ -220,7 +220,7 @@ def series_exp(x: LaurentWindow) -> LaurentWindow:
     """exp of a one-variable window with zero constant term and no negative
     exponents; exact within the window."""
     g = _taylor_list(x, "series_exp")
-    if not scalar_is_zero(x.coeffs.get((0,), x.zero)):
+    if x.coeffs.get((0,), x.zero):
         raise ValueError("series_exp needs zero constant term")
     one = 1 if is_rational(x.zero) else x.zero + 1
     return LaurentWindow.taylor(x.vars[0], exp_coeffs(g, [one], x.zero),
@@ -230,7 +230,7 @@ def series_exp(x: LaurentWindow) -> LaurentWindow:
 def series_log(x: LaurentWindow) -> LaurentWindow:
     """log of a one-variable window with constant term 1."""
     f = _taylor_list(x, "series_log")
-    if not scalar_is_zero(x.coeffs.get((0,), x.zero) - 1):
+    if x.coeffs.get((0,), x.zero) - 1:
         raise ValueError("series_log needs constant term 1")
     return LaurentWindow.taylor(x.vars[0], log_coeffs(f, x.zero), x.zero)
 
@@ -272,10 +272,10 @@ def _solve_homogeneous(rows, ncols):
     for row in rows:
         for pc, prow in pivots.items():
             f = row[pc]
-            if not scalar_is_zero(f):
+            if f:
                 for k in range(ncols):
                     row[k] = row[k] - f * prow[k]
-        piv = next((k for k in range(ncols) if not scalar_is_zero(row[k])), None)
+        piv = next((k for k in range(ncols) if row[k]), None)
         if piv is None:
             continue
         inv = row[piv]
@@ -296,7 +296,7 @@ def _solve_homogeneous(rows, ncols):
         row = pivots[pc]
         acc = 0
         for k in range(pc + 1, ncols):
-            if sol[k] != 0 and not scalar_is_zero(row[k]):
+            if sol[k] != 0 and row[k]:
                 acc = acc + row[k] * sol[k]
         sol[pc] = -acc
     return sol
@@ -335,7 +335,7 @@ def rational_reconstruct(series: LaurentWindow, deg_num: int, deg_den: int):
         for j in range(deg_den + 1):
             if 0 <= i - j < navail and q[j] != 0:
                 acc = acc + q[j] * c[i - j]
-        if not scalar_is_zero(acc):
+        if acc:
             return None
     num = []
     for i in range(deg_num + 1):
@@ -345,14 +345,14 @@ def rational_reconstruct(series: LaurentWindow, deg_num: int, deg_den: int):
                 acc = acc + q[j] * c[i - j]
         num.append(acc)
     # normalize q_0 = 1 when possible
-    if not scalar_is_zero(q[0]):
+    if q[0]:
         from .exact import scalar_inv
         inv = scalar_inv(q[0])
         num = [a * inv for a in num]
         q = [a * inv for a in q]
-    while len(num) > 1 and scalar_is_zero(num[-1]):
+    while len(num) > 1 and not num[-1]:
         num.pop()
     q = list(q)
-    while len(q) > 1 and scalar_is_zero(q[-1]):
+    while len(q) > 1 and not q[-1]:
         q.pop()
     return num, q

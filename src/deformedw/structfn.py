@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import partial
 
 from .context import ScalarCtx
-from .exact import exp_coeffs, scalar_is_zero
+from .exact import exp_coeffs
 from .series import LaurentWindow, VarBound, geometric_factor, series_exp
 
 
@@ -162,8 +162,8 @@ class GammaFactors:
 def _not_invertible(x) -> bool:
     from .exact import HbarSeries
     if isinstance(x, HbarSeries):
-        return scalar_is_zero(x.coeffs[0]) if x.coeffs else True
-    return scalar_is_zero(x)
+        return not x.coeffs[0] if x.coeffs else True
+    return not x
 
 
 # ---------------------------------------------------------------------------

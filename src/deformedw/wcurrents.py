@@ -2,10 +2,11 @@
 exact mode matrix elements, and the composite normal ordering.
 
 Matrix elements are evaluated by enumerating contraction patterns: an
-assignment of a power to every pair of current insertions (plus any series
-weights), bounded by the exponent budget that the requested modes put on each
-consecutive-point gap.  Insertion flavors are summed per pattern, and blocks
-untouched by a pattern contribute their zero-mode eigenvalue w^rank(lambda).
+assignment of a power to every pair of current insertions (plus the
+structure-function weight of a dressed gap), bounded by the exponent budget
+that the requested modes put on each consecutive-point gap.  Insertion
+flavors are summed per pattern, and blocks untouched by a pattern contribute
+their zero-mode eigenvalue w^rank(lambda).
 All sums are provably finite: a pattern outside the budget cannot contribute
 to the requested coefficient.
 """
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .context import ScalarCtx
-from .exact import scalar_is_zero
 from .fock import HighestWeight, Insertion, kernel_coeffs, \
     lambda_correlator, zero_mode
 from .series import LaurentWindow
@@ -131,7 +131,7 @@ def pinned_block(ctx: ScalarCtx, hw: HighestWeight, var: str,
         for J2 in _subsets(ctx.N, rank2):
             s2 = block_slots(rank2, shift2, J2)
             coeff = dressed_pin_value(ctx, dress, s1, s2, pinexp, clear_sexp)
-            if scalar_is_zero(coeff):
+            if not coeff:
                 continue
             zm = zm1
             for f in J2:
@@ -168,11 +168,11 @@ def _pair_kernel(ctx: ScalarCtx, slotsA, slotsB, order: int):
                 acc = ctx.zero
                 for i in range(m + 1):
                     c = prev[i]
-                    if scalar_is_zero(c):
+                    if not c:
                         continue
                     if i == m:
                         acc = acc + c
-                    elif not scalar_is_zero(kc[m - i]):
+                    elif kc[m - i]:
                         acc = acc + c * kc[m - i]
                 new.append(acc)
             prev = (stages[p] if stages else ()) + tuple(new)
@@ -190,49 +190,48 @@ class ModeEngine:
     """Exact coefficient extraction from <lambda| prod blocks |lambda>.
 
     Transfer evaluation: blocks are absorbed left to right; the state is the
-    multiset of open contraction flows, each ("B", source slots, units still
-    to land on later blocks), plus open series-weight flows ("W", target
-    block, units).  Crossing the boundary behind block c, the open units
-    must total exactly profile[c], so the state space stays tiny and every
-    enumeration is finite.  When a flow lands on a block it contributes one
-    cached kernel coefficient; flavor summation happens automatically because
-    states only remember the slot content of their open sources.
+    multiset of open contraction flows, each (source slots, units still to
+    land on later blocks).  Crossing the boundary behind block c, the open
+    units must total exactly profile[c], so the state space stays tiny and
+    every enumeration is finite.  When a flow lands on a block it contributes
+    one cached kernel coefficient; flavor summation happens automatically
+    because states only remember the slot content of their open sources.
+
+    dress is None or (gap, i, j): the structure function f^{i,j} of the ratio
+    of the points of blocks gap + 1 and gap weights that gap.  There the
+    block takes yw of its own units with the Taylor coefficient f_yw; those
+    units open no flow, since f depends on that one ratio alone.
 
     The states behind every block but the last are memoized in
     ctx.caches[PREFIX_MEMO] under (prefix_keys[c], profile[:c+1]), so a
     profile resumes from the deepest prefix that any engine of the context
-    has already absorbed.  weights are (ia, ib, provider, key) with the key
-    naming the provider's coefficients.
+    has already absorbed.  The engine keeps no context: value takes it at
+    each call, so an engine cached in ctx.caches does not refer back to it.
     """
 
-    def __init__(self, ctx: ScalarCtx, blocks, weights=()):
-        self.ctx = ctx
+    def __init__(self, blocks, dress=None):
         self.blocks = blocks
         self.gaps = len(blocks) - 1
-        self.wopen = {}   # block index -> list of (partner, provider)
-        for ia, ib, provider, _ in weights:
-            self.wopen.setdefault(ia, []).append((ib, provider))
+        self.dress = dress
         self.value_cache = {}
         self.weight_splits = {}
         # everything the state after block c depends on, except the profile:
-        # prefix_keys[c] names blocks[:c+1] and the weights they open
+        # prefix_keys[c] names blocks[:c+1] and the dress once it is behind
         prefix = ()
         self.prefix_keys = []
         for c, block in enumerate(blocks[:-1]):
-            prefix += (block.key,
-                       tuple((ia, ib, wk) for ia, ib, _, wk in weights
-                             if ia == c))
+            prefix += (block.key, dress) if dress and dress[0] == c \
+                else (block.key,)
             self.prefix_keys.append(prefix)
 
-    def value(self, profile):
+    def value(self, profile, ctx: ScalarCtx):
         """Exact coefficient at the given gap-exponent profile."""
         profile = tuple(profile)
         if len(profile) != self.gaps or any(p < 0 for p in profile):
             raise ValueError("bad profile")
         if profile in self.value_cache:
             return self.value_cache[profile]
-        ctx = self.ctx
-        # state: sorted tuple of open flows, ("B", slots, x) or ("W", ib, x)
+        # state: sorted tuple of open flows (slots, units)
         memo = ctx.caches.setdefault(PREFIX_MEMO, {})
         start, states = 0, {(): ctx.one}
         for c in range(self.gaps - 1, -1, -1):
@@ -246,12 +245,12 @@ class ModeEngine:
             for state, weight in states.items():
                 patterns = {}
                 for coeff, slots in self.blocks[c].options:
-                    if scalar_is_zero(coeff):
+                    if not coeff:
                         continue
                     has_slots = bool(slots)
                     if has_slots not in patterns:
                         patterns[has_slots] = self._landing_patterns(
-                            state, c, budget, has_slots)
+                            state, c, budget, has_slots, ctx)
                     # accs[k]: the product of the pattern's first k factors
                     accs = [weight * coeff]
                     for share, factors, rest, free in patterns[has_slots]:
@@ -261,12 +260,12 @@ class ModeEngine:
                                 sslots, ell = fac
                                 fac = _pair_kernel(ctx, sslots, slots,
                                                    ell)[ell]
-                                if scalar_is_zero(fac):
+                                if not fac:
                                     break
                             accs.append(accs[-1] * fac)
                         else:
                             key = rest if not free else tuple(sorted(
-                                rest + (("B", slots, free),)))
+                                rest + ((slots, free),)))
                             old = new_states.get(key)
                             new_states[key] = accs[-1] if old is None \
                                 else old + accs[-1]
@@ -280,28 +279,24 @@ class ModeEngine:
         self.value_cache[profile] = total
         return total
 
-    def _landing_patterns(self, state, c, budget, has_slots):
+    def _landing_patterns(self, state, c, budget, has_slots, ctx):
         """The ways the open flows of `state` continue through block c, in
-        the order the transfer sum visits them: every open block flow lands
-        0..x of its x units on the block (the first flow outermost), the
-        units left open plus the block's own outgoing units fill the budget,
-        and the block's new weight flows take some of its own units (the
-        first weight outermost).  A block without slots takes no landing and
-        opens no flow of its own.
+        the order the transfer sum visits them: every open flow lands 0..x of
+        its x units on the block (the first flow outermost), the units left
+        open plus the block's own units fill the budget, and on the dressed
+        gap the weight takes some of the block's own units.  A block without
+        slots takes no landing and opens no flow of its own.
 
         Returns a list of (share, factors, rest, free): `factors` lists
         (source slots, ell) per landing, whose kernel coefficient depends on
-        the option's slots, then the nonzero coefficient of each opened
-        weight; its first `share` entries equal those of the previous
-        pattern, so their product can be reused.  `rest` is the sorted tuple
-        of flows still open, and `free` the own units of the block, which
-        open the flow ("B", slots, free) when nonzero.
+        the option's slots, then the weight's nonzero coefficient if it takes
+        units; its first `share` entries equal those of the previous pattern,
+        so their product can be reused.  `rest` is the sorted tuple of flows
+        still open, and `free` the own units of the block left, which open
+        the flow (slots, free) when nonzero.
         """
-        # weight flows ending here evaporate
-        opens = [fl for fl in state if fl[0] == "B" or fl[1] != c]
-        units = sum(fl[2] for fl in opens)
-        ranges = [range(fl[2] + 1) if has_slots and fl[0] == "B" else (0,)
-                  for fl in opens]
+        units = sum(x for _, x in state)
+        ranges = [range(x + 1) if has_slots else (0,) for _, x in state]
         out = []
         prev = ()
         for ells in product(*ranges):
@@ -309,15 +304,16 @@ class ModeEngine:
             if free < 0:
                 continue
             lands, rest = [], []
-            for fl, ell in zip(opens, ells):
+            for fl, ell in zip(state, ells):
                 if not ell:
                     rest.append(fl)
                     continue
-                lands.append((fl[1], ell))
-                if ell < fl[2]:
-                    rest.append(("B", fl[1], fl[2] - ell))
-            for wfactors, extra, left in self._weight_splits(c, free,
-                                                             has_slots):
+                lands.append((fl[0], ell))
+                if ell < fl[1]:
+                    rest.append((fl[0], fl[1] - ell))
+            rest = tuple(sorted(rest))
+            for wfactors, left in self._weight_splits(c, free, has_slots,
+                                                      ctx):
                 factors = lands + wfactors
                 share = 0
                 for f, g in zip(factors, prev):
@@ -325,40 +321,32 @@ class ModeEngine:
                         break
                     share += 1
                 prev = factors
-                out.append((share, tuple(factors),
-                            tuple(sorted(rest + extra)), left))
+                out.append((share, tuple(factors), rest, left))
         return out
 
-    def _weight_splits(self, c, free, has_slots):
-        """The ways block c's new weight flows take units of its `free` own
-        units, the first weight outermost: (coefficients, opened flows, units
-        left), without the splits whose coefficient vanishes.  A block
-        without slots keeps no unit of its own."""
-        key = (c, free, has_slots)
+    def _weight_splits(self, c, free, has_slots, ctx):
+        """The ways block c keeps its `free` own units: (coefficients, units
+        left).  Off the dressed gap all of them are left; on it the weight
+        takes yw of them with the coefficient f_yw (none for yw = 0),
+        without the splits whose coefficient vanishes.  A block without
+        slots keeps no unit of its own."""
+        if self.dress is None or c != self.dress[0]:
+            return (([], free),) if has_slots or not free else ()
+        key = (free, has_slots)
         if key not in self.weight_splits:
-            wopen = self.wopen.get(c, ())
-            out = []
-            for yws in product(range(free + 1), repeat=len(wopen)):
-                left = free - sum(yws)
-                if left < 0 or (left and not has_slots):
-                    continue
-                coeffs, extra = [], []
-                for (ib, provider), yw in zip(wopen, yws):
-                    if yw:
-                        coeffs.append(provider(yw))
-                        extra.append(("W", ib, yw))
-                if not any(scalar_is_zero(w) for w in coeffs):
-                    out.append((coeffs, extra, left))
-            self.weight_splits[key] = out
+            _, i, j = self.dress
+            fc = f_coeffs(ctx, i, j, free)
+            self.weight_splits[key] = [
+                ([fc[yw]] if yw else [], free - yw) for yw in range(free + 1)
+                if (has_slots or yw == free) and (not yw or fc[yw])]
         return self.weight_splits[key]
 
 
-def mode_engine(ctx: ScalarCtx, blocks, weights=()):
-    """Cached ModeEngine per block assembly and weight set."""
-    wkey = tuple((ia, ib, wk) for ia, ib, _, wk in weights)
-    key = ("ME", tuple(b.key for b in blocks), wkey)
+def mode_engine(ctx: ScalarCtx, blocks, dress=None):
+    """Cached ModeEngine per block assembly and dress."""
+    key = ("ME", tuple(b.key for b in blocks), dress)
     if key not in ctx.caches:
-        ctx.caches[key] = ModeEngine(ctx, blocks, weights)
+        ctx.caches[key] = ModeEngine(blocks, dress)
     return ctx.caches[key]
 
 
@@ -413,19 +401,6 @@ def _aux_blocks(ctx, hw, modes, prefix):
             for k, (r, _) in enumerate(modes)]
 
 
-def f_weight(ctx: ScalarCtx, dress):
-    """Series-weight provider for the structure function f^{dress}: the
-    ell-th Taylor coefficient of f^{dress}(x)."""
-    coeffs = f_coeffs(ctx, dress[0], dress[1], 0)
-
-    def provider(ell):
-        # the shared list grows in place, so a hit is one index
-        if ell < len(coeffs):
-            return coeffs[ell]
-        return f_coeffs(ctx, dress[0], dress[1], ell)[ell]
-    return provider
-
-
 def two_current_mode_table(ctx: ScalarCtx, hw: HighestWeight, bra,
                            first, second, ket, dress, nm_list):
     """Modes (n, m) of f^{dress}(x) W^{r1}(s^{a1} z_first) W^{r2}(s^{a2} z_sec)
@@ -439,15 +414,12 @@ def two_current_mode_table(ctx: ScalarCtx, hw: HighestWeight, bra,
         return {nm: ctx.zero for nm in nm_list}
     blocks = _aux_blocks(ctx, hw, bra, "b") + [b1, b2] + \
         _aux_blocks(ctx, hw, ket, "k")
-    weights = []
-    if dress is not None:
-        weights.append((len(bra), len(bra) + 1, f_weight(ctx, dress),
-                        ("f", dress)))
-    eng = mode_engine(ctx, blocks, weights)
+    eng = mode_engine(ctx, blocks,
+                      None if dress is None else (len(bra), *dress))
     out = {}
     for n, m in nm_list:
         prof = mode_profile(bra, (-n, -m), ket)
-        out[(n, m)] = eng.value(prof) if prof is not None else ctx.zero
+        out[(n, m)] = eng.value(prof, ctx) if prof is not None else ctx.zero
     return out
 
 
@@ -474,7 +446,7 @@ def pinned_mode_value(ctx: ScalarCtx, hw: HighestWeight, bra, pinned, ket,
     prof = mode_profile(bra, (-total_mode,), ket)
     if prof is None:
         return ctx.zero
-    return mode_engine(ctx, blocks).value(prof)
+    return mode_engine(ctx, blocks).value(prof, ctx)
 
 
 def _poly_mul_factor(ctx, poly, c, exponent):
@@ -553,30 +525,30 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
         for g in range(ext_deg + 1):
             n1 = g - braSum
             prof = mode_profile(bra, (-n1, -(total_mode - n1)), ket)
-            e = eng.value(prof) if prof is not None else ctx.zero
+            e = eng.value(prof, ctx) if prof is not None else ctx.zero
             for ell in range(1, g + 1):
-                if not scalar_is_zero(K[ell]):
+                if K[ell]:
                     e = e - K[ell] * E[g - ell]
             E.append(e)
         # P += numpoly * E
         conv = [ctx.zero] * (len(numpoly) + len(E) - 1)
         for a, pa in enumerate(numpoly):
-            if scalar_is_zero(pa):
+            if not pa:
                 continue
             for b, eb in enumerate(E):
-                if not scalar_is_zero(eb):
+                if eb:
                     conv[a + b] = conv[a + b] + pa * eb
         if len(conv) > len(P):
             P = P + [ctx.zero] * (len(conv) - len(P))
         for k2, v in enumerate(conv):
             P[k2] = P[k2] + v
-    while len(P) > 1 and scalar_is_zero(P[-1]):
+    while len(P) > 1 and not P[-1]:
         P.pop()
     # divide out factors vanishing at the pinning (x = 1 in this convention)
     bases = []
     for fkey, mult in sorted(denom.items()):
         bases.extend([helper.base(ctx, fkey)] * mult)
-    vanishing = [c for c in bases if scalar_is_zero(1 - c)]
+    vanishing = [c for c in bases if not (1 - c)]
     m = len(vanishing)
     to_clear = m - 1 if clearing else m
     if clearing and m == 0:
@@ -584,13 +556,13 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
         return ctx.zero
     for c in vanishing[:to_clear]:
         if len(P) == 1:
-            if scalar_is_zero(P[0]):
+            if not P[0]:
                 continue
             raise PoleError("pinned matrix element is genuinely singular")
         Q = [P[0]]
         for k2 in range(1, len(P) - 1):
             Q.append(P[k2] + c * Q[k2 - 1])
-        if not scalar_is_zero(P[-1] + c * Q[-1]):
+        if P[-1] + c * Q[-1]:
             raise PoleError("pinned matrix element is genuinely singular "
                             "at the pinning")
         P = Q
@@ -600,7 +572,7 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
     den = ctx.one
     skipped = 0
     for c in bases:
-        if skipped < m and scalar_is_zero(1 - c):
+        if skipped < m and not (1 - c):
             skipped += 1
             continue
         den = den * (1 - c)
@@ -633,7 +605,7 @@ def w_mode_matrix_element(ctx: ScalarCtx, hw: HighestWeight, bra, ket):
     if prof is None:
         return ctx.zero
     blocks = _aux_blocks(ctx, hw, bra, "b") + _aux_blocks(ctx, hw, kets, "k")
-    return mode_engine(ctx, blocks).value(prof)
+    return mode_engine(ctx, blocks).value(prof, ctx)
 
 
 def composite_no_mode(ctx: ScalarCtx, hw: HighestWeight, i: int, j: int,
@@ -644,31 +616,31 @@ def composite_no_mode(ctx: ScalarCtx, hw: HighestWeight, i: int, j: int,
     gap budget (margin extends the bound for tail checks)."""
     ket_level = sum(k for _, k in ket)
     acc = ctx.zero
-    fw = f_weight(ctx, (i, j))
     # the r-dependence is explicit in the weights, so the matrix elements are
     # of plain current modes (unshifted insertion points)
     m_top1 = max(-1, ket_level - n) + margin
+    m_top2 = max(-1, ket_level - 1) + margin
+    fc = f_coeffs(ctx, i, j, max(m_top1, m_top2))
     for m in range(0, m_top1 + 1):
         me = two_current_mode_table(ctx, hw, bra, (i, 0), (j, 0), ket,
                                     None, [(-m, n + m)])[(-m, n + m)]
-        if scalar_is_zero(me):
+        if not me:
             continue
         w = ctx.zero
         for ell in range(0, m + 1):
-            fl = fw(ell)
-            if not scalar_is_zero(fl):
+            fl = fc[ell]
+            if fl:
                 w = w + fl * ctx.s_pow(r_sexp * (m - ell))
         acc = acc + w * me
-    m_top2 = max(-1, ket_level - 1) + margin
     for m in range(0, m_top2 + 1):
         me = two_current_mode_table(ctx, hw, bra, (j, 0), (i, 0), ket,
                                     None, [(n - m - 1, m + 1)])[(n - m - 1, m + 1)]
-        if scalar_is_zero(me):
+        if not me:
             continue
         w = ctx.zero
         for ell in range(0, m + 1):
-            fl = fw(ell)
-            if not scalar_is_zero(fl):
+            fl = fc[ell]
+            if fl:
                 w = w + fl * ctx.s_pow(r_sexp * (ell - m - 1))
         acc = acc + w * me
     return acc

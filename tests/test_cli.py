@@ -156,6 +156,24 @@ def test_console_entry_point():
     assert "characters" in proc.stdout
 
 
+@pytest.mark.parametrize("text, reason", [
+    (None, "No such file or directory"),
+    ("zeta = true\n" + CONFIG, "no section headers"),
+], ids=["missing", "no-section-header"])
+def test_verify_bad_config_file_fails_cleanly(tmp_path, capsys, text,
+                                              reason):
+    out_path = tmp_path / "r.json"
+    cfg = tmp_path / "c.ini"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["verify", "--config", str(cfg),
+                 "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert reason in err and str(cfg) in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("flag", ["-3", "0", "abc"])
 def test_verify_rejects_bad_job_count(tmp_path, capsys, flag):
     out_path = tmp_path / "r.json"

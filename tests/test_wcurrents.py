@@ -1,10 +1,16 @@
+import gc
+import weakref
+
 import pytest
 
 from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from deformedw.fock import HighestWeight, hw_eigenvalue_w, kernel_coeffs, \
     zero_mode
-from deformedw.exact import HbarSeries, rat, scalar_is_zero
-from deformedw.relations import default_braket_family
+from deformedw.exact import HbarSeries, rat
+from deformedw.limits import verify_correlator_order, \
+    verify_limit_I_appendix
+from deformedw.relations import default_braket_family, verify_fusion, \
+    verify_nowwj, verify_wiwj
 from deformedw.structfn import PoleError, gamma_at
 from deformedw.wcurrents import (PREFIX_MEMO, WInsertion, _pair_kernel,
                                  block_slots, composite_no_mode,
@@ -74,7 +80,7 @@ def test_mode_engine_matches_w_correlator():
                       current_block(ctx, hw, WInsertion(j, "z2", -1))]
             eng = mode_engine(ctx, blocks)
             for ell in range(6):
-                assert win.coefficient((ell,)) == eng.value((ell,))
+                assert win.coefficient((ell,)) == eng.value((ell,), ctx)
 
 
 def test_mode_profile():
@@ -113,7 +119,7 @@ def test_mode_window_object():
     # unbalanced mode pair has no profile
     ref = w_correlator(ctx, hw, inserts, [3])
     for n in range(4):
-        assert eng.value(mode_profile([], (-n, n), [])) == \
+        assert eng.value(mode_profile([], (-n, n), []), ctx) == \
             ref.coefficient((n,))
     assert mode_profile([], (-1, 2), []) is None
 
@@ -277,7 +283,7 @@ def test_resummed_route_matches_closed_form(N):
                 closed = pinned_mode_value(ctx, hw, bra, spec, ket, M)
                 resummed = pinned_mode_value_resummed(ctx, hw, bra, spec,
                                                       ket, M)
-                assert scalar_is_zero(closed - resummed), (spec, bra, ket)
+                assert not (closed - resummed), (spec, bra, ket)
                 checked += 1
     assert checked
 
@@ -303,10 +309,10 @@ def kernel_product(ctx, slotsA, slotsB, order):
             kc = kernel_coeffs(ctx, fa, fb, sb - sa, order)
             new = [ctx.zero] * (order + 1)
             for i, c in enumerate(cur):
-                if scalar_is_zero(c):
+                if not c:
                     continue
                 for ell in range(order + 1 - i):
-                    if ell and scalar_is_zero(kc[ell]):
+                    if ell and not kc[ell]:
                         continue
                     new[i + ell] = new[i + ell] + (c * kc[ell] if ell else c)
             cur = new
@@ -337,3 +343,35 @@ def test_pair_kernel_grown_one_order_at_a_time_equals_fresh_build(mode, slots):
     assert [stored_form(c) for c in built] == [stored_form(c) for c in want]
     # a smaller order reads the cached coefficients back
     assert _pair_kernel(grown, slotsA, slotsB, 2) is got
+
+
+# a context and the checks that fill its caches, one per context mode
+REFCOUNT_CASES = {
+    "generic": (lambda: ctx_n(3), [
+        lambda ctx: verify_wiwj(ctx, 1, 2, window=1, level=1),
+        lambda ctx: verify_fusion(ctx, 1, 2, window=1, level=1),
+        lambda ctx: verify_nowwj(ctx, 1, 2, 8, window=1, level=1)]),
+    "limit1": (lambda: ScalarCtx.limit1(3, rat(4, 3), trunc=8), [
+        lambda ctx: verify_limit_I_appendix(ctx, 1)]),
+    "limit2": (lambda: ScalarCtx.limit2(2, 3, trunc=3), [
+        lambda ctx: verify_correlator_order(ctx, 2, order_x=4)]),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(REFCOUNT_CASES))
+def test_context_freed_by_refcount_alone(mode):
+    # nothing the context caches (engines, kernels, memoized states) refers
+    # back to it, so dropping the last reference frees it without the
+    # cyclic collector
+    make, checks = REFCOUNT_CASES[mode]
+    gc.disable()
+    try:
+        ctx = make()
+        for check in checks:
+            assert check(ctx).status == "pass"
+        assert ctx.caches
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
