@@ -23,7 +23,7 @@ import time
 from .context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from .exact import Cyc, RAT
 from .report import Report
-from .suites import SUITES
+from .suites import SUITES, check_options
 
 
 def load_config(path):
@@ -87,6 +87,14 @@ def cmd_verify(args):
     if not names:
         print("no suites selected", file=sys.stderr)
         return 2
+    for name in names:
+        if cp.has_section(name):
+            try:
+                check_options(name, cp[name])
+            except ValueError as exc:
+                print(f"verify --config {args.config!r}: {exc}",
+                      file=sys.stderr)
+                return 2
     try:
         jobs = int(args.jobs)
     except ValueError:

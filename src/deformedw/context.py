@@ -17,7 +17,10 @@ the engine is an integer and every value is exact.
 
 from __future__ import annotations
 
-from .exact import (Cyc, HbarSeries, QuadExt, RAT, RAT_ONE, RAT_ZERO, rat)
+from operator import add, mul
+
+from .exact import (Cyc, HbarSeries, QuadExt, RAT, RAT_ONE, RAT_ZERO,
+                    _quad_raw, rat)
 
 DEFAULT_GENERIC_POINTS = ((rat(3, 2), rat(5, 3)), (rat(2, 7), rat(3, 5)))
 
@@ -26,8 +29,32 @@ MODE_KEYWORDS = {"generic": ("q", "t"), "limit1": ("beta", "trunc"),
                  "limit2": ("level", "trunc")}
 
 
+def _check_generic_point(q, t):
+    """Raise ValueError unless the rationals q, t make a generic context."""
+    if not q or not t:
+        raise ValueError("q, t must be nonzero")
+    p = q / t
+    if abs(p.numerator) == abs(p.denominator):
+        raise ValueError("degenerate point: p is a root of unity, "
+                         "1 - p^M vanishes for some M")
+    # with |p| != 1 rational, 1 - p^(M n) is nonzero for every M, n
+
+
+def _same(x):
+    return x
+
+
+# the raw kernel (lift, mul, add, norm, drop) of the hbar-series contexts:
+# their scalars are their own raw values, combined by the scalar operators
+_OBJECT_RAW = (_same, mul, add, _same, _same)
+
+
 class ScalarCtx:
-    """Shared scalar arithmetic for one choice of (q, t)."""
+    """Shared scalar arithmetic for one choice of (q, t).
+
+    `raw` is the context's kernel (lift, mul, add, norm, drop) for hot sums
+    of products (see exact._quad_raw): integer triples over Q(s) in generic
+    mode, the scalars themselves and their operators in the limits."""
 
     def __init__(self, N: int, mode: str, **kw):
         if N < 2:
@@ -47,15 +74,14 @@ class ScalarCtx:
 
         if mode == "generic":
             q, t = RAT(kw["q"]), RAT(kw["t"])
-            if not q or not t:
-                raise ValueError("q, t must be nonzero")
+            _check_generic_point(q, t)
             self.q = q
             self.t = t
             self.p = q / t
-            self._check_nondegenerate()
             self.zero = RAT_ZERO
             self.one = RAT_ONE
             self.s = QuadExt(0, 1, self.p)
+            self.raw = _quad_raw(self.s.F)
         elif mode == "limit1":
             beta = RAT(kw["beta"])
             T = int(kw.get("trunc", 8))
@@ -67,6 +93,7 @@ class ScalarCtx:
             self.t = HbarSeries.exp_hbar(beta, T)
             self.p = HbarSeries.exp_hbar(1 - beta, T)
             self.s = HbarSeries.exp_hbar((1 - beta) / 2, T)
+            self.raw = _OBJECT_RAW
         else:  # limit2
             k = int(kw["level"])
             T = int(kw.get("trunc", 4))
@@ -83,6 +110,7 @@ class ScalarCtx:
             self.t = HbarSeries.exp_hbar(rat(k + N, N), T) * Cyc.root(order, -2)
             self.p = HbarSeries.exp_hbar(rat(-k, N), T) * self.omega
             self.s = HbarSeries.exp_hbar(rat(-k, 2 * N), T) * self.eta
+            self.raw = _OBJECT_RAW
 
     # -- constructors
 
@@ -97,16 +125,6 @@ class ScalarCtx:
     @staticmethod
     def limit2(N: int, level: int, trunc: int = 4) -> "ScalarCtx":
         return ScalarCtx(N, "limit2", level=level, trunc=trunc)
-
-    def _check_nondegenerate(self):
-        p = self.p
-        if not p:
-            raise ValueError("p = q/t must be nonzero")
-        num, den = p.numerator, p.denominator
-        if abs(num) == abs(den):
-            raise ValueError("degenerate point: p is a root of unity, "
-                             "1 - p^M vanishes for some M")
-        # with |p| != 1 rational, 1 - p^(M n) is nonzero for every M, n
 
     # -- cached powers
 

@@ -506,6 +506,66 @@ class QuadExt:
         return f"({self.a} + {self.b}*s)"
 
 
+def _quad_raw(F):
+    """The raw kernel (lift, mul, add, norm, drop) of the field F of QuadExt,
+    for sums of products that would otherwise build an object per operation.
+
+    A raw value is QuadExt's integer triple (A, B, D), D > 0, reduced or not,
+    or None for an exact zero.  `lift` takes a rational or a QuadExt of F to
+    its triple (a nonzero rational n/d to (n, 0, d)); `mul` and `add` are the
+    integer formulas on nonzero triples, with no gcd and no object; `norm`
+    divides a triple by its gcd, giving None for zero; `drop` gives the
+    canonical scalar back: a QuadExt when B != 0, otherwise a RAT.
+    """
+    m = F[1]
+
+    def lift(x):
+        if not x:
+            return None
+        if type(x) is QuadExt:
+            return (x.A, x.B, x.D)
+        return (x.numerator, 0, x.denominator)
+
+    def mul(x, y):
+        A1, B1, D1 = x
+        A2, B2, D2 = y
+        return (A1 * A2 + m * B1 * B2, A1 * B2 + A2 * B1, D1 * D2)
+
+    def add(x, y):
+        A1, B1, D1 = x
+        A2, B2, D2 = y
+        if D1 == D2:
+            return (A1 + A2, B1 + B2, D1)
+        # a denominator that divides the other keeps the larger one
+        if D1 > D2:
+            k, r = divmod(D1, D2)
+            if not r:
+                return (A1 + A2 * k, B1 + B2 * k, D1)
+        else:
+            k, r = divmod(D2, D1)
+            if not r:
+                return (A1 * k + A2, B1 * k + B2, D2)
+        return (A1 * D2 + A2 * D1, B1 * D2 + B2 * D1, D1 * D2)
+
+    def norm(x):
+        A, B, D = x
+        if not (A or B):
+            return None
+        g = gcd(A, B, D)
+        return x if g == 1 else (A // g, B // g, D // g)
+
+    def drop(x):
+        if x is None:
+            return RAT_ZERO
+        A, B, D = x
+        if not B:
+            return RAT(A, D)
+        g = gcd(A, B, D)
+        return QuadExt._make(F, A // g, B // g, D // g)
+
+    return lift, mul, add, norm, drop
+
+
 def _slot_nonzero(r) -> bool:
     # an HbarSeries slot: an int, or a tuple of cyclotomic numerators
     return bool(r) if type(r) is int else any(r)

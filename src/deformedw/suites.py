@@ -8,7 +8,7 @@ order.  Case execution is pure, so whole suites can run in parallel.
 from __future__ import annotations
 
 from .characters import admissible_spins, verify_char_identity
-from .context import DEFAULT_GENERIC_POINTS, ScalarCtx
+from .context import DEFAULT_GENERIC_POINTS, ScalarCtx, _check_generic_point
 from .exact import RAT, rat
 from .fock import HighestWeight
 from .limits import (verify_correlator_order, verify_limit_I_appendix,
@@ -23,35 +23,107 @@ from .zeta import log_sinh_identity_holds, verify_zeta_identity, \
     verify_vacuum_eigenvalue, zeta_value
 
 
-def _ints(cfg, key, default):
-    raw = cfg.get(key)
-    if raw is None:
-        return list(default)
-    return [int(x) for x in str(raw).replace(",", " ").split()]
+def _int(raw, lo=0):
+    """One integer >= lo."""
+    v = int(raw)
+    if v < lo:
+        raise ValueError(f"{v} is below {lo}")
+    return v
 
 
-def _int(cfg, key, default):
-    return int(cfg.get(key, default))
+def _ints(raw, lo):
+    """Integers >= lo, separated by spaces or commas."""
+    return [_int(x, lo) for x in raw.replace(",", " ").split()]
 
 
-def _pairs(cfg, key, default):
-    """(N, k) pairs from a "N,k; N,k" option."""
+def _ranks(raw):
+    return _ints(raw, 2)
+
+
+def _levels(raw):
+    return _ints(raw, 1)
+
+
+def _two(chunk):
+    parts = chunk.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"{chunk.strip()!r} is not a pair a,b")
+    return parts
+
+
+def _pairs(raw):
+    """(N, k) pairs from a "N,k; N,k" option, N >= 2."""
     out = []
-    for chunk in cfg.get(key, default).split(";"):
-        a, b = chunk.split(",")
-        out.append((int(a), int(b)))
+    for chunk in raw.split(";"):
+        a, b = _two(chunk)
+        out.append((_int(a, 2), int(b)))
     return out
 
 
-def _points(cfg):
-    raw = cfg.get("points")
-    if raw is None:
-        return list(DEFAULT_GENERIC_POINTS)
+def _points(raw):
+    """Generic (q, t) points from a "q,t; q,t" option."""
     pts = []
     for chunk in raw.split(";"):
-        qs, ts = chunk.split(",")
-        pts.append((RAT(qs.strip()), RAT(ts.strip())))
+        try:
+            q, t = (RAT(x.strip()) for x in _two(chunk))
+        except ZeroDivisionError:
+            raise ValueError(f"{chunk.strip()!r} has a zero denominator") \
+                from None
+        _check_generic_point(q, t)
+        pts.append((q, t))
     return pts
+
+
+# per suite, the options its section may set: key -> (parser, default)
+_POINTS = (_points, DEFAULT_GENERIC_POINTS)
+_OPTIONS = {
+    "relations": {"n_values": (_ranks, (2, 3, 4)), "window_rank1": (_int, 3),
+                  "level_rank1": (_int, 3), "window": (_int, 2),
+                  "level": (_int, 2), "points": _POINTS},
+    "f-identities": {"n_values": (_ranks, (2, 3, 4)), "order": (_int, 12),
+                     "points": _POINTS},
+    "poles": {"n_values": (_ranks, (2, 3)), "order": (_int, 14),
+              "points": _POINTS},
+    "fusion": {"n_values": (_ranks, (2, 3)), "window": (_int, 2),
+               "level": (_int, 2), "points": _POINTS},
+    "limit1": {"n_values": (_ranks, (2, 3, 4, 5)), "window": (_int, 2),
+               "order_h": (_int, 6)},
+    "limit2": {"nk_pairs": (_pairs, ((2, 2), (2, 3), (3, 1), (3, 2))),
+               "order_x": (_int, 12),
+               "correlator_nk_pairs": (_pairs, ((2, 2), (3, 2))),
+               "correlator_points": (_int, 4),
+               "correlator_order_x": (_int, 8)},
+    "zalgebra": {"n_values": (_ranks, (2, 3, 4)), "order": (_int, 12),
+                 "nk_pairs": (_pairs, ((2, 1), (2, 2), (3, 1), (3, 2)))},
+    "characters": {"k_values": (_levels, (2, 3, 4)),
+                   "cutoff": (_int, 20)},
+    "zeta": {"n_values": (_ranks, (2, 3, 4, 5)), "order_m": (_int, 6),
+             "points": _POINTS},
+}
+
+
+def _options(name, cfg):
+    """The options of suite `name` from its config section `cfg` (string
+    keys and values), defaults filled in; ValueError names the first unknown
+    key or bad value."""
+    known = _OPTIONS[name]
+    out = {key: default for key, (_, default) in known.items()}
+    for key, raw in cfg.items():
+        if key not in known:
+            raise ValueError(f"[{name}] unknown key {key!r}; known keys: "
+                             f"{', '.join(sorted(known))}")
+        try:
+            out[key] = known[key][0](str(raw))
+        except ValueError as exc:
+            raise ValueError(f"[{name}] {key} = {raw!r}: "
+                             f"{' '.join(str(exc).split())}") from None
+    return out
+
+
+def check_options(name, cfg):
+    """Raise ValueError naming the section, the key and the value of the
+    first unknown key or bad value in suite `name`'s config section."""
+    _options(name, cfg)
 
 
 def _gctx(N, point):
@@ -70,13 +142,14 @@ def suite_relations(cfg):
     """Quadratic relations: the rank-1 and rank-2 families at their printed
     forms, the general delta-sum relation, the normal-ordering rewrite route,
     order reversal, and the explicit rewrite identity at good shifts."""
-    ns = _ints(cfg, "n_values", (2, 3, 4))
-    w1 = _int(cfg, "window_rank1", 3)
-    l1 = _int(cfg, "level_rank1", 3)
-    w = _int(cfg, "window", 2)
-    level = _int(cfg, "level", 2)
+    o = _options("relations", cfg)
+    ns = o["n_values"]
+    w1 = o["window_rank1"]
+    l1 = o["level_rank1"]
+    w = o["window"]
+    level = o["level"]
     out = []
-    for point in _points(cfg):
+    for point in o["points"]:
         for N in ns:
             ctx = _gctx(N, point)
             for j in range(1, N + 1):
@@ -102,10 +175,11 @@ def suite_relations(cfg):
 
 
 def suite_f_identities(cfg):
-    ns = _ints(cfg, "n_values", (2, 3, 4))
-    order = _int(cfg, "order", 12)
+    o = _options("f-identities", cfg)
+    ns = o["n_values"]
+    order = o["order"]
     out = []
-    for point in _points(cfg):
+    for point in o["points"]:
         for N in ns:
             ctx = _gctx(N, point)
             results = check_f_identities(ctx, N, order)
@@ -121,10 +195,11 @@ def suite_f_identities(cfg):
 
 
 def suite_poles(cfg):
-    ns = _ints(cfg, "n_values", (2, 3))
-    order = _int(cfg, "order", 14)
+    o = _options("poles", cfg)
+    ns = o["n_values"]
+    order = o["order"]
     out = []
-    for point in _points(cfg):
+    for point in o["points"]:
         for N in ns:
             ctx = _gctx(N, point)
             for (i, j) in ((1, 1), (1, 2), (2, 2)):
@@ -135,11 +210,12 @@ def suite_poles(cfg):
 
 
 def suite_fusion(cfg):
-    ns = _ints(cfg, "n_values", (2, 3))
-    w = _int(cfg, "window", 2)
-    level = _int(cfg, "level", 2)
+    o = _options("fusion", cfg)
+    ns = o["n_values"]
+    w = o["window"]
+    level = o["level"]
     out = []
-    for point in _points(cfg):
+    for point in o["points"]:
         for N in ns:
             ctx = _gctx(N, point)
             for i in range(0, N + 1):
@@ -150,9 +226,10 @@ def suite_fusion(cfg):
 
 
 def suite_limit1(cfg):
-    ns = _ints(cfg, "n_values", (2, 3, 4, 5))
-    window = _int(cfg, "window", 2)
-    trunc = _int(cfg, "order_h", 6) + 2
+    o = _options("limit1", cfg)
+    ns = o["n_values"]
+    window = o["window"]
+    trunc = o["order_h"] + 2
     out = []
     for N in ns:
         for beta in (rat(N + 1, N), rat(N, N + 1)):
@@ -164,16 +241,17 @@ def suite_limit1(cfg):
 
 
 def suite_limit2(cfg):
-    order_x = _int(cfg, "order_x", 12)
-    corr_n = _int(cfg, "correlator_points", 4)
-    corr_x = _int(cfg, "correlator_order_x", 8)
+    o = _options("limit2", cfg)
+    order_x = o["order_x"]
+    corr_n = o["correlator_points"]
+    corr_x = o["correlator_order_x"]
     out = []
-    for N, k in _pairs(cfg, "nk_pairs", "2,2; 2,3; 3,1; 3,2"):
+    for N, k in o["nk_pairs"]:
         ctx = ScalarCtx.limit2(N, k, trunc=4)
         for i in range(1, N):
             for j in range(1, N):
                 out.append(verify_limit_II_relation(ctx, i, j, order_x=order_x))
-    for N, k in _pairs(cfg, "correlator_nk_pairs", "2,2; 3,2"):
+    for N, k in o["correlator_nk_pairs"]:
         for n in range(1, corr_n + 1):
             ctx = ScalarCtx.limit2(N, k, trunc=n + 1)
             out.append(verify_correlator_order(ctx, n, order_x=corr_x))
@@ -181,12 +259,13 @@ def suite_limit2(cfg):
 
 
 def suite_zalgebra(cfg):
-    ns = _ints(cfg, "n_values", (2, 3, 4))
-    order = _int(cfg, "order", 12)
+    o = _options("zalgebra", cfg)
+    ns = o["n_values"]
+    order = o["order"]
     out = []
     for N in ns:
         out.append(verify_principal_relations(N, 2, 2 * N + 1))
-    for N, k in _pairs(cfg, "nk_pairs", "2,1; 2,2; 3,1; 3,2"):
+    for N, k in o["nk_pairs"]:
         for mu in range(1, N):
             for nu in range(1, N):
                 out.append(verify_splitting_consistency(N, k, mu, nu, order))
@@ -194,8 +273,9 @@ def suite_zalgebra(cfg):
 
 
 def suite_characters(cfg):
-    ks = _ints(cfg, "k_values", (2, 3, 4))
-    cutoff = _int(cfg, "cutoff", 20)
+    o = _options("characters", cfg)
+    ks = o["k_values"]
+    cutoff = o["cutoff"]
     out = []
     for k in ks:
         for j in admissible_spins(k):
@@ -204,8 +284,9 @@ def suite_characters(cfg):
 
 
 def suite_zeta(cfg):
-    ns = _ints(cfg, "n_values", (2, 3, 4, 5))
-    M = _int(cfg, "order_m", 6)
+    o = _options("zeta", cfg)
+    ns = o["n_values"]
+    M = o["order_m"]
     out = []
     ok = zeta_value(1) == rat(-1, 12)
     out.append(CheckRecord("zeta", "zeta(-1)", "pass" if ok else "fail",
@@ -217,7 +298,7 @@ def suite_zeta(cfg):
         for i in range(1, N):
             for beta in (rat(N + 1, N), rat(N, N + 1)):
                 out.append(verify_zeta_identity(N, i, beta, M=M))
-    for point in _points(cfg):
+    for point in o["points"]:
         for N in ns:
             ctx = _gctx(N, point)
             for i in range(0, N + 1):

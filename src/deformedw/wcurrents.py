@@ -14,6 +14,7 @@ to the requested coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 from .context import ScalarCtx
@@ -38,9 +39,12 @@ def _subsets(N: int, rank: int):
     return list(combinations(range(1, N + 1), rank))
 
 
+@lru_cache(maxsize=None)
 def block_slots(rank: int, base_shift: int, flavors):
     """Slot list of one normal-ordered block: internal shifts run from
-    rank-1 down to -(rank-1) in steps of 2."""
+    rank-1 down to -(rank-1) in steps of 2.  Cached, so the many blocks,
+    engines, kernel keys and transfer states that name one slot list share
+    one tuple (flavors must be a tuple)."""
     return tuple((f, base_shift + (rank - 1) - 2 * r)
                  for r, f in enumerate(flavors))
 
@@ -145,36 +149,44 @@ def pinned_block(ctx: ScalarCtx, hw: HighestWeight, var: str,
 
 def _pair_kernel(ctx: ScalarCtx, slotsA, slotsB, order: int):
     """Coefficients of prod_{a in A, b in B} C_{f_a f_b}(s^{s_b - s_a} x),
-    at least order + 1 of them.
+    at least order + 1 of them, as raw values of ctx.raw (drop reads them
+    back).
 
     ctx.caches holds the partial product after each slot pair (or the
     constant 1 for no pair), and a larger order only appends to each:
     coefficient m of a partial product needs coefficients 0..m of the one
-    before and of the pair's kernel."""
+    before and of the pair's kernel.  Each new coefficient is one unreduced
+    raw sum, normalized once."""
     key = ("KB", slotsA, slotsB)
     stages = ctx.caches.get(key, ())
     done = len(stages[-1]) if stages else 0
     if done <= order:
+        lift, mul, add, norm, _ = ctx.raw
+        zero = lift(ctx.zero)
         # the constant 1, then the product over the first p + 1 slot pairs
-        prev = (ctx.one,) + (ctx.zero,) * order
+        prev = (lift(ctx.one),) + (zero,) * order
         grown = []
         pairs = ((fa, fb, sb - sa) for fa, sa in slotsA for fb, sb in slotsB)
         for p, (fa, fb, delta) in enumerate(pairs):
             # coefficient 0 is 1 times the previous stage's; order 0 asks
             # no kernel
-            kc = kernel_coeffs(ctx, fa, fb, delta, order) if order else ()
+            kc = [lift(k) for k in
+                  kernel_coeffs(ctx, fa, fb, delta, order)[:order + 1]] \
+                if order else ()
             new = []
             for m in range(done, order + 1):
-                acc = ctx.zero
+                acc = zero
                 for i in range(m + 1):
                     c = prev[i]
                     if not c:
                         continue
-                    if i == m:
-                        acc = acc + c
-                    elif kc[m - i]:
-                        acc = acc + c * kc[m - i]
-                new.append(acc)
+                    if i < m:
+                        k = kc[m - i]
+                        if not k:
+                            continue
+                        c = mul(c, k)
+                    acc = c if acc is None else add(acc, c)
+                new.append(acc if acc is None else norm(acc))
             prev = (stages[p] if stages else ()) + tuple(new)
             grown.append(prev)
         stages = ctx.caches[key] = tuple(grown) or (prev,)
@@ -207,10 +219,27 @@ class ModeEngine:
     profile resumes from the deepest prefix that any engine of the context
     has already absorbed.  The engine keeps no context: value takes it at
     each call, so an engine cached in ctx.caches does not refer back to it.
+
+    Every product and sum runs on the context's raw kernel ctx.raw =
+    (lift, mul, add, norm, drop): bare integer triples over Q(s) with no
+    gcd and no object per operation (exact._quad_raw), the scalars and
+    their operators in the hbar limits, so all rings take this one path
+    with today's association.  The engine lifts its option coefficients
+    once, with the lift `mode_engine` passes, and keeps them in place of
+    the blocks; f-weight coefficients are lifted once per split and kernel
+    coefficients once per slot pair (_pair_kernel stores raw stages).
+    Each new state's weight is normalized once when its block finishes,
+    which bounds the integers across blocks; a weight that cancelled (norm
+    gives None) is dropped, and the memo holds the normalized states.  The
+    total is dropped back to a canonical scalar once per profile.
     """
 
-    def __init__(self, blocks, dress=None):
-        self.blocks = blocks
+    def __init__(self, blocks, lift, dress=None):
+        # per block the options with nonzero coefficient, lifted by the
+        # context's lift; the engine keeps no Block
+        self.options = [[(lift(coeff), slots)
+                         for coeff, slots in block.options if coeff]
+                        for block in blocks]
         self.gaps = len(blocks) - 1
         self.dress = dress
         self.value_cache = {}
@@ -231,52 +260,56 @@ class ModeEngine:
             raise ValueError("bad profile")
         if profile in self.value_cache:
             return self.value_cache[profile]
+        lift, mul, add, norm, drop = ctx.raw
         # state: sorted tuple of open flows (slots, units)
         memo = ctx.caches.setdefault(PREFIX_MEMO, {})
-        start, states = 0, {(): ctx.one}
+        start, states = 0, {(): lift(ctx.one)}
         for c in range(self.gaps - 1, -1, -1):
             hit = memo.get((self.prefix_keys[c], profile[:c + 1]))
             if hit is not None:
                 start, states = c + 1, hit
                 break
-        for c in range(start, len(self.blocks)):
+        for c in range(start, len(self.options)):
             budget = profile[c] if c < self.gaps else 0
             new_states = {}
             for state, weight in states.items():
                 patterns = {}
-                for coeff, slots in self.blocks[c].options:
-                    if not coeff:
-                        continue
+                for coeff, slots in self.options[c]:
                     has_slots = bool(slots)
                     if has_slots not in patterns:
                         patterns[has_slots] = self._landing_patterns(
                             state, c, budget, has_slots, ctx)
                     # accs[k]: the product of the pattern's first k factors
-                    accs = [weight * coeff]
+                    accs = [mul(weight, coeff)]
                     for share, factors, rest, free in patterns[has_slots]:
                         del accs[share + 1:]
-                        for fac in factors[len(accs) - 1:]:
-                            if type(fac) is tuple:
-                                sslots, ell = fac
+                        for sslots, fac in factors[len(accs) - 1:]:
+                            if sslots is not None:
+                                # a landing: fac is its unit count
                                 fac = _pair_kernel(ctx, sslots, slots,
-                                                   ell)[ell]
+                                                   fac)[fac]
                                 if not fac:
                                     break
-                            accs.append(accs[-1] * fac)
+                            accs.append(mul(accs[-1], fac))
                         else:
                             key = rest if not free else tuple(sorted(
                                 rest + ((slots, free),)))
                             old = new_states.get(key)
                             new_states[key] = accs[-1] if old is None \
-                                else old + accs[-1]
-            states = new_states
+                                else add(old, accs[-1])
+            # one gcd per state; a raw weight that cancelled is dropped
+            states = {}
+            for key, weight in new_states.items():
+                weight = norm(weight)
+                if weight is not None:
+                    states[key] = weight
             if c < self.gaps:
                 memo[(self.prefix_keys[c], profile[:c + 1])] = states
-        total = ctx.zero
-        for state, weight in states.items():
-            if not state:
-                total = total + weight
-        self.value_cache[profile] = total
+        total = lift(ctx.zero)
+        weight = states.get(())
+        if weight is not None:
+            total = weight if total is None else add(total, weight)
+        total = self.value_cache[profile] = drop(total)
         return total
 
     def _landing_patterns(self, state, c, budget, has_slots, ctx):
@@ -289,9 +322,9 @@ class ModeEngine:
 
         Returns a list of (share, factors, rest, free): `factors` lists
         (source slots, ell) per landing, whose kernel coefficient depends on
-        the option's slots, then the weight's nonzero coefficient if it takes
-        units; its first `share` entries equal those of the previous pattern,
-        so their product can be reused.  `rest` is the sorted tuple of flows
+        the option's slots, then (None, raw coefficient) of the weight if it
+        takes units; its first `share` entries equal those of the previous
+        pattern, so their product can be reused.  `rest` is the sorted tuple of flows
         still open, and `free` the own units of the block left, which open
         the flow (slots, free) when nonzero.
         """
@@ -317,7 +350,7 @@ class ModeEngine:
                 factors = lands + wfactors
                 share = 0
                 for f, g in zip(factors, prev):
-                    if not (f is g or (type(f) is tuple and f == g)):
+                    if not (f is g or (f[0] is not None and f == g)):
                         break
                     share += 1
                 prev = factors
@@ -325,9 +358,9 @@ class ModeEngine:
         return out
 
     def _weight_splits(self, c, free, has_slots, ctx):
-        """The ways block c keeps its `free` own units: (coefficients, units
+        """The ways block c keeps its `free` own units: (factors, units
         left).  Off the dressed gap all of them are left; on it the weight
-        takes yw of them with the coefficient f_yw (none for yw = 0),
+        takes yw of them with the factor (None, raw f_yw) (none for yw = 0),
         without the splits whose coefficient vanishes.  A block without
         slots keeps no unit of its own."""
         if self.dress is None or c != self.dress[0]:
@@ -336,8 +369,10 @@ class ModeEngine:
         if key not in self.weight_splits:
             _, i, j = self.dress
             fc = f_coeffs(ctx, i, j, free)
+            lift = ctx.raw[0]
             self.weight_splits[key] = [
-                ([fc[yw]] if yw else [], free - yw) for yw in range(free + 1)
+                ([(None, lift(fc[yw]))] if yw else [], free - yw)
+                for yw in range(free + 1)
                 if (has_slots or yw == free) and (not yw or fc[yw])]
         return self.weight_splits[key]
 
@@ -346,7 +381,7 @@ def mode_engine(ctx: ScalarCtx, blocks, dress=None):
     """Cached ModeEngine per block assembly and dress."""
     key = ("ME", tuple(b.key for b in blocks), dress)
     if key not in ctx.caches:
-        ctx.caches[key] = ModeEngine(blocks, dress)
+        ctx.caches[key] = ModeEngine(blocks, ctx.raw[0], dress)
     return ctx.caches[key]
 
 
@@ -485,6 +520,7 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
     braSum = sum(h for _, h in bra)
     ketSum = sum(k for _, k in ket)
     ext_deg = braSum + ketSum
+    drop = ctx.raw[4]
     options = []
     denom = {}
     for J1 in _subsets(ctx.N, r1):
@@ -520,7 +556,7 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
         blocks = _aux_blocks(ctx, hw, bra, "b") + [b1, b2] + \
             _aux_blocks(ctx, hw, ket, "k")
         eng = mode_engine(ctx, blocks)
-        K = _pair_kernel(ctx, s1, s2, ext_deg)
+        K = [drop(k) for k in _pair_kernel(ctx, s1, s2, ext_deg)]
         E = []
         for g in range(ext_deg + 1):
             n1 = g - braSum

@@ -1,3 +1,5 @@
+import configparser
+import importlib.util
 import json
 import subprocess
 import sys
@@ -6,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from deformedw.cli import main
+from deformedw.suites import SUITES, check_options
 
 CONFIG = """
 [suites]
@@ -181,3 +184,76 @@ def test_verify_rejects_bad_job_count(tmp_path, capsys, flag):
                  "--jobs", flag]) == 2
     assert "must be an integer >= 1" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _perfbench_inputs():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _selected_sections(text):
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    return [(name, cp[name]) for name, on in cp["suites"].items()
+            if on == "true" and cp.has_section(name)]
+
+
+def test_shipped_and_benchmark_configs_pass_the_option_check():
+    texts = [(ROOT / "configs" / "default.ini").read_text()]
+    inputs = _perfbench_inputs()
+    for workload in inputs.WORKLOADS:
+        for seed in (0, 1, 7):
+            for rep in (0, 3):
+                texts.append(inputs.Inputs(workload, seed, rep).config_text())
+    checked = set()
+    for text in texts:
+        for name, section in _selected_sections(text):
+            check_options(name, section)
+            checked.add(name)
+    assert checked == set(SUITES)
+
+
+@pytest.mark.parametrize("section, line", [
+    ("zeta", "n_valuez = 2"),             # unknown key
+    ("zeta", "n_values = two"),           # integer list
+    ("relations", "n_values = 1 2"),      # ranks below 2
+    ("characters", "k_values = 0"),       # levels below 1
+    ("characters", "cutoff = 3 4"),       # one integer
+    ("zalgebra", "order = -1"),           # negative count
+    ("limit2", "nk_pairs = 2;3"),         # (N, k) pairs
+    ("limit2", "correlator_nk_pairs = 1,2"),
+    ("zeta", "points = 3/2,5/3,1"),       # (q, t) points
+    ("fusion", "points = 1/0,2"),
+    ("poles", "points = 2,-2"),           # degenerate point
+])
+def test_verify_bad_option_fails_cleanly(tmp_path, capsys, section, line):
+    out_path = tmp_path / "r.json"
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[suites]\n{section} = true\n\n[{section}]\n{line}\n")
+    assert main(["verify", "--config", str(cfg),
+                 "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    key, _, value = (part.strip() for part in line.partition("="))
+    assert f"[{section}]" in err and key in err and str(cfg) in err
+    if key != "n_valuez":
+        assert repr(value) in err
+    assert not out_path.exists()
+
+
+def test_verify_checks_options_before_any_suite_runs(tmp_path, capsys):
+    # the bad section sorts after the good one: nothing may run first
+    out_path = tmp_path / "r.json"
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(CONFIG + "\n[zalgebra]\norder = x\n")
+    assert main(["verify", "--config", str(cfg), "--suite", "characters",
+                 "--suite", "zalgebra", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert "[zalgebra] order = 'x'" in captured.err
+    assert captured.out == "" and not out_path.exists()

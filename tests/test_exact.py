@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from deformedw.exact import (Cyc, HbarSeries, QuadExt, RAT, RAT_ZERO,
-                             cyclotomic_poly, exp_coeffs, inverse_coeffs,
-                             log_coeffs, rat)
+                             _quad_raw, cyclotomic_poly, exp_coeffs,
+                             inverse_coeffs, log_coeffs, rat)
 from oracles import HbarModel
 
 small_rats = st.builds(rat, st.integers(-20, 20), st.integers(1, 15))
@@ -108,6 +108,80 @@ def test_quadext_mixes_with_rationals():
     assert 1 + s == QuadExt(1, 1, p)
     assert rat(1, 2) * s == QuadExt(0, rat(1, 2), p)
     assert (2 - s) * (2 + s) == 4 - p
+
+
+# p = q/t at the default points, and two more fields, one with s^2 < 0
+QUAD_PS = (rat(9, 10), rat(10, 21), rat(2), rat(-3, 7))
+
+
+@st.composite
+def quad_operands(draw, count):
+    """A field p and `count` scalars of it: rationals (int or RAT) and
+    QuadExt values, some with a zero s part."""
+    p = draw(st.sampled_from(QUAD_PS))
+    out = []
+    for _ in range(count):
+        a = draw(scalars)
+        if draw(st.booleans()):
+            out.append(a)
+        else:
+            out.append(QuadExt(a, draw(st.sampled_from([0, 1, -2]) | small_rats),
+                               p))
+    return (p,) + tuple(out)
+
+
+def assert_dropped(got, want):
+    """`got` is the canonical scalar of the value `want`: a QuadExt with the
+    same coordinates when the s part is nonzero, otherwise a RAT."""
+    if isinstance(want, QuadExt) and want.B:
+        assert type(got) is QuadExt
+        assert (got.A, got.B, got.D, got.F) == (want.A, want.B, want.D, want.F)
+    else:
+        assert type(got) is RAT and got == want
+
+
+def assert_reduced(r):
+    """A normalized raw triple: ints, D > 0, gcd 1."""
+    A, B, D = r
+    assert all(type(v) is int for v in r)
+    assert (A or B) and D > 0 and gcd(A, B, D) == 1
+
+
+@given(quad_operands(3), st.integers(-4, 4))
+def test_quad_raw_kernel_matches_quadext(data, n):
+    p, x, y, z = data
+    s = QuadExt(0, 1, p)
+    lift, mul, add, norm, drop = _quad_raw(s.F)
+    # the second operand shares x's denominator (x + n), divides it (x * n),
+    # cancels x's s part (n - s part of x) or all of x (-x)
+    sx = x * 0 + (x.b if isinstance(x, QuadExt) else 0) * s
+    pairs = [(x, y), (y, z), (x, x + n), (x, x * n), (x + n, x * n),
+             (x, n - sx), (x, -x), (y, -y + n * s)]
+    for a, b in pairs:
+        ra, rb = lift(a), lift(b)
+        for r, v in ((ra, a), (rb, b)):
+            assert (r is None) == (not v)
+            assert_dropped(drop(r), v + 0 * s)
+            if r is not None:
+                assert_reduced(norm(r))
+        if ra is None or rb is None:
+            continue
+        for got, want in ((mul(ra, rb), a * b), (add(ra, rb), a + b)):
+            assert_dropped(drop(got), want + 0 * s)
+            red = norm(got)
+            if want:
+                assert_reduced(red)
+                assert_dropped(drop(red), want + 0 * s)
+            else:
+                assert red is None and drop(red) == 0
+    # an unreduced chain: (x*y + y*z) * (x + z), normalized once
+    terms = [lift(v) for v in (x, y, z)]
+    if all(terms):
+        rx, ry, rz = terms
+        chain = mul(add(mul(rx, ry), mul(ry, rz)), add(rx, rz))
+        want = (x * y + y * z) * (x + z)
+        assert_dropped(drop(chain), want + 0 * s)
+        assert_dropped(drop(norm(chain)), want + 0 * s)
 
 
 def test_hbar_series_arithmetic():

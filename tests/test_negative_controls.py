@@ -5,7 +5,8 @@ passes is required to report `fail`."""
 
 import pytest
 
-from deformedw import limits, relations, structfn, suites, zalg, zeta
+from deformedw import characters, limits, relations, structfn, suites, \
+    zalg, zeta
 from deformedw.context import ScalarCtx
 from deformedw.exact import Cyc, HbarSeries, rat
 from deformedw.series import LaurentWindow
@@ -423,3 +424,39 @@ def test_correlator_order_fails_on_wrong_root(N, k, n):
 @pytest.mark.parametrize("N,k,n", CORR_CASES)
 def test_correlator_order_passes_unmutated(N, k, n):
     assert _corr_record(N, k, n, wrong_root=False).ok
+
+
+# characters at (k, j), cutoff 10: an odd level and both parities of 2j at
+# even levels
+CHAR_CASES = [(2, rat(1)), (3, rat(1, 2)), (4, rat(-2)), (4, rat(0))]
+
+
+@pytest.fixture
+def nudged_character(monkeypatch):
+    """The third coefficient (by exponent) of the alternating-sum character
+    is shifted by 1; returns the exponents of y that were moved."""
+    dza = characters.dza_character
+    moved = []
+
+    def mutated(k, j, cutoff):
+        ch = dza(k, j, cutoff)
+        key = sorted(ch.coeffs)[2]
+        coeffs = dict(ch.coeffs)
+        coeffs[key] += 1
+        moved.append(rat(key, ch.res))
+        return characters.QSeries(ch.res, ch.cutoff, coeffs)
+
+    monkeypatch.setattr(characters, "dza_character", mutated)
+    return moved
+
+
+@pytest.mark.parametrize("k,j", CHAR_CASES)
+def test_char_identity_fails_on_nudged_coefficient(nudged_character, k, j):
+    rec = characters.verify_char_identity(k, j, cutoff=10)
+    assert rec.status == "fail"
+    assert rec.detail == f"first difference at exponent {nudged_character[-1]}"
+
+
+@pytest.mark.parametrize("k,j", CHAR_CASES)
+def test_char_identity_passes_unmutated(k, j):
+    assert characters.verify_char_identity(k, j, cutoff=10).ok

@@ -1,12 +1,14 @@
 import gc
+import operator
 import weakref
+from math import gcd
 
 import pytest
 
 from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from deformedw.fock import HighestWeight, hw_eigenvalue_w, kernel_coeffs, \
     zero_mode
-from deformedw.exact import HbarSeries, rat
+from deformedw.exact import RAT, HbarSeries, QuadExt, rat
 from deformedw.limits import verify_correlator_order, \
     verify_limit_I_appendix
 from deformedw.relations import default_braket_family, verify_fusion, \
@@ -222,6 +224,65 @@ def test_prefix_memo_shared_across_weights_matches_fresh_contexts():
     assert ctx.caches[PREFIX_MEMO]
 
 
+def test_prefix_memo_weights_are_reduced():
+    # every transfer state is normalized once when its block finishes, so
+    # the memo holds reduced nonzero raw triples and no cancelled weight
+    ctx = ctx_n(3)
+    assert verify_wiwj(ctx, 1, 2, window=2, level=2).status == "pass"
+    weights = [w for states in ctx.caches[PREFIX_MEMO].values()
+               for w in states.values()]
+    assert weights
+    for w in weights:
+        assert type(w) is tuple and all(type(v) is int for v in w)
+        A, B, D = w
+        assert (A or B) and D > 0 and gcd(A, B, D) == 1
+    assert any(B for _, B, _ in weights)
+
+
+# the kernel of the hbar-series contexts: objects and their operators
+OBJECT_KERNEL = (lambda x: x, operator.mul, operator.add, lambda x: x,
+                 lambda x: x)
+
+
+def _engine_values(ctx):
+    """Values of a spread of engine profiles at N=3: undressed and dressed
+    two-current tables, a pinned dressed pair and a bra/ket element."""
+    hw = HighestWeight.generic(ctx)
+    bra, ket = [(1, 2)], [(1, 1), (2, 1)]
+    nms = [(n, m) for n in range(-2, 3) for m in range(-1, 4)]
+    out = []
+    for dress in (None, (1, 2)):
+        out += two_current_mode_table(ctx, hw, bra, (1, 0), (2, 1), ket,
+                                      dress, nms).values()
+    pinned = {"ranks_shifts": (1, 1, 2, 0), "dress": (1, 2)}
+    for M in (-1, 0, 1, 2):
+        out.append(pinned_mode_value(ctx, hw, [(1, 1)], pinned, [(1, 1)], M))
+    out.append(w_mode_matrix_element(ctx, hw, [(1, 1), (2, 1)],
+                                     [(2, -1), (1, -1)]))
+    return out
+
+
+def test_engine_raw_kernel_matches_object_arithmetic(monkeypatch):
+    raw_ctx = ctx_n(3)
+    got = _engine_values(raw_ctx)
+    obj_ctx = ctx_n(3)
+    monkeypatch.setattr(obj_ctx, "raw", OBJECT_KERNEL)
+    want = _engine_values(obj_ctx)
+    assert got == want
+    assert any(isinstance(v, QuadExt) for v in got)
+    # the dropped values are canonical: a QuadExt only with an s part
+    assert all(type(v) is RAT or (type(v) is QuadExt and v.B) for v in got)
+    # the same memoized states, read back, up to the cancelled weights the
+    # raw kernel drops
+    drop = raw_ctx.raw[4]
+    raw_memo, obj_memo = raw_ctx.caches[PREFIX_MEMO], obj_ctx.caches[PREFIX_MEMO]
+    assert raw_memo.keys() == obj_memo.keys()
+    for key, states in obj_memo.items():
+        assert raw_memo[key].keys() <= states.keys()
+        for state, weight in states.items():
+            assert drop(raw_memo[key].get(state)) == weight
+
+
 def test_prefix_memo_shared_across_pair_exclusions_matches_fresh_contexts():
     # the resummed pinned route at N=4 builds one engine per flavor option,
     # all on the same bra prefix, and divides the direct pair out of each;
@@ -327,6 +388,14 @@ def stored_form(x):
     return (type(x), x)
 
 
+def raw_form(ctx, x):
+    """A scalar as the reduced raw value of ctx.raw that _pair_kernel
+    stores (None for a Q(s) zero)."""
+    lift, _, _, norm, _ = ctx.raw
+    x = lift(x)
+    return x if x is None else norm(x)
+
+
 @pytest.mark.parametrize("mode", sorted(KERNEL_CONTEXTS))
 @pytest.mark.parametrize("slots", range(len(KERNEL_SLOTS)))
 def test_pair_kernel_grown_one_order_at_a_time_equals_fresh_build(mode, slots):
@@ -340,7 +409,8 @@ def test_pair_kernel_grown_one_order_at_a_time_equals_fresh_build(mode, slots):
     built = _pair_kernel(fresh, slotsA, slotsB, order)
     want = kernel_product(KERNEL_CONTEXTS[mode](), slotsA, slotsB, order)
     assert [stored_form(c) for c in got] == [stored_form(c) for c in built]
-    assert [stored_form(c) for c in built] == [stored_form(c) for c in want]
+    assert [stored_form(c) for c in built] == \
+        [stored_form(raw_form(fresh, c)) for c in want]
     # a smaller order reads the cached coefficients back
     assert _pair_kernel(grown, slotsA, slotsB, 2) is got
 
