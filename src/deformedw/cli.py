@@ -64,6 +64,13 @@ def _run_one(name, cfg):
     return recs, int((time.monotonic() - t0) * 1000)
 
 
+def stray_sections(cp):
+    """Config sections that are neither [suites] nor named after a suite;
+    a misspelled suite section would otherwise leave its suite on the
+    defaults."""
+    return [s for s in cp.sections() if s != "suites" and s not in SUITES]
+
+
 def cmd_verify(args):
     try:
         cp, text = load_config(args.config)
@@ -71,6 +78,11 @@ def cmd_verify(args):
         # configparser's messages span lines; print them on one
         print(f"verify --config {args.config!r}: {' '.join(str(exc).split())}",
               file=sys.stderr)
+        return 2
+    stray = stray_sections(cp)
+    if stray:
+        print(f"verify --config {args.config!r}: unknown section "
+              f"[{stray[0]}], neither [suites] nor a suite", file=sys.stderr)
         return 2
     if args.suite:
         # a suite named twice runs once

@@ -503,7 +503,8 @@ class QuadExt:
         return bool(self.A) or bool(self.B)
 
     def __repr__(self):
-        return f"({self.a} + {self.b}*s)"
+        # a value with no s part prints as the rational it equals
+        return f"({self.a} + {self.b}*s)" if self.B else str(self.a)
 
 
 def _quad_raw(F):

@@ -1,5 +1,5 @@
-"""Free-field layer: boson commutators, highest-weight data, exponentiated
-boson insertions and their exact multi-point correlators.
+"""Free-field layer: highest-weight data, exponentiated boson insertions
+and their exact multi-point correlators.
 
 States are never materialized as oscillator monomials; every matrix element
 is a product of pairwise contraction kernels times zero-mode eigenvalues,
@@ -69,18 +69,8 @@ class Insertion:
     group: int
 
 
-def boson_commutator(ctx: ScalarCtx, i: int, j: int, n: int):
-    """[h^i_n, h^j_{-n}]; the commutator with h^j_m vanishes unless m = -n."""
-    if n == 0:
-        raise ValueError("zero modes are central and carry no pairing")
-    return contraction_logkernel(ctx.N, i, j).term(ctx, n)
-
-
 def zero_mode(ctx: ScalarCtx, hw: HighestWeight, flavor: int):
-    key = ("zm", hw.key(), flavor)
-    if key not in ctx.caches:
-        ctx.caches[key] = hw.a[flavor - 1] * ctx.s_pow(ctx.N + 1 - 2 * flavor)
-    return ctx.caches[key]
+    return hw.a[flavor - 1] * ctx.s_pow(ctx.N + 1 - 2 * flavor)
 
 
 def kernel_coeffs(ctx: ScalarCtx, i: int, j: int, delta: int, order: int):

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import RAT_ZERO, HbarSeries, exp_coeffs, is_rational, \
-    log_coeffs
+from .exact import RAT_ZERO, HbarSeries, exp_coeffs, is_rational
 
 
 class WindowError(ValueError):
@@ -225,14 +224,6 @@ def series_exp(x: LaurentWindow) -> LaurentWindow:
     one = 1 if is_rational(x.zero) else x.zero + 1
     return LaurentWindow.taylor(x.vars[0], exp_coeffs(g, [one], x.zero),
                                 x.zero)
-
-
-def series_log(x: LaurentWindow) -> LaurentWindow:
-    """log of a one-variable window with constant term 1."""
-    f = _taylor_list(x, "series_log")
-    if x.coeffs.get((0,), x.zero) - 1:
-        raise ValueError("series_log needs constant term 1")
-    return LaurentWindow.taylor(x.vars[0], log_coeffs(f, x.zero), x.zero)
 
 
 def geometric_factor(var, c, exponent, order, zero=RAT_ZERO) -> LaurentWindow:

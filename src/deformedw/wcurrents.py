@@ -50,30 +50,36 @@ def block_slots(rank: int, base_shift: int, flavors):
 
 
 class Block:
-    """One insertion point: a list of (coefficient, slots) alternatives."""
+    """One insertion point: a list of (coefficient, slots) alternatives,
+    named by its ctx.caches key."""
 
-    __slots__ = ("var", "options", "key")
+    __slots__ = ("options", "key")
 
-    def __init__(self, var, options, key):
-        self.var = var
+    def __init__(self, options, key):
         self.options = options
         self.key = key
 
 
 def current_block(ctx: ScalarCtx, hw: HighestWeight, w: WInsertion):
-    """Block for one W-current; None encodes the zero current."""
+    """Block for one W-current, built once per context and key; None
+    encodes the zero current."""
     if w.rank < 0 or w.rank > ctx.N:
         return None
-    if w.rank == 0 or w.rank == ctx.N:
-        # the constant current: no oscillator content, eigenvalue 1
-        return Block(w.var, [(ctx.one, ())], ("const", w.var))
+    const = w.rank == 0 or w.rank == ctx.N
+    key = ("const", w.var) if const else \
+        ("W", w.rank, w.var, w.sshift, hw.key())
+    block = ctx.caches.get(key)
+    if block is not None:
+        return block
     options = []
-    for J in _subsets(ctx.N, w.rank):
+    # the constant current has no oscillator content and eigenvalue 1
+    for J in [()] if const else _subsets(ctx.N, w.rank):
         coeff = ctx.one
         for f in J:
             coeff = coeff * zero_mode(ctx, hw, f)
         options.append((coeff, block_slots(w.rank, w.sshift, J)))
-    return Block(w.var, options, ("W", w.rank, w.var, w.sshift, hw.key()))
+    block = ctx.caches[key] = Block(options, key)
+    return block
 
 
 def dressed_pin_factors(ctx: ScalarCtx, dress, slots1, slots2,
@@ -82,35 +88,11 @@ def dressed_pin_factors(ctx: ScalarCtx, dress, slots1, slots2,
     in the convention where x = 1 realizes the pinned ratio s^pinexp (the f
     log-kernel is shifted by pinexp, the slot kernels by their absolute shift
     differences)."""
-    key = ("pingf", dress, slots1, slots2, pinexp)
-    if key in ctx.caches:
-        return ctx.caches[key]
     lk = f_logkernel(ctx.N, dress[0], dress[1]).shifted(pinexp)
     for f1, s1 in slots1:
         for f2, s2 in slots2:
             lk = lk + contraction_logkernel(ctx.N, f1, f2).shifted(s2 - s1)
-    gf = lk.resum(ctx.N)
-    ctx.caches[key] = gf
-    return gf
-
-
-def dressed_pin_value(ctx: ScalarCtx, dress, slots1, slots2, pinexp: int,
-                      clear_sexp=None):
-    """Exact value of f^{dress}(x) * prod of the slot-pair contractions, with
-    the two currents pinned so that x (the ratio of the two current
-    arguments) equals s^pinexp; slot shifts are absolute.  clear_sexp
-    multiplies in the pole-clearing factor (1 - s^{clear_sexp} x) used by
-    fusion limits."""
-    key = ("pin", dress, slots1, slots2, pinexp, clear_sexp)
-    if key in ctx.caches:
-        return ctx.caches[key]
-    gf = dressed_pin_factors(ctx, dress, slots1, slots2, pinexp)
-    if clear_sexp is None:
-        val = gf.value(ctx, 0)
-    else:
-        val = gf.cleared_value(ctx, 0, ("s", clear_sexp + pinexp))
-    ctx.caches[key] = val
-    return val
+    return lk.resum(ctx.N)
 
 
 def pinned_block(ctx: ScalarCtx, hw: HighestWeight, var: str,
@@ -120,11 +102,20 @@ def pinned_block(ctx: ScalarCtx, hw: HighestWeight, var: str,
     s^{shift2} var, dressed with the structure function f^{dress} evaluated at
     the pinned ratio.  This is the exact realization of a delta-term content
     f^{a,b}(p^c) W^a(..) W^b(..), of the left side of the normal-ordering
-    rewrite, and (with clear_sexp) of a fusion limit."""
+    rewrite, and (with clear_sexp) of a fusion limit: clear_sexp multiplies
+    in the pole-clearing factor (1 - s^{clear_sexp} x).  An option's
+    coefficient is the dressed slot-pair product at the pinning times its
+    zero modes.  Built once per context and key; a pinning singular for
+    some option raises PoleError at every call."""
     if rank1 < 0 or rank1 > ctx.N or rank2 < 0 or rank2 > ctx.N:
         return None
     if dress is None:
         dress = (rank1, rank2)
+    key = ("pin", rank1, shift1, rank2, shift2, dress, clear_sexp, var,
+           hw.key())
+    block = ctx.caches.get(key)
+    if block is not None:
+        return block
     pinexp = shift2 - shift1
     options = []
     for J1 in _subsets(ctx.N, rank1):
@@ -134,7 +125,9 @@ def pinned_block(ctx: ScalarCtx, hw: HighestWeight, var: str,
             zm1 = zm1 * zero_mode(ctx, hw, f)
         for J2 in _subsets(ctx.N, rank2):
             s2 = block_slots(rank2, shift2, J2)
-            coeff = dressed_pin_value(ctx, dress, s1, s2, pinexp, clear_sexp)
+            gf = dressed_pin_factors(ctx, dress, s1, s2, pinexp)
+            coeff = gf.value(ctx, 0) if clear_sexp is None else \
+                gf.cleared_value(ctx, 0, ("s", clear_sexp + pinexp))
             if not coeff:
                 continue
             zm = zm1
@@ -143,8 +136,8 @@ def pinned_block(ctx: ScalarCtx, hw: HighestWeight, var: str,
             options.append((coeff * zm, s1 + s2))
     if not options:
         options = [(ctx.zero, ())]
-    return Block(var, options, ("pin", rank1, shift1, rank2, shift2, dress,
-                                clear_sexp, var, hw.key()))
+    block = ctx.caches[key] = Block(options, key)
+    return block
 
 
 def _pair_kernel(ctx: ScalarCtx, slotsA, slotsB, order: int):
@@ -152,45 +145,40 @@ def _pair_kernel(ctx: ScalarCtx, slotsA, slotsB, order: int):
     at least order + 1 of them, as raw values of ctx.raw (drop reads them
     back).
 
-    ctx.caches holds the partial product after each slot pair (or the
-    constant 1 for no pair), and a larger order only appends to each:
-    coefficient m of a partial product needs coefficients 0..m of the one
-    before and of the pair's kernel.  Each new coefficient is one unreduced
-    raw sum, normalized once."""
+    ctx.caches holds one tuple per slot-pair product; a larger order
+    rebuilds it, multiplying in one pair's kernel after the other.  Each
+    new coefficient is one unreduced raw sum, normalized once."""
     key = ("KB", slotsA, slotsB)
-    stages = ctx.caches.get(key, ())
-    done = len(stages[-1]) if stages else 0
-    if done <= order:
+    coeffs = ctx.caches.get(key, ())
+    if len(coeffs) <= order:
         lift, mul, add, norm, _ = ctx.raw
         zero = lift(ctx.zero)
-        # the constant 1, then the product over the first p + 1 slot pairs
-        prev = (lift(ctx.one),) + (zero,) * order
-        grown = []
-        pairs = ((fa, fb, sb - sa) for fa, sa in slotsA for fb, sb in slotsB)
-        for p, (fa, fb, delta) in enumerate(pairs):
-            # coefficient 0 is 1 times the previous stage's; order 0 asks
-            # no kernel
-            kc = [lift(k) for k in
-                  kernel_coeffs(ctx, fa, fb, delta, order)[:order + 1]] \
-                if order else ()
-            new = []
-            for m in range(done, order + 1):
-                acc = zero
-                for i in range(m + 1):
-                    c = prev[i]
-                    if not c:
-                        continue
-                    if i < m:
-                        k = kc[m - i]
-                        if not k:
+        # the constant 1, then the product over the slot pairs so far
+        coeffs = (lift(ctx.one),) + (zero,) * order
+        for fa, sa in slotsA:
+            for fb, sb in slotsB:
+                # coefficient 0 is 1 times the previous product's; order 0
+                # asks no kernel
+                kc = [lift(k) for k in
+                      kernel_coeffs(ctx, fa, fb, sb - sa, order)[:order + 1]] \
+                    if order else ()
+                new = []
+                for m in range(order + 1):
+                    acc = zero
+                    for i in range(m + 1):
+                        c = coeffs[i]
+                        if not c:
                             continue
-                        c = mul(c, k)
-                    acc = c if acc is None else add(acc, c)
-                new.append(acc if acc is None else norm(acc))
-            prev = (stages[p] if stages else ()) + tuple(new)
-            grown.append(prev)
-        stages = ctx.caches[key] = tuple(grown) or (prev,)
-    return stages[-1]
+                        if i < m:
+                            k = kc[m - i]
+                            if not k:
+                                continue
+                            c = mul(c, k)
+                        acc = c if acc is None else add(acc, c)
+                    new.append(acc if acc is None else norm(acc))
+                coeffs = tuple(new)
+        ctx.caches[key] = coeffs
+    return coeffs
 
 
 # ctx.caches key of the transfer states shared by every engine of a context;
@@ -214,11 +202,20 @@ class ModeEngine:
     block takes yw of its own units with the Taylor coefficient f_yw; those
     units open no flow, since f depends on that one ratio alone.
 
-    The states behind every block but the last are memoized in
-    ctx.caches[PREFIX_MEMO] under (prefix_keys[c], profile[:c+1]), so a
-    profile resumes from the deepest prefix that any engine of the context
-    has already absorbed.  The engine keeps no context: value takes it at
-    each call, so an engine cached in ctx.caches does not refer back to it.
+    Caches, one per quantity.  ctx.caches holds the blocks (current_block,
+    pinned_block: each is built once per context, and a pinned block pays
+    for a gamma-product resummation per option), the engines ("ME", per
+    block assembly and dress), the pair kernels ("KB", one tuple per slot
+    list pair, read at every landing) and the log-kernel coefficient lists
+    ("f", "K") they are built from.  Two caches sit in the engine itself:
+    PREFIX_MEMO, the states behind every block but the last, shared by every
+    engine of the context under (prefix_keys[c], profile[:c+1]), so a
+    profile resumes from the deepest prefix any engine has absorbed; and
+    value_cache, the value per profile, since the relation checks ask the
+    same profile of one engine many times (45 % of the calls of the seed-0
+    perfbench relations config).  Without either one, `verify` on that
+    config took about 1.5x as long.  Nothing below the blocks is cached.  The engine keeps no context: value takes it at each
+    call, so nothing in ctx.caches refers back to it.
 
     Every product and sum runs on the context's raw kernel ctx.raw =
     (lift, mul, add, norm, drop): bare integer triples over Q(s) with no
@@ -226,8 +223,9 @@ class ModeEngine:
     their operators in the hbar limits, so all rings take this one path
     with today's association.  The engine lifts its option coefficients
     once, with the lift `mode_engine` passes, and keeps them in place of
-    the blocks; f-weight coefficients are lifted once per split and kernel
-    coefficients once per slot pair (_pair_kernel stores raw stages).
+    the blocks; f-weight coefficients are lifted where a landing pattern
+    takes them, and kernel coefficients come raw from _pair_kernel.  Each
+    pattern's product is taken left to right from the option's weight.
     Each new state's weight is normalized once when its block finishes,
     which bounds the integers across blocks; a weight that cancelled (norm
     gives None) is dropped, and the memo holds the normalized states.  The
@@ -243,7 +241,6 @@ class ModeEngine:
         self.gaps = len(blocks) - 1
         self.dress = dress
         self.value_cache = {}
-        self.weight_splits = {}
         # everything the state after block c depends on, except the profile:
         # prefix_keys[c] names blocks[:c+1] and the dress once it is behind
         prefix = ()
@@ -279,24 +276,23 @@ class ModeEngine:
                     if has_slots not in patterns:
                         patterns[has_slots] = self._landing_patterns(
                             state, c, budget, has_slots, ctx)
-                    # accs[k]: the product of the pattern's first k factors
-                    accs = [mul(weight, coeff)]
-                    for share, factors, rest, free in patterns[has_slots]:
-                        del accs[share + 1:]
-                        for sslots, fac in factors[len(accs) - 1:]:
+                    first = mul(weight, coeff)
+                    for factors, rest, free in patterns[has_slots]:
+                        acc = first
+                        for sslots, fac in factors:
                             if sslots is not None:
                                 # a landing: fac is its unit count
                                 fac = _pair_kernel(ctx, sslots, slots,
                                                    fac)[fac]
                                 if not fac:
                                     break
-                            accs.append(mul(accs[-1], fac))
+                            acc = mul(acc, fac)
                         else:
                             key = rest if not free else tuple(sorted(
                                 rest + ((slots, free),)))
                             old = new_states.get(key)
-                            new_states[key] = accs[-1] if old is None \
-                                else add(old, accs[-1])
+                            new_states[key] = acc if old is None \
+                                else add(old, acc)
             # one gcd per state; a raw weight that cancelled is dropped
             states = {}
             for key, weight in new_states.items():
@@ -320,18 +316,16 @@ class ModeEngine:
         gap the weight takes some of the block's own units.  A block without
         slots takes no landing and opens no flow of its own.
 
-        Returns a list of (share, factors, rest, free): `factors` lists
-        (source slots, ell) per landing, whose kernel coefficient depends on
-        the option's slots, then (None, raw coefficient) of the weight if it
-        takes units; its first `share` entries equal those of the previous
-        pattern, so their product can be reused.  `rest` is the sorted tuple of flows
-        still open, and `free` the own units of the block left, which open
-        the flow (slots, free) when nonzero.
+        Returns a list of (factors, rest, free): `factors` lists (source
+        slots, ell) per landing, whose kernel coefficient depends on the
+        option's slots, then (None, raw coefficient) of the weight if it
+        takes units.  `rest` is the sorted tuple of flows still open, and
+        `free` the own units of the block left, which open the flow (slots,
+        free) when nonzero.
         """
         units = sum(x for _, x in state)
         ranges = [range(x + 1) if has_slots else (0,) for _, x in state]
         out = []
-        prev = ()
         for ells in product(*ranges):
             free = budget - units + sum(ells)
             if free < 0:
@@ -347,14 +341,7 @@ class ModeEngine:
             rest = tuple(sorted(rest))
             for wfactors, left in self._weight_splits(c, free, has_slots,
                                                       ctx):
-                factors = lands + wfactors
-                share = 0
-                for f, g in zip(factors, prev):
-                    if not (f is g or (f[0] is not None and f == g)):
-                        break
-                    share += 1
-                prev = factors
-                out.append((share, tuple(factors), rest, left))
+                out.append((lands + wfactors, rest, left))
         return out
 
     def _weight_splits(self, c, free, has_slots, ctx):
@@ -365,16 +352,12 @@ class ModeEngine:
         slots keeps no unit of its own."""
         if self.dress is None or c != self.dress[0]:
             return (([], free),) if has_slots or not free else ()
-        key = (free, has_slots)
-        if key not in self.weight_splits:
-            _, i, j = self.dress
-            fc = f_coeffs(ctx, i, j, free)
-            lift = ctx.raw[0]
-            self.weight_splits[key] = [
-                ([(None, lift(fc[yw]))] if yw else [], free - yw)
+        _, i, j = self.dress
+        fc = f_coeffs(ctx, i, j, free)
+        lift = ctx.raw[0]
+        return [([(None, lift(fc[yw]))] if yw else [], free - yw)
                 for yw in range(free + 1)
                 if (has_slots or yw == free) and (not yw or fc[yw])]
-        return self.weight_splits[key]
 
 
 def mode_engine(ctx: ScalarCtx, blocks, dress=None):
@@ -510,10 +493,6 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
     r1, sh1, r2, sh2 = pinned["ranks_shifts"]
     dress = pinned.get("dress") or (r1, r2)
     clearing = pinned.get("clear_sexp") is not None
-    key = ("pinres", tuple(bra), tuple(ket), total_mode,
-           (r1, sh1, r2, sh2), dress, clearing, hw.key())
-    if key in ctx.caches:
-        return ctx.caches[key]
     if r1 < 0 or r1 > ctx.N or r2 < 0 or r2 > ctx.N:
         return ctx.zero
     pinexp = sh2 - sh1
@@ -551,8 +530,8 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
                 numpoly = _poly_mul_factor(ctx, numpoly,
                                            helper.base(ctx, fkey), mult)
         # external contraction polynomial: E[g] = V[g] - sum_l K[l] E[g-l]
-        b1 = Block("zA", [(ctx.one, s1)], ("fix", s1, "zA"))
-        b2 = Block("zB", [(ctx.one, s2)], ("fix", s2, "zB"))
+        b1 = Block([(ctx.one, s1)], ("fix", s1, "zA"))
+        b2 = Block([(ctx.one, s2)], ("fix", s2, "zB"))
         blocks = _aux_blocks(ctx, hw, bra, "b") + [b1, b2] + \
             _aux_blocks(ctx, hw, ket, "k")
         eng = mode_engine(ctx, blocks)
@@ -588,7 +567,6 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
     m = len(vanishing)
     to_clear = m - 1 if clearing else m
     if clearing and m == 0:
-        ctx.caches[key] = ctx.zero
         return ctx.zero
     for c in vanishing[:to_clear]:
         if len(P) == 1:
@@ -612,9 +590,7 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
             skipped += 1
             continue
         den = den * (1 - c)
-    val = num / den
-    ctx.caches[key] = val
-    return val
+    return num / den
 
 
 def single_current_mode_value(ctx, hw, bra, rank, sshift, ket, total_mode):

@@ -1,12 +1,15 @@
 """Test-side constructors and oracles that the package itself never calls:
 exact Laurent polynomials and the formal delta distribution as windows, the
-empty-window test, a partition count, the leading term of a q-series, and a
-reference model of the hbar series."""
+empty-window test, the logarithm of a window, the boson commutator, a
+partition count, the leading term of a q-series, and a reference model of
+the hbar series."""
 
 from deformedw.characters import partition_series
 from deformedw.exact import (RAT_ONE, RAT_ZERO, Cyc, exp_coeffs,
-                             inverse_coeffs, is_rational, rat, scalar_inv)
-from deformedw.series import LaurentWindow, VarBound
+                             inverse_coeffs, is_rational, log_coeffs, rat,
+                             scalar_inv)
+from deformedw.series import LaurentWindow, VarBound, _taylor_list
+from deformedw.structfn import contraction_logkernel
 
 
 def window_from_terms(vars, terms):
@@ -31,6 +34,21 @@ def delta_window(var, radius):
 def is_empty(win) -> bool:
     """A window whose bounds cross knows no coefficient at all."""
     return any(b.lo > b.hi for b in win.bounds)
+
+
+def series_log(x: LaurentWindow) -> LaurentWindow:
+    """log of a one-variable window with constant term 1."""
+    f = _taylor_list(x, "series_log")
+    if x.coeffs.get((0,), x.zero) - 1:
+        raise ValueError("series_log needs constant term 1")
+    return LaurentWindow.taylor(x.vars[0], log_coeffs(f, x.zero), x.zero)
+
+
+def boson_commutator(ctx, i: int, j: int, n: int):
+    """[h^i_n, h^j_{-n}]; the commutator with h^j_m vanishes unless m = -n."""
+    if n == 0:
+        raise ValueError("zero modes are central and carry no pairing")
+    return contraction_logkernel(ctx.N, i, j).term(ctx, n)
 
 
 def partition_count(n: int) -> int:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from deformedw.cli import main
+from deformedw.cli import main, stray_sections
 from deformedw.suites import SUITES, check_options
 
 CONFIG = """
@@ -204,15 +204,19 @@ def _selected_sections(text):
             if on == "true" and cp.has_section(name)]
 
 
-def test_shipped_and_benchmark_configs_pass_the_option_check():
+def _shipped_and_benchmark_configs():
     texts = [(ROOT / "configs" / "default.ini").read_text()]
     inputs = _perfbench_inputs()
     for workload in inputs.WORKLOADS:
         for seed in (0, 1, 7):
             for rep in (0, 3):
                 texts.append(inputs.Inputs(workload, seed, rep).config_text())
+    return texts
+
+
+def test_shipped_and_benchmark_configs_pass_the_option_check():
     checked = set()
-    for text in texts:
+    for text in _shipped_and_benchmark_configs():
         for name, section in _selected_sections(text):
             check_options(name, section)
             checked.add(name)
@@ -256,4 +260,25 @@ def test_verify_checks_options_before_any_suite_runs(tmp_path, capsys):
                  "--suite", "zalgebra", "--out", str(out_path)]) == 2
     captured = capsys.readouterr()
     assert "[zalgebra] order = 'x'" in captured.err
+    assert captured.out == "" and not out_path.exists()
+
+
+def test_shipped_and_benchmark_configs_have_no_stray_section():
+    for text in _shipped_and_benchmark_configs():
+        cp = configparser.ConfigParser()
+        cp.read_string(text)
+        assert cp.sections() and not stray_sections(cp)
+
+
+@pytest.mark.parametrize("section", ["charactrs", "zetaa", "Suites"])
+def test_verify_rejects_unknown_section(tmp_path, capsys, section):
+    # a misspelled suite section must not run its suite on the defaults
+    out_path = tmp_path / "r.json"
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(CONFIG + f"\n[{section}]\ncutoff = 10\n")
+    assert main(["verify", "--config", str(cfg),
+                 "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert f"[{section}]" in captured.err and str(cfg) in captured.err
     assert captured.out == "" and not out_path.exists()

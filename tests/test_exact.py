@@ -586,6 +586,23 @@ def test_quad_equality_and_round_trip(p, u, v, r):
     assert back == x and (back.a, back.b) == u
 
 
+def test_quad_without_s_part_prints_as_its_rational():
+    # a value prints the same whichever route made it: s*s is p
+    p = rat(2, 3)
+    s = QuadExt(0, 1, p)
+    assert str(s * s) == str(p) == "2/3"
+    assert str(s - s) == "0" and str(QuadExt(-5, 0, p)) == "-5"
+    assert str(1 + s) == "(1 + 1*s)" and str(s / 2) == "(0 + 1/2*s)"
+
+
+@given(quad_ps, quad_pairs)
+def test_quad_prints_as_its_value(p, u):
+    x = QuadExt(*u, p)
+    assert str(x) == (str(x.a) if not u[1] else f"({x.a} + {x.b}*s)")
+    if not u[1]:
+        assert str(x) == str(RAT(u[0]))
+
+
 @given(quad_ps, quad_pairs, quad_pairs)
 def test_quad_coordinates_are_canonical(p, u, v):
     x, y = QuadExt(*u, p), QuadExt(*v, p)

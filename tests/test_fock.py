@@ -2,9 +2,9 @@ import pytest
 
 from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from deformedw.exact import rat
-from deformedw.fock import (HighestWeight, Insertion, boson_commutator,
-                            hw_eigenvalue_w, kernel_coeffs, lambda_correlator,
-                            zero_mode)
+from deformedw.fock import (HighestWeight, Insertion, hw_eigenvalue_w,
+                            kernel_coeffs, lambda_correlator, zero_mode)
+from oracles import boson_commutator
 
 
 def ctx_n(N, point=0):

@@ -9,7 +9,8 @@ from deformedw import characters, limits, relations, structfn, suites, \
     zalg, zeta
 from deformedw.context import ScalarCtx
 from deformedw.exact import Cyc, HbarSeries, rat
-from deformedw.series import LaurentWindow
+from deformedw.fock import HighestWeight
+from deformedw.series import LaurentWindow, geometric_factor
 
 # (N, level, i, j) at order_x <= 5; the central cases (i + j = N) carry the
 # derivative-delta term
@@ -460,3 +461,69 @@ def test_char_identity_fails_on_nudged_coefficient(nudged_character, k, j):
 @pytest.mark.parametrize("k,j", CHAR_CASES)
 def test_char_identity_passes_unmutated(k, j):
     assert characters.verify_char_identity(k, j, cutoff=10).ok
+
+
+# pole reconstruction of f^{i,j}(x) <W^i(z1) W^j(z2)>, (N, i, j) at the
+# relation point, with the vacuum and the generic highest weight
+POLE_CASES = [(N, i, j, hw) for N, i, j in ((2, 1, 1), (3, 1, 2), (3, 2, 2))
+              for hw in ("vacuum", "generic")]
+
+
+def _pole_id(case):
+    N, i, j, hw = case
+    return f"{N}-{i}-{j}-{hw}"
+
+
+def _dressing_times(monkeypatch, factors):
+    """f_series as the pole check reads it, times prod (1 - s^a x)^e over
+    factors(i, j) = [(a, e), ...]."""
+    f_series = relations.f_series
+
+    def mutated(ctx, i, j, order, var="x"):
+        win = f_series(ctx, i, j, order, var)
+        for a, e in factors(i, j):
+            win = win * geometric_factor(var, ctx.s_pow(a), e, order,
+                                         ctx.zero)
+        return win
+
+    monkeypatch.setattr(relations, "f_series", mutated)
+
+
+@pytest.fixture
+def moved_pole(monkeypatch):
+    """The pole at x = s^r, r = j - i + 2, moved to x = s^{r+3}: the
+    dressing times (1 - s^{-r} x)/(1 - s^{-(r+3)} x)."""
+    _dressing_times(monkeypatch, lambda i, j: [(i - j - 2, 1),
+                                               (i - j - 5, -1)])
+
+
+@pytest.fixture
+def extra_pole(monkeypatch):
+    """The dressing times 1/(1 - s x): one pole more than claimed."""
+    _dressing_times(monkeypatch, lambda i, j: [(1, -1)])
+
+
+def _pole_record(N, i, j, hw):
+    ctx = ScalarCtx.generic(N, *RELATION_POINT)
+    weight = HighestWeight.vacuum(ctx) if hw == "vacuum" \
+        else HighestWeight.generic(ctx)
+    return relations.verify_poles(ctx, i, j, hw=weight)
+
+
+@pytest.mark.parametrize("case", POLE_CASES, ids=_pole_id)
+def test_poles_fail_on_moved_pole(moved_pole, case):
+    rec = _pole_record(*case)
+    assert rec.status == "fail", rec.detail
+    assert "is not a denominator root" in rec.detail, rec.detail
+
+
+@pytest.mark.parametrize("case", POLE_CASES, ids=_pole_id)
+def test_poles_inconclusive_on_extra_pole(extra_pole, case):
+    rec = _pole_record(*case)
+    assert rec.status == "inconclusive", rec.detail
+
+
+@pytest.mark.parametrize("case", POLE_CASES, ids=_pole_id)
+def test_poles_pass_unmutated(case):
+    rec = _pole_record(*case)
+    assert rec.status == "pass", rec.detail

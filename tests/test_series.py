@@ -5,8 +5,8 @@ import pytest
 from deformedw.exact import rat
 from deformedw.series import (LaurentWindow, VarBound, WindowError,
                               geometric_factor, rational_reconstruct,
-                              series_exp, series_log)
-from oracles import delta_window, is_empty, window_from_terms
+                              series_exp)
+from oracles import delta_window, is_empty, series_log, window_from_terms
 
 
 def brute_convolution(terms_a, terms_b, expo):

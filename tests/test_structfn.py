@@ -4,13 +4,13 @@ import pytest
 
 from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from deformedw.exact import Cyc, rat
-from deformedw.series import series_log
 from deformedw.structfn import (GammaFactors, NonRationalKernel, PoleError,
                                 check_f_identities, contraction_logkernel,
                                 f_logkernel, f_point_regular, f_series,
                                 g_series, gamma_at, gamma_ladder,
                                 logkernel_coeffs)
 from deformedw.wcurrents import block_slots, dressed_pin_factors
+from oracles import series_log
 
 
 def ctx_n(N, point=0):

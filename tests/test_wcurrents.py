@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from deformedw import wcurrents
 from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from deformedw.fock import HighestWeight, hw_eigenvalue_w, kernel_coeffs, \
     zero_mode
@@ -413,6 +414,55 @@ def test_pair_kernel_grown_one_order_at_a_time_equals_fresh_build(mode, slots):
         [stored_form(raw_form(fresh, c)) for c in want]
     # a smaller order reads the cached coefficients back
     assert _pair_kernel(grown, slotsA, slotsB, 2) is got
+
+
+def test_second_identical_table_builds_no_block(monkeypatch):
+    # blocks are cached per context and key, and values per engine profile,
+    # so repeating a table recomputes no zero-mode product
+    ctx = ctx_n(3)
+    hw = HighestWeight.generic(ctx)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return zero_mode(*args)
+
+    monkeypatch.setattr(wcurrents, "zero_mode", counted)
+    args = (ctx, hw, [(1, 1)], (1, 0), (2, 1), [(2, 1)], (1, 2),
+            [(0, 0), (1, -1), (-1, 2)])
+    first = two_current_mode_table(*args)
+    assert calls
+    calls.clear()
+    assert two_current_mode_table(*args) == first
+    assert not calls
+
+
+def test_pinned_block_is_built_once_per_context():
+    ctx = ctx_n(3)
+    hw = HighestWeight.generic(ctx)
+    blk = pinned_block(ctx, hw, "z", 1, -4, 1, 0, dress=(1, 1))
+    assert pinned_block(ctx, hw, "z", 1, -4, 1, 0, dress=(1, 1)) is blk
+    # the default dress (rank1, rank2) names the same block
+    assert pinned_block(ctx, hw, "z", 1, -4, 1, 0) is blk
+    assert pinned_block(ctx, hw, "z", 1, 4, 1, 0) is not blk
+
+
+def test_context_caches_hold_one_entry_kind_per_quantity():
+    # blocks, engines, pair kernels, log-kernel lists and the prefix memo;
+    # nothing below the block (zero modes, pinned values) is cached
+    ctx = ctx_n(3)
+    for check in REFCOUNT_CASES["generic"][1]:
+        assert check(ctx).status == "pass"
+    _engine_values(ctx)
+    pinned_mode_value_resummed(ctx, HighestWeight.generic(ctx), [(1, 1)],
+                               {"ranks_shifts": (1, 1, 2, 0),
+                                "dress": (1, 2)}, [(1, 1)], 0)
+    two_current_mode_table(ctx, HighestWeight.generic(ctx), [], (0, 0),
+                           (1, 0), [(1, 1)], None, [(0, -1)])
+    kinds = {key if key == PREFIX_MEMO else key[0] for key in ctx.caches}
+    assert kinds == {"W", "const", "pin", "ME", "KB", "f", "K", PREFIX_MEMO}
+    assert all(type(v) is wcurrents.Block for k, v in ctx.caches.items()
+               if k[0] in ("W", "const", "pin"))
 
 
 # a context and the checks that fill its caches, one per context mode
