@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from .exact import RAT, rat
-from .relations import CheckRecord
+from .report import CheckRecord
 
 
 class QSeries:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import sys
 import time
 
@@ -88,8 +89,17 @@ def cmd_verify(args):
         # a suite named twice runs once
         names = list(dict.fromkeys(args.suite))
     elif cp.has_section("suites"):
-        names = [k for k, v in cp["suites"].items()
-                 if v.strip().lower() in ("1", "true", "yes", "on")]
+        names = []
+        for key in cp["suites"]:
+            try:
+                on = cp["suites"].getboolean(key)
+            except ValueError:
+                print(f"verify --config {args.config!r}: [suites] {key} = "
+                      f"{cp['suites'][key]!r}: not a boolean (1/yes/true/on "
+                      f"or 0/no/false/off)", file=sys.stderr)
+                return 2
+            if on:
+                names.append(key)
     else:
         names = sorted(SUITES)
     unknown = [n for n in names if n not in SUITES]
@@ -114,6 +124,11 @@ def cmd_verify(args):
     if jobs < 1:
         print(f"--jobs must be an integer >= 1, got {args.jobs!r}",
               file=sys.stderr)
+        return 2
+    if args.out and (os.path.isdir(args.out) or
+                     not os.path.isdir(os.path.dirname(args.out) or ".")):
+        print(f"verify --out {args.out!r}: not a file in an existing "
+              f"directory", file=sys.stderr)
         return 2
     report, timings = run_suites(sorted(names), cp, jobs)
     payload = report.to_json(config_text=text,

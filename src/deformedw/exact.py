@@ -136,7 +136,43 @@ def _phi_mul(order: int, A, B) -> tuple:
     return _phi_reduce(order, raw)
 
 
-class Cyc:
+class _Ring:
+    """The operations each ring type below derives from its own primitives
+    `__add__`, `__neg__`, `__mul__`, `inverse` and `_one()`, defined once.
+    A type overrides one only for a stated reason (see the override)."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, other):
+        if is_rational(other) or isinstance(other, type(self)):
+            return self * scalar_inv(other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if is_rational(other):
+            return self.inverse() * other
+        return NotImplemented
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out, base = self._one(), self
+        while True:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
+
+
+class Cyc(_Ring):
     """Element of the cyclotomic field Q(eta), eta a primitive `order`-th root
     of unity, reduced modulo the order-th cyclotomic polynomial.
 
@@ -230,6 +266,11 @@ class Cyc:
     def __neg__(self):
         return Cyc._make(self.order, tuple(-a for a in self.N), self.D)
 
+    def _one(self) -> "Cyc":
+        return Cyc.const(self.order, 1)
+
+    # kept rather than derived: the limit II comparison subtracts in its
+    # inner loop, where building the negation first costs measurably
     def __sub__(self, other):
         if isinstance(other, Cyc):
             self._same_order(other)
@@ -241,11 +282,6 @@ class Cyc:
                 a * D2 - b * D1 for a, b in zip(self.N, other.N)), D1 * D2)
         if is_rational(other):
             return self._plus_rat(-other.numerator, other.denominator)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if is_rational(other):
-            return (-self)._plus_rat(other.numerator, other.denominator)
         return NotImplemented
 
     def __mul__(self, other):
@@ -282,38 +318,6 @@ class Cyc:
             n, D = -n, -D
         return Cyc._reduced(order, tuple(D * c for c in P), n)
 
-    def __truediv__(self, other):
-        if isinstance(other, Cyc):
-            self._same_order(other)
-            return self * other.inverse()
-        if is_rational(other):
-            n, d = other.numerator, other.denominator
-            if not n:
-                raise ZeroDivisionError("division of cyclotomic element by "
-                                        "zero")
-            if n < 0:
-                n, d = -n, -d
-            return Cyc._reduced(self.order, tuple(a * d for a in self.N),
-                                self.D * n)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if is_rational(other):
-            return self.inverse() * other
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Cyc.const(self.order, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, Cyc):
             self._same_order(other)
@@ -335,7 +339,7 @@ class Cyc:
         return " + ".join(terms) if terms else "0"
 
 
-class QuadExt:
+class QuadExt(_Ring):
     """Element a + b*s of the quadratic extension Q(s) with s^2 = p.
 
     Used in generic mode, where p = q/t is a rational that is not a perfect
@@ -413,27 +417,8 @@ class QuadExt:
     def __neg__(self):
         return QuadExt._make(self.F, -self.A, -self.B, self.D)
 
-    def __sub__(self, other):
-        if isinstance(other, QuadExt):
-            self._same_field(other)
-            D1, D2 = self.D, other.D
-            if D1 == D2:
-                return QuadExt._reduced(self.F, self.A - other.A,
-                                        self.B - other.B, D1)
-            return QuadExt._reduced(self.F, self.A * D2 - other.A * D1,
-                                    self.B * D2 - other.B * D1, D1 * D2)
-        if is_rational(other):
-            n, d = other.numerator, other.denominator
-            return QuadExt._reduced(self.F, self.A * d - n * self.D,
-                                    self.B * d, self.D * d)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if is_rational(other):
-            n, d = other.numerator, other.denominator
-            return QuadExt._reduced(self.F, n * self.D - self.A * d,
-                                    -self.B * d, self.D * d)
-        return NotImplemented
+    def _one(self) -> "QuadExt":
+        return QuadExt._make(self.F, 1, 0, 1)
 
     def __mul__(self, other):
         if isinstance(other, QuadExt):
@@ -458,36 +443,6 @@ class QuadExt:
         if n < 0:
             D, n = -D, -n
         return QuadExt._reduced(self.F, D * A, -D * B, n)
-
-    def __truediv__(self, other):
-        if is_rational(other):
-            n, d = other.numerator, other.denominator
-            if not n:
-                raise ZeroDivisionError("division of Q(s) element by zero")
-            if n < 0:
-                n, d = -n, -d
-            return QuadExt._reduced(self.F, self.A * d, self.B * d,
-                                    self.D * n)
-        if isinstance(other, QuadExt):
-            return self * other.inverse()
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if is_rational(other):
-            return self.inverse() * other
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QuadExt._make(self.F, 1, 0, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
@@ -572,7 +527,7 @@ def _slot_nonzero(r) -> bool:
     return bool(r) if type(r) is int else any(r)
 
 
-class HbarSeries:
+class HbarSeries(_Ring):
     """Truncated power series in hbar: coefficients for exponents 0..trunc-1
     are known exactly, everything from hbar^trunc on is unknown.
 
@@ -746,6 +701,11 @@ class HbarSeries:
             -r if type(r) is int else tuple(-x for x in r)
             for r in self.rows), self.D, self.trunc)
 
+    def _one(self) -> "HbarSeries":
+        return HbarSeries.const(RAT_ONE, self.trunc)
+
+    # kept rather than derived: a difference is one `_plus` with a sign, and
+    # a rational or Cyc operand is taken on either side
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -847,6 +807,8 @@ class HbarSeries:
         return HbarSeries(inverse_coeffs(coeffs, scalar_inv(coeffs[0]),
                                          RAT_ZERO), self.trunc)
 
+    # kept rather than derived: a series divisor is first shifted by its
+    # valuation, and a Cyc divides on either side
     def __truediv__(self, other):
         if is_rational(other) or isinstance(other, Cyc):
             return self * scalar_inv(other)
@@ -864,18 +826,6 @@ class HbarSeries:
         if o is None:
             return NotImplemented
         return o / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = HbarSeries.const(RAT_ONE, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def exp(self) -> "HbarSeries":
         coeffs = self.coeffs
@@ -901,5 +851,5 @@ class HbarSeries:
 
 def scalar_inv(x):
     if is_rational(x):
-        return 1 / RAT(x)
+        return RAT(x.denominator, x.numerator)
     return x.inverse()

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .context import ScalarCtx
 from .exact import HbarSeries
 from .fock import HighestWeight
-from .relations import CheckRecord
+from .report import CheckRecord
 from .structfn import f_series, g_series, gamma_ladder
 from .wcurrents import WInsertion, current_block, mode_engine, \
     w_mode_matrix_element

@@ -14,10 +14,9 @@ at z1 = u z2 to the (n, m) mode equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .context import ScalarCtx
 from .fock import HighestWeight
+from .report import CheckRecord
 from .series import rational_reconstruct
 from .structfn import f_series, gamma_ladder
 from .wcurrents import (WInsertion, composite_no_mode, pinned_mode_value,
@@ -29,27 +28,6 @@ def delta_mode_weight(ctx: ScalarCtx, u_sexp: int, n: int):
     """The factor that delta(u z2/z1) contributes to the coefficient of
     z1^{-n}: u^n, with u = s^{u_sexp}."""
     return ctx.s_pow(u_sexp * n)
-
-
-STATUSES = ("pass", "fail", "inconclusive")
-
-
-@dataclass
-class CheckRecord:
-    suite: str
-    case: str
-    status: str                 # one of STATUSES
-    detail: str = ""
-    assumptions: tuple = ()
-    truncations: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.status not in STATUSES:
-            raise ValueError(f"unknown check status {self.status!r}")
-
-    @property
-    def ok(self):
-        return self.status == "pass"
 
 
 ZERO_MODES_CENTRAL = "zero modes central"

@@ -3,8 +3,29 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
+
+STATUSES = ("pass", "fail", "inconclusive")
+
+
+@dataclass
+class CheckRecord:
+    suite: str
+    case: str
+    status: str                 # one of STATUSES
+    detail: str = ""
+    assumptions: tuple = ()
+    truncations: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.status not in STATUSES:
+            raise ValueError(f"unknown check status {self.status!r}")
+
+    @property
+    def ok(self):
+        return self.status == "pass"
 
 
 class Report:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import RAT_ZERO, HbarSeries, exp_coeffs, is_rational
+from .exact import RAT_ZERO, HbarSeries, exp_coeffs
 
 
 class WindowError(ValueError):
@@ -119,12 +119,6 @@ class LaurentWindow:
             return NotImplemented
         return self + (-other)
 
-    def scale(self, scalar) -> "LaurentWindow":
-        if not scalar and not isinstance(scalar, HbarSeries):
-            return LaurentWindow(self.vars, {}, self.bounds, self.zero)
-        return LaurentWindow(self.vars, {e: c * scalar for e, c in self.coeffs.items()},
-                             self.bounds, self.zero)
-
     # -- multiplication with window shrink ------------------------------------
 
     def __mul__(self, other):
@@ -221,15 +215,14 @@ def series_exp(x: LaurentWindow) -> LaurentWindow:
     g = _taylor_list(x, "series_exp")
     if x.coeffs.get((0,), x.zero):
         raise ValueError("series_exp needs zero constant term")
-    one = 1 if is_rational(x.zero) else x.zero + 1
-    return LaurentWindow.taylor(x.vars[0], exp_coeffs(g, [one], x.zero),
-                                x.zero)
+    return LaurentWindow.taylor(x.vars[0],
+                                exp_coeffs(g, [x.zero + 1], x.zero), x.zero)
 
 
 def geometric_factor(var, c, exponent, order, zero=RAT_ZERO) -> LaurentWindow:
     """(1 - c*x)^exponent as a window on [0, order] (exponent any integer)."""
     if exponent >= 0:
-        coeffs = {(0,): 1 if is_rational(zero) else zero + 1}
+        coeffs = {(0,): zero + 1}
         binom = 1
         power = None
         for k in range(1, min(exponent, order) + 1):
@@ -241,7 +234,7 @@ def geometric_factor(var, c, exponent, order, zero=RAT_ZERO) -> LaurentWindow:
                              [VarBound(0, exponent if hard_top else order, True, hard_top)], zero)
     # negative exponent: product of geometric series
     m = -exponent
-    coeffs = {(0,): 1 if is_rational(zero) else zero + 1}
+    coeffs = {(0,): zero + 1}
     binom = 1
     power = None
     for k in range(1, order + 1):

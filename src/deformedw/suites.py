@@ -13,9 +13,10 @@ from .exact import RAT, rat
 from .fock import HighestWeight
 from .limits import (verify_correlator_order, verify_limit_I_appendix,
                      verify_limit_II_relation)
-from .relations import (CheckRecord, cross_check_w2_route,
-                        order_reversal_check, verify_fusion, verify_nowwj,
-                        verify_poles, verify_w1wj, verify_w2wj, verify_wiwj)
+from .relations import (cross_check_w2_route, order_reversal_check,
+                        verify_fusion, verify_nowwj, verify_poles,
+                        verify_w1wj, verify_w2wj, verify_wiwj)
+from .report import CheckRecord
 from .structfn import check_f_identities
 from .wcurrents import PREFIX_MEMO
 from .zalg import verify_principal_relations, verify_splitting_consistency
@@ -44,6 +45,10 @@ def _levels(raw):
     return _ints(raw, 1)
 
 
+def _positive(raw):
+    return _int(raw, 1)
+
+
 def _two(chunk):
     parts = chunk.split(",")
     if len(parts) != 2:
@@ -52,11 +57,14 @@ def _two(chunk):
 
 
 def _pairs(raw):
-    """(N, k) pairs from a "N,k; N,k" option, N >= 2."""
+    """(N, k) pairs from a "N,k; N,k" option, N >= 2 and k != 0."""
     out = []
     for chunk in raw.split(";"):
         a, b = _two(chunk)
-        out.append((_int(a, 2), int(b)))
+        N, k = _int(a, 2), int(b)
+        if not k:
+            raise ValueError("a level must be nonzero")
+        out.append((N, k))
     return out
 
 
@@ -97,7 +105,7 @@ _OPTIONS = {
                  "nk_pairs": (_pairs, ((2, 1), (2, 2), (3, 1), (3, 2)))},
     "characters": {"k_values": (_levels, (2, 3, 4)),
                    "cutoff": (_int, 20)},
-    "zeta": {"n_values": (_ranks, (2, 3, 4, 5)), "order_m": (_int, 6),
+    "zeta": {"n_values": (_ranks, (2, 3, 4, 5)), "order_m": (_positive, 6),
              "points": _POINTS},
 }
 
@@ -117,7 +125,28 @@ def _options(name, cfg):
         except ValueError as exc:
             raise ValueError(f"[{name}] {key} = {raw!r}: "
                              f"{' '.join(str(exc).split())}") from None
+    if name == "poles":
+        _check_poles_order(cfg, out)
     return out
+
+
+# the (i, j) pairs of the poles suite
+_POLE_PAIRS = ((1, 1), (1, 2), (2, 2))
+
+
+def _check_poles_order(cfg, o):
+    """verify_poles reconstructs a denominator of degree deg = 2*min(i, N-j)
+    from `order` >= 4*deg + 2 coefficients; a rule over two keys, so it is
+    checked once both are parsed."""
+    need = 4 * max([2 * min(i, N - j) for N in o["n_values"]
+                    for i, j in _POLE_PAIRS], default=0) + 2
+    if o["order"] < need:
+        shown = [f"{key} = {str(cfg[key])!r}" if key in cfg
+                 else f"{key} = {o[key]} (default)"
+                 for key in ("order", "n_values")]
+        raise ValueError(f"[poles] {' with '.join(shown)}: order must be at "
+                         f"least {need} for these ranks (4*deg + 2, "
+                         f"deg = 2*min(i, N - j))")
 
 
 def check_options(name, cfg):
@@ -202,7 +231,7 @@ def suite_poles(cfg):
     for point in o["points"]:
         for N in ns:
             ctx = _gctx(N, point)
-            for (i, j) in ((1, 1), (1, 2), (2, 2)):
+            for (i, j) in _POLE_PAIRS:
                 out.append(verify_poles(ctx, i, j, order=order))
                 out.append(verify_poles(ctx, i, j, order=order,
                                         hw=HighestWeight.generic(ctx)))

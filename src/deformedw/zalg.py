@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exact import Cyc, rat
-from .relations import CheckRecord
+from .report import CheckRecord
 from .series import LaurentWindow, VarBound, series_exp
 from .structfn import g_series
 

@@ -13,6 +13,7 @@ from math import comb
 from .context import ScalarCtx
 from .exact import HbarSeries, RAT, inverse_coeffs, log_coeffs, rat
 from .fock import HighestWeight, hw_eigenvalue_w
+from .report import CheckRecord
 
 
 def bernoulli(m: int):
@@ -125,7 +126,6 @@ def verify_zeta_identity(N: int, i: int, beta, M: int = 6):
     """exp(sum_m a^i_{2m} zeta(1-2m) hbar^{2m}) equals
     (binom(N,i)^{-1} [N choose i]_p)^2 to order hbar^{2M}, for
     beta in {(N+1)/N, N/(N+1)}."""
-    from .relations import CheckRecord
     beta = RAT(beta)
     case = f"N={N}:i={i}:beta={beta}:M={M}"
     allowed = (rat(N + 1, N), rat(N, N + 1))
@@ -151,7 +151,6 @@ def verify_zeta_identity(N: int, i: int, beta, M: int = 6):
 
 def verify_vacuum_eigenvalue(ctx: ScalarCtx, i: int):
     """w^i(vacuum) = [N choose i]_p exactly (generic context)."""
-    from .relations import CheckRecord
     case = f"N={ctx.N}:i={i}:{ctx.describe()}"
     vac = HighestWeight.vacuum(ctx)
     lhs = hw_eigenvalue_w(ctx, vac, i)

@@ -235,6 +235,12 @@ def test_shipped_and_benchmark_configs_pass_the_option_check():
     ("zeta", "points = 3/2,5/3,1"),       # (q, t) points
     ("fusion", "points = 1/0,2"),
     ("poles", "points = 2,-2"),           # degenerate point
+    ("limit2", "nk_pairs = 2,0"),         # level zero
+    ("limit2", "correlator_nk_pairs = 2,0"),
+    ("zalgebra", "nk_pairs = 2,0"),
+    ("zeta", "order_m = 0"),              # order below 1
+    ("poles", "n_values = 4"),            # order 14 too small at N = 4
+    ("poles", "order = 3"),               # too small at every rank
 ])
 def test_verify_bad_option_fails_cleanly(tmp_path, capsys, section, line):
     out_path = tmp_path / "r.json"
@@ -282,3 +288,41 @@ def test_verify_rejects_unknown_section(tmp_path, capsys, section):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert f"[{section}]" in captured.err and str(cfg) in captured.err
     assert captured.out == "" and not out_path.exists()
+
+
+def test_poles_order_message_names_both_keys(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[suites]\npoles = true\n\n[poles]\nn_values = 2 4\n"
+                   "order = 10\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "order = '10' with n_values = '2 4'" in err and "18" in err
+
+
+def test_verify_rejects_non_boolean_suite_flag(tmp_path, capsys):
+    # "ture" used to drop the suite silently and run the others
+    out_path = tmp_path / "r.json"
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(CONFIG.replace("zeta = true", "zeta = ture"))
+    assert main(["verify", "--config", str(cfg),
+                 "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert "[suites] zeta = 'ture'" in captured.err
+    assert captured.out == "" and not out_path.exists()
+
+
+def test_verify_checks_out_path_before_any_suite_runs(tmp_path, capsys,
+                                                      monkeypatch):
+    ran = []
+    monkeypatch.setitem(SUITES, "characters",
+                        (lambda cfg: ran.append(cfg) or [], "stub"))
+    out_path = tmp_path / "nodir" / "x.json"
+    for out in (out_path, tmp_path):
+        assert main(["verify", "--suite", "characters",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert f"--out {str(out)!r}" in captured.err
+        assert captured.out == ""
+    assert not ran and not out_path.parent.exists()

@@ -1,9 +1,11 @@
+import inspect
 import random
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from deformedw import exact
 from deformedw.exact import (Cyc, HbarSeries, QuadExt, RAT, RAT_ZERO,
                              _quad_raw, cyclotomic_poly, exp_coeffs,
                              inverse_coeffs, log_coeffs, rat)
@@ -794,3 +796,24 @@ def test_hbar_mixed_orders_raise(x, y):
             op()
     with pytest.raises(ValueError):
         HbarSeries([Cyc.root(4), Cyc.root(6)], 2)
+
+
+# the one base class and the overrides it allows, each kept for a stated
+# reason (see the override in exact)
+DERIVED_OPS = {
+    "__sub__": {"_Ring", "HbarSeries", "Cyc"},
+    "__rsub__": {"_Ring", "HbarSeries"},
+    "__truediv__": {"_Ring", "HbarSeries"},
+    "__rtruediv__": {"_Ring", "HbarSeries"},
+    "__pow__": {"_Ring"},
+}
+
+
+def test_derived_ring_ops_defined_once():
+    classes = [cls for _, cls in inspect.getmembers(exact, inspect.isclass)
+               if cls.__module__ == exact.__name__]
+    for op, allowed in DERIVED_OPS.items():
+        assert {cls.__name__ for cls in classes if op in vars(cls)} == \
+            allowed, op
+    for x in (Cyc.root(4), QuadExt(1, 1, 2), HbarSeries.hbar(3)):
+        assert isinstance(x, exact._Ring) and not hasattr(x, "__dict__")

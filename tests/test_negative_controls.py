@@ -271,8 +271,12 @@ F_IDENTITIES_CFG = {"n_values": "2 3", "order": "4",
 def doubled_gamma_series(monkeypatch):
     """gamma(s^a z), as the product identities read it, scaled by 2."""
     gamma_series = structfn.gamma_series
-    monkeypatch.setattr(structfn, "gamma_series",
-                        lambda *args: gamma_series(*args).scale(2))
+
+    def doubled(ctx, var, a, order):
+        return gamma_series(ctx, var, a, order) * \
+            LaurentWindow.constant((var,), 2)
+
+    monkeypatch.setattr(structfn, "gamma_series", doubled)
 
 
 def test_f_identities_fail_on_doubled_gamma(doubled_gamma_series):

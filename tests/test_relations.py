@@ -3,12 +3,12 @@ import pytest
 from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from deformedw.exact import rat
 from deformedw.fock import HighestWeight
-from deformedw.relations import (CheckRecord, cross_check_w2_route,
+from deformedw.relations import (cross_check_w2_route,
                                  default_braket_family,
                                  delta_mode_weight, order_reversal_check,
                                  verify_fusion, verify_nowwj, verify_poles,
                                  verify_w1wj, verify_w2wj, verify_wiwj)
-from deformedw.report import Report
+from deformedw.report import CheckRecord, Report
 from deformedw import suites
 from deformedw.suites import suite_poles
 from deformedw.wcurrents import PREFIX_MEMO
