@@ -18,7 +18,7 @@ from .relations import (cross_check_w2_route, order_reversal_check,
                         verify_w1wj, verify_w2wj, verify_wiwj)
 from .report import CheckRecord
 from .structfn import check_f_identities
-from .wcurrents import PREFIX_MEMO
+from .wcurrents import PREFIX_MEMO, STEP_STORE
 from .zalg import verify_principal_relations, verify_splitting_consistency
 from .zeta import log_sinh_identity_holds, verify_zeta_identity, \
     verify_vacuum_eigenvalue, zeta_value
@@ -47,6 +47,17 @@ def _levels(raw):
 
 def _positive(raw):
     return _int(raw, 1)
+
+
+def _at_least_one(why):
+    """Parser of one integer >= 1 for a key whose check has no evidence at
+    0; `why` says what the check compares there."""
+    def parse(raw):
+        v = int(raw)
+        if v < 1:
+            raise ValueError(f"must be at least 1: {why}")
+        return v
+    return parse
 
 
 def _two(chunk):
@@ -88,7 +99,10 @@ _OPTIONS = {
     "relations": {"n_values": (_ranks, (2, 3, 4)), "window_rank1": (_int, 3),
                   "level_rank1": (_int, 3), "window": (_int, 2),
                   "level": (_int, 2), "points": _POINTS},
-    "f-identities": {"n_values": (_ranks, (2, 3, 4)), "order": (_int, 12),
+    "f-identities": {"n_values": (_ranks, (2, 3, 4)),
+                     "order": (_at_least_one(
+                         "at order 0 each identity compares only x^0, where "
+                         "every f and gamma series is 1"), 12),
                      "points": _POINTS},
     "poles": {"n_values": (_ranks, (2, 3)), "order": (_int, 14),
               "points": _POINTS},
@@ -100,11 +114,15 @@ _OPTIONS = {
                "order_x": (_int, 12),
                "correlator_nk_pairs": (_pairs, ((2, 2), (3, 2))),
                "correlator_points": (_int, 4),
-               "correlator_order_x": (_int, 8)},
+               "correlator_order_x": (_at_least_one(
+                   "at order 0 only the zero profile is compared, where an "
+                   "n-point value is the product of n one-point values"), 8)},
     "zalgebra": {"n_values": (_ranks, (2, 3, 4)), "order": (_int, 12),
                  "nk_pairs": (_pairs, ((2, 1), (2, 2), (3, 1), (3, 2)))},
     "characters": {"k_values": (_levels, (2, 3, 4)),
-                   "cutoff": (_int, 20)},
+                   "cutoff": (_at_least_one(
+                       "at cutoff 0 only the leading coefficient is "
+                       "compared, 1 on both sides"), 20)},
     "zeta": {"n_values": (_ranks, (2, 3, 4, 5)), "order_m": (_positive, 6),
              "points": _POINTS},
 }
@@ -127,7 +145,15 @@ def _options(name, cfg):
                              f"{' '.join(str(exc).split())}") from None
     if name == "poles":
         _check_poles_order(cfg, out)
+    if name == "fusion":
+        _check_fusion_window(cfg, out)
     return out
+
+
+def _shown(cfg, o, keys):
+    """The keys of a rule over several keys, as set or as defaulted."""
+    return " with ".join(f"{key} = {str(cfg[key])!r}" if key in cfg
+                         else f"{key} = {o[key]} (default)" for key in keys)
 
 
 # the (i, j) pairs of the poles suite
@@ -141,12 +167,22 @@ def _check_poles_order(cfg, o):
     need = 4 * max([2 * min(i, N - j) for N in o["n_values"]
                     for i, j in _POLE_PAIRS], default=0) + 2
     if o["order"] < need:
-        shown = [f"{key} = {str(cfg[key])!r}" if key in cfg
-                 else f"{key} = {o[key]} (default)"
-                 for key in ("order", "n_values")]
-        raise ValueError(f"[poles] {' with '.join(shown)}: order must be at "
-                         f"least {need} for these ranks (4*deg + 2, "
-                         f"deg = 2*min(i, N - j))")
+        raise ValueError(f"[poles] {_shown(cfg, o, ('order', 'n_values'))}: "
+                         f"order must be at least {need} for these ranks "
+                         f"(4*deg + 2, deg = 2*min(i, N - j))")
+
+
+def _check_fusion_window(cfg, o):
+    """verify_fusion compares a bra/ket pair only at its mode M, the level
+    difference, and only when |M| <= 2*window; over the family up to
+    `level` |M| runs to level, so window >= level/2 compares every pair."""
+    need = (o["level"] + 1) // 2
+    if o["window"] < need:
+        raise ValueError(f"[fusion] {_shown(cfg, o, ('window', 'level'))}: "
+                         f"window must be at least {need} for this level "
+                         f"(2*window >= level), or a bra/ket pair whose "
+                         f"levels differ by more than 2*window compares "
+                         f"nothing")
 
 
 def check_options(name, cfg):
@@ -161,9 +197,11 @@ def _gctx(N, point):
 
 def _case(check, ctx, *args, **kw):
     """One case on a context that later cases share: engines and their
-    value caches stay, the transfer-prefix memo is dropped with the case."""
+    value caches stay, the transfer-prefix memo and the transfer-step store
+    are dropped with the case."""
     rec = check(ctx, *args, **kw)
     ctx.caches.pop(PREFIX_MEMO, None)
+    ctx.caches.pop(STEP_STORE, None)
     return rec
 
 

@@ -106,7 +106,9 @@ def pinned_block(ctx: ScalarCtx, hw: HighestWeight, var: str,
     in the pole-clearing factor (1 - s^{clear_sexp} x).  An option's
     coefficient is the dressed slot-pair product at the pinning times its
     zero modes.  Built once per context and key; a pinning singular for
-    some option raises PoleError at every call."""
+    some option raises PoleError, and the context remembers that as
+    Block(None, key), so every later call raises a fresh PoleError without
+    rebuilding the gamma factors."""
     if rank1 < 0 or rank1 > ctx.N or rank2 < 0 or rank2 > ctx.N:
         return None
     if dress is None:
@@ -115,7 +117,23 @@ def pinned_block(ctx: ScalarCtx, hw: HighestWeight, var: str,
            hw.key())
     block = ctx.caches.get(key)
     if block is not None:
+        if block.options is None:
+            raise PoleError("pinning singular for some option")
         return block
+    try:
+        options = _pinned_options(ctx, hw, rank1, shift1, rank2, shift2,
+                                  dress, clear_sexp)
+    except PoleError:
+        # the exception itself is not kept: its traceback holds the context
+        ctx.caches[key] = Block(None, key)
+        raise
+    block = ctx.caches[key] = Block(options, key)
+    return block
+
+
+def _pinned_options(ctx, hw, rank1, shift1, rank2, shift2, dress,
+                    clear_sexp):
+    """The options of pinned_block; PoleError if some option is singular."""
     pinexp = shift2 - shift1
     options = []
     for J1 in _subsets(ctx.N, rank1):
@@ -134,10 +152,7 @@ def pinned_block(ctx: ScalarCtx, hw: HighestWeight, var: str,
             for f in J2:
                 zm = zm * zero_mode(ctx, hw, f)
             options.append((coeff * zm, s1 + s2))
-    if not options:
-        options = [(ctx.zero, ())]
-    block = ctx.caches[key] = Block(options, key)
-    return block
+    return options or [(ctx.zero, ())]
 
 
 def _pair_kernel(ctx: ScalarCtx, slotsA, slotsB, order: int):
@@ -181,9 +196,11 @@ def _pair_kernel(ctx: ScalarCtx, slotsA, slotsB, order: int):
     return coeffs
 
 
-# ctx.caches key of the transfer states shared by every engine of a context;
-# suites drop it after each case to bound its size
+# ctx.caches keys of the transfer states and of the transfer steps that every
+# engine of a context shares; suites drop both after each case to bound their
+# size
 PREFIX_MEMO = "ME-prefix"
+STEP_STORE = "ME-step"
 
 
 class ModeEngine:
@@ -207,29 +224,42 @@ class ModeEngine:
     for a gamma-product resummation per option), the engines ("ME", per
     block assembly and dress), the pair kernels ("KB", one tuple per slot
     list pair, read at every landing) and the log-kernel coefficient lists
-    ("f", "K") they are built from.  Two caches sit in the engine itself:
-    PREFIX_MEMO, the states behind every block but the last, shared by every
-    engine of the context under (prefix_keys[c], profile[:c+1]), so a
-    profile resumes from the deepest prefix any engine has absorbed; and
-    value_cache, the value per profile, since the relation checks ask the
-    same profile of one engine many times (45 % of the calls of the seed-0
-    perfbench relations config).  Without either one, `verify` on that
-    config took about 1.5x as long.  Nothing below the blocks is cached.  The engine keeps no context: value takes it at each
-    call, so nothing in ctx.caches refers back to it.
+    ("f", "K") they are built from.  Below the blocks, two caches are shared
+    by every engine of the context and dropped by the suites after each
+    case.  PREFIX_MEMO holds the states behind every block but the last,
+    under (prefix_keys[c], profile[:c+1]), so a profile resumes from the
+    deepest prefix any engine has absorbed.  STEP_STORE holds the transfer
+    steps: what a state feeds into the next block depends only on the block,
+    the state, that gap's budget and the dress on it, not on the state's
+    weight, so _step builds it once per case as parallel tuples (new-state
+    keys, factors) and a visit costs one mul and one add per entry.  The
+    store interns the new-state keys, so each is held once.  The engine
+    itself keeps value_cache, the value per profile, since the relation
+    checks ask the same profile of one engine many times (45 % of the calls
+    of the seed-0 perfbench relations config).  Without the memo or the
+    value cache, `verify` on that config took about 1.5x as long.  The
+    engine keeps no context: value takes it at each call, so nothing in
+    ctx.caches refers back to it.
 
     Every product and sum runs on the context's raw kernel ctx.raw =
     (lift, mul, add, norm, drop): bare integer triples over Q(s) with no
     gcd and no object per operation (exact._quad_raw), the scalars and
-    their operators in the hbar limits, so all rings take this one path
-    with today's association.  The engine lifts its option coefficients
-    once, with the lift `mode_engine` passes, and keeps them in place of
-    the blocks; f-weight coefficients are lifted where a landing pattern
-    takes them, and kernel coefficients come raw from _pair_kernel.  Each
-    pattern's product is taken left to right from the option's weight.
-    Each new state's weight is normalized once when its block finishes,
-    which bounds the integers across blocks; a weight that cancelled (norm
-    gives None) is dropped, and the memo holds the normalized states.  The
-    total is dropped back to a canonical scalar once per profile.
+    their operators in the hbar limits, so all rings take this one path.
+    The engine lifts its option coefficients once, with the lift
+    `mode_engine` passes, and keeps them in place of the blocks; f-weight
+    coefficients are lifted where a landing pattern takes them, and kernel
+    coefficients come raw from _pair_kernel.  A step's factor is an
+    option's coefficient times its landing kernel coefficients and its
+    f-weight factor, taken left to right.  Over Q(s) the factors of one new
+    state are summed inside the step and normalized once, which is exact;
+    in the hbar limits, whose truncation follows valuations, they stay
+    unmerged and in the order of the options and patterns, so a state's
+    weight meets the same products as option by option, associated as
+    weight * (coefficient * kernels).  Each new state's weight is normalized
+    once when its block finishes, which bounds the integers across blocks;
+    a weight that cancelled (norm gives None) is dropped, and the memo holds
+    the normalized states.  The total is dropped back to a canonical scalar
+    once per profile.
     """
 
     def __init__(self, blocks, lift, dress=None):
@@ -241,6 +271,10 @@ class ModeEngine:
         self.gaps = len(blocks) - 1
         self.dress = dress
         self.value_cache = {}
+        # everything a step of block c depends on besides state and budget:
+        # the block and the f^{i,j} on its gap
+        self.step_keys = [(block.key, dress[1:] if dress and dress[0] == c
+                           else None) for c, block in enumerate(blocks)]
         # everything the state after block c depends on, except the profile:
         # prefix_keys[c] names blocks[:c+1] and the dress once it is behind
         prefix = ()
@@ -260,6 +294,7 @@ class ModeEngine:
         lift, mul, add, norm, drop = ctx.raw
         # state: sorted tuple of open flows (slots, units)
         memo = ctx.caches.setdefault(PREFIX_MEMO, {})
+        steps, keys = ctx.caches.setdefault(STEP_STORE, ({}, {}))
         start, states = 0, {(): lift(ctx.one)}
         for c in range(self.gaps - 1, -1, -1):
             hit = memo.get((self.prefix_keys[c], profile[:c + 1]))
@@ -268,31 +303,17 @@ class ModeEngine:
                 break
         for c in range(start, len(self.options)):
             budget = profile[c] if c < self.gaps else 0
+            at = self.step_keys[c]
             new_states = {}
             for state, weight in states.items():
-                patterns = {}
-                for coeff, slots in self.options[c]:
-                    has_slots = bool(slots)
-                    if has_slots not in patterns:
-                        patterns[has_slots] = self._landing_patterns(
-                            state, c, budget, has_slots, ctx)
-                    first = mul(weight, coeff)
-                    for factors, rest, free in patterns[has_slots]:
-                        acc = first
-                        for sslots, fac in factors:
-                            if sslots is not None:
-                                # a landing: fac is its unit count
-                                fac = _pair_kernel(ctx, sslots, slots,
-                                                   fac)[fac]
-                                if not fac:
-                                    break
-                            acc = mul(acc, fac)
-                        else:
-                            key = rest if not free else tuple(sorted(
-                                rest + ((slots, free),)))
-                            old = new_states.get(key)
-                            new_states[key] = acc if old is None \
-                                else add(old, acc)
+                step = steps.get((at, state, budget))
+                if step is None:
+                    step = steps[(at, state, budget)] = \
+                        self._step(c, state, budget, ctx, keys)
+                for key, fac in zip(*step):
+                    acc = mul(weight, fac)
+                    old = new_states.get(key)
+                    new_states[key] = acc if old is None else add(old, acc)
             # one gcd per state; a raw weight that cancelled is dropped
             states = {}
             for key, weight in new_states.items():
@@ -307,6 +328,50 @@ class ModeEngine:
             total = weight if total is None else add(total, weight)
         total = self.value_cache[profile] = drop(total)
         return total
+
+    def _step(self, c, state, budget, ctx, keys):
+        """What `state` feeds into block c at this budget: parallel tuples
+        (new-state keys, raw factors), the keys interned in `keys`.
+
+        Per option and landing pattern, in that order, the factor is the
+        option's coefficient times the pattern's kernel coefficients and
+        f-weight factor; a pattern whose kernel coefficient vanishes gives
+        none.  Over Q(s) (ctx.mode generic) the factors of one key are summed
+        and normalized once, and a sum that cancelled is dropped; in the
+        hbar limits every factor stays an entry of its own."""
+        _, mul, add, norm, _ = ctx.raw
+        entries = []
+        patterns = {}
+        for coeff, slots in self.options[c]:
+            has_slots = bool(slots)
+            if has_slots not in patterns:
+                patterns[has_slots] = self._landing_patterns(
+                    state, c, budget, has_slots, ctx)
+            for factors, rest, free in patterns[has_slots]:
+                acc = coeff
+                for sslots, fac in factors:
+                    if sslots is not None:
+                        # a landing: fac is its unit count
+                        fac = _pair_kernel(ctx, sslots, slots, fac)[fac]
+                        if not fac:
+                            break
+                    acc = mul(acc, fac)
+                else:
+                    key = rest if not free else tuple(sorted(
+                        rest + ((slots, free),)))
+                    entries.append((key, acc))
+        if ctx.mode == "generic":
+            merged = {}
+            for key, acc in entries:
+                old = merged.get(key)
+                merged[key] = acc if old is None else add(old, acc)
+            entries = []
+            for key, acc in merged.items():
+                acc = norm(acc)
+                if acc is not None:
+                    entries.append((key, acc))
+        return (tuple(keys.setdefault(key, key) for key, _ in entries),
+                tuple(fac for _, fac in entries))
 
     def _landing_patterns(self, state, c, budget, has_slots, ctx):
         """The ways the open flows of `state` continue through block c, in

@@ -241,6 +241,10 @@ def test_shipped_and_benchmark_configs_pass_the_option_check():
     ("zeta", "order_m = 0"),              # order below 1
     ("poles", "n_values = 4"),            # order 14 too small at N = 4
     ("poles", "order = 3"),               # too small at every rank
+    ("characters", "cutoff = 0"),         # compares the leading 1 alone
+    ("f-identities", "order = 0"),        # compares x^0 alone, 1 = 1
+    ("limit2", "correlator_order_x = 0"),  # only products of 1-point values
+    ("fusion", "window = 0"),             # skips pairs at the default level
 ])
 def test_verify_bad_option_fails_cleanly(tmp_path, capsys, section, line):
     out_path = tmp_path / "r.json"

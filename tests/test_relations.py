@@ -11,7 +11,7 @@ from deformedw.relations import (cross_check_w2_route,
 from deformedw.report import CheckRecord, Report
 from deformedw import suites
 from deformedw.suites import suite_poles
-from deformedw.wcurrents import PREFIX_MEMO
+from deformedw.wcurrents import PREFIX_MEMO, STEP_STORE
 from oracles import delta_window
 
 
@@ -168,3 +168,25 @@ def test_prefix_memo_lives_for_one_case(monkeypatch):
                                    "level": "1"})
     assert recs and all(r.status == "pass" for r in recs)
     assert made and all(PREFIX_MEMO not in c.caches for c in made)
+
+
+def test_step_store_lives_for_one_case(monkeypatch):
+    # the transfer steps are dropped with the case, as the prefix memo is
+    ctx = ctx_n(3)
+    rec = suites._case(verify_wiwj, ctx, 1, 2, window=1, level=1)
+    assert rec.status == "pass"
+    assert STEP_STORE not in ctx.caches
+    assert verify_wiwj(ctx, 1, 2, window=1, level=2).status == "pass"
+    assert ctx.caches[STEP_STORE][0]
+
+    made = []
+    gctx = suites._gctx
+    monkeypatch.setattr(suites, "_gctx",
+                        lambda N, point: made.append(gctx(N, point)) or made[-1])
+    small = {"n_values": "3", "window": "1", "level": "1",
+             "points": "3/2,5/3"}
+    for recs in (suites.suite_relations(dict(small, window_rank1="1",
+                                             level_rank1="1")),
+                 suites.suite_fusion(small)):
+        assert recs and all(r.status == "pass" for r in recs)
+    assert made and all(STEP_STORE not in c.caches for c in made)

@@ -15,8 +15,8 @@ from deformedw.limits import verify_correlator_order, \
 from deformedw.relations import default_braket_family, verify_fusion, \
     verify_nowwj, verify_wiwj
 from deformedw.structfn import PoleError, gamma_at
-from deformedw.wcurrents import (PREFIX_MEMO, WInsertion, _pair_kernel,
-                                 block_slots, composite_no_mode,
+from deformedw.wcurrents import (PREFIX_MEMO, STEP_STORE, WInsertion,
+                                 _pair_kernel, block_slots, composite_no_mode,
                                  current_block, mode_engine, mode_profile,
                                  pinned_block, pinned_mode_value,
                                  pinned_mode_value_resummed,
@@ -223,6 +223,64 @@ def test_prefix_memo_shared_across_weights_matches_fresh_contexts():
                                           [nm])[nm]
             assert got == want
     assert ctx.caches[PREFIX_MEMO]
+
+
+def test_step_store_matches_fresh_contexts():
+    # dressed and undressed engines on the same blocks interleaved on one
+    # context share transfer steps; every value must equal the one computed
+    # alone on a fresh context, whose store holds only its own steps
+    ctx = ctx_n(3)
+    hw = HighestWeight.generic(ctx)
+    bra, ket = [(1, 2)], [(1, 1), (2, 1)]
+    nms = [(n, m) for n in range(-2, 3) for m in range(-1, 4)]
+    for nm in nms:
+        for dress in (None, (1, 2), None, (2, 1)):
+            got = two_current_mode_table(ctx, hw, bra, (1, 0), (2, 1), ket,
+                                         dress, [nm])[nm]
+            fresh = ctx_n(3)
+            want = two_current_mode_table(fresh, HighestWeight.generic(fresh),
+                                          bra, (1, 0), (2, 1), ket, dress,
+                                          [nm])[nm]
+            assert got == want, (nm, dress)
+    steps, keys = ctx.caches[STEP_STORE]
+    assert steps and keys
+    # over Q(s) the factors of one new state are merged: each key once per
+    # step, each factor a reduced nonzero raw triple, each key the interned
+    # one
+    for new_keys, factors in steps.values():
+        assert len(set(new_keys)) == len(new_keys) == len(factors)
+        assert all(keys[key] is key for key in new_keys)
+        for A, B, D in factors:
+            assert (A or B) and D > 0 and gcd(A, B, D) == 1
+
+
+# limit II engine values of <W^1(z0) W^1(z1) W^1(z2)> at the vacuum, taken
+# before the step store: ((N, level), profile) -> (trunc, rows, D) of the
+# stored series.  Summing a step's factors per new state, as over Q(s),
+# would raise the truncation of the first four from 3 to 4.
+LIMIT2_GOLDEN = {
+    ((2, 3), (1, 0)): (3, (0, 0, 0), 1),
+    ((2, 3), (2, 0)): (3, (0, 0, (0, 0)), 1),
+    ((3, 1), (1, 0)): (3, (0, 0, 0), 1),
+    ((3, 1), (2, 0)): (3, (0, 0, 0), 1),
+    ((2, 3), (0, 2)): (4, (0, (0, 0), (0, 0), (0, 6)), 1),
+}
+
+
+def test_limit2_engine_values_keep_their_truncation():
+    for (N, level), prof in LIMIT2_GOLDEN:
+        ctx = ScalarCtx.limit2(N, level, trunc=4)
+        hw = HighestWeight.vacuum(ctx)
+        eng = mode_engine(ctx, [current_block(ctx, hw, WInsertion(1, f"z{a}"))
+                                for a in range(3)])
+        val = eng.value(prof, ctx)
+        assert (val.trunc, val.rows, val.D) == \
+            LIMIT2_GOLDEN[((N, level), prof)], (N, level, prof)
+    # in the hbar limits a step keeps one entry per option and pattern, so
+    # a new state can repeat within one step
+    steps, _ = ctx.caches[STEP_STORE]
+    assert any(len(set(new_keys)) < len(new_keys)
+               for new_keys, _ in steps.values())
 
 
 def test_prefix_memo_weights_are_reduced():
@@ -447,9 +505,37 @@ def test_pinned_block_is_built_once_per_context():
     assert pinned_block(ctx, hw, "z", 1, 4, 1, 0) is not blk
 
 
+def test_singular_pinning_is_remembered(monkeypatch):
+    # a pinning singular for some option raises at every call, but its
+    # gamma factors are built once per context
+    ctx = ctx_n(4)
+    hw = HighestWeight.generic(ctx)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return dressed_pin_factors(*args)
+
+    dressed_pin_factors = wcurrents.dressed_pin_factors
+    monkeypatch.setattr(wcurrents, "dressed_pin_factors", counted)
+    for _ in range(3):
+        with pytest.raises(PoleError):
+            pinned_block(ctx, hw, "z", 1, 1, 3, 1, dress=(1, 3))
+        built = len(calls)
+        assert built
+    assert len(calls) == built
+    [key] = [k for k in ctx.caches if k[0] == "pin"]
+    assert ctx.caches[key].options is None
+    # the resummed route still gives the element
+    spec = {"ranks_shifts": (1, 1, 3, 1), "dress": (1, 3)}
+    assert pinned_mode_value(ctx, hw, [(1, 1)], spec, [(1, 1)], 0) == \
+        pinned_mode_value_resummed(ctx, hw, [(1, 1)], spec, [(1, 1)], 0)
+
+
 def test_context_caches_hold_one_entry_kind_per_quantity():
-    # blocks, engines, pair kernels, log-kernel lists and the prefix memo;
-    # nothing below the block (zero modes, pinned values) is cached
+    # blocks, engines, pair kernels, log-kernel lists, the prefix memo and
+    # the step store; nothing else below the block (zero modes, pinned
+    # values) is cached
     ctx = ctx_n(3)
     for check in REFCOUNT_CASES["generic"][1]:
         assert check(ctx).status == "pass"
@@ -459,8 +545,10 @@ def test_context_caches_hold_one_entry_kind_per_quantity():
                                 "dress": (1, 2)}, [(1, 1)], 0)
     two_current_mode_table(ctx, HighestWeight.generic(ctx), [], (0, 0),
                            (1, 0), [(1, 1)], None, [(0, -1)])
-    kinds = {key if key == PREFIX_MEMO else key[0] for key in ctx.caches}
-    assert kinds == {"W", "const", "pin", "ME", "KB", "f", "K", PREFIX_MEMO}
+    kinds = {key if key in (PREFIX_MEMO, STEP_STORE) else key[0]
+             for key in ctx.caches}
+    assert kinds == {"W", "const", "pin", "ME", "KB", "f", "K", PREFIX_MEMO,
+                     STEP_STORE}
     assert all(type(v) is wcurrents.Block for k, v in ctx.caches.items()
                if k[0] in ("W", "const", "pin"))
 
