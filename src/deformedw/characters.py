@@ -85,11 +85,7 @@ class QSeries:
         return self.coeffs.get(int(key), RAT(0))
 
     def __eq__(self, other):
-        a, b = self._align(other)
-        cutoff = min(a.cutoff, b.cutoff)
-        keys = {k for k in a.coeffs if k < cutoff} | \
-            {k for k in b.coeffs if k < cutoff}
-        return all(a.coeffs.get(k, 0) == b.coeffs.get(k, 0) for k in keys)
+        return _first_difference(self, other) is None
 
     def __repr__(self):
         bits = []
@@ -178,11 +174,12 @@ def verify_char_identity(k: int, j, cutoff=20):
     s = j + rat(k + 2, 2)
     rhs = rocha_caridi(2, k + 2, 1, s, cutoff).shift(pref)
     note = "" if k % 2 else "non-coprime labels (formal identity)"
-    if lhs == rhs:
+    # a difference at exponent 0 is falsy, so test for None
+    diff = _first_difference(lhs, rhs)
+    if diff is None:
         return CheckRecord("characters", case, "pass", note)
     return CheckRecord("characters", case, "fail",
-                       "first difference at exponent "
-                       f"{_first_difference(lhs, rhs)}")
+                       f"first difference at exponent {diff}")
 
 
 def _first_difference(a: QSeries, b: QSeries):

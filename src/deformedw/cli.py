@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from contextlib import ExitStack
 
 from .context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from .exact import Cyc, RAT
@@ -40,20 +41,14 @@ def load_config(path):
 def run_suites(names, cp, jobs=1):
     report = Report()
     timings = {}
-    tasks = [(name, dict(cp[name]) if cp.has_section(name) else {})
-             for name in names]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {name: pool.submit(_run_one, name, cfg)
-                       for name, cfg in tasks}
-            for name, _ in tasks:
-                recs, ms = futures[name].result()
-                report.extend(recs)
-                timings[name] = ms
-    else:
-        for name, cfg in tasks:
-            recs, ms = _run_one(name, cfg)
+    cfgs = [dict(cp[name]) if cp.has_section(name) else {} for name in names]
+    with ExitStack() as stack:
+        run = map
+        if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            run = pool.map
+        for name, (recs, ms) in zip(names, run(_run_one, names, cfgs)):
             report.extend(recs)
             timings[name] = ms
     return report, timings

@@ -21,8 +21,7 @@ from .exact import HbarSeries
 from .fock import HighestWeight
 from .report import CheckRecord
 from .structfn import f_series, g_series, gamma_ladder
-from .wcurrents import WInsertion, current_block, mode_engine, \
-    w_mode_matrix_element
+from .wcurrents import current_block, mode_engine, w_mode_matrix_element
 from .zeta import p_binomial
 
 
@@ -217,9 +216,7 @@ def verify_correlator_order(ctx: ScalarCtx, n_points: int, order_x: int = 8,
     if hw is None:
         hw = HighestWeight.vacuum(ctx)
     case = f"N={ctx.N}:k={ctx.level}:n={n_points}:x<={order_x}"
-    blocks = [current_block(ctx, hw, WInsertion(1, f"z{a}"))
-              for a in range(n_points)]
-    eng = mode_engine(ctx, blocks)
+    eng = mode_engine(ctx, [current_block(ctx, hw, 1)] * n_points)
     from itertools import product as iproduct
     profiles = [prof for prof in iproduct(range(order_x + 1),
                                           repeat=n_points - 1)

@@ -58,6 +58,14 @@ def lhs_mode_table(ctx, hw, i, j, bra, ket, nm_list):
     return {nm: t1[nm] - t2[(nm[1], nm[0])] for nm in nm_list}
 
 
+def delta_pin(i: int, j: int, k: int, sign: int):
+    """The pinning of the k-th delta term of the (i, j) relation at
+    delta(p^{sign((j-i)/2+k)} z2/z1): the content
+    f^{i-k,j+k}(p^{(j-i)/2}) W^{i-k}(p^{-k/2} z1) W^{j+k}(p^{k/2} z2) at
+    z1 = s^{sign((j-i)+2k)} z2, as the tuple of pinned_block's arguments."""
+    return (i - k, sign * (j - i + k), j + k, sign * k, (i - k, j + k), None)
+
+
 def rhs_mode_table(ctx, hw, i, j, bra, ket, nm_list):
     """The delta-term side of the general quadratic relation (k-sum over
     pinned dressed pairs) in mode form."""
@@ -69,16 +77,9 @@ def rhs_mode_table(ctx, hw, i, j, bra, ket, nm_list):
         if j + k > N:
             continue
         coeff = -(pref * gamma_ladder(ctx, k))
-        # delta(p^{(j-i)/2+k} z2/z1): content W^{i-k}(p^{-k/2}z1) W^{j+k}(p^{k/2}z2)
-        # pinned shifts: z1 = s^{(j-i)+2k} z2
-        plus = {M: pinned_mode_value(
-            ctx, hw, bra,
-            {"ranks_shifts": (i - k, (j - i) + k, j + k, k),
-             "dress": (i - k, j + k)}, ket, M) for M in modes}
-        minus = {M: pinned_mode_value(
-            ctx, hw, bra,
-            {"ranks_shifts": (i - k, -(j - i) - k, j + k, -k),
-             "dress": (i - k, j + k)}, ket, M) for M in modes}
+        plus, minus = ({M: pinned_mode_value(ctx, hw, bra,
+                                             delta_pin(i, j, k, sign), ket, M)
+                        for M in modes} for sign in (1, -1))
         for n, m in nm_list:
             M = n + m
             term = delta_mode_weight(ctx, (j - i) + 2 * k, n) * plus[M] \
@@ -250,9 +251,8 @@ def verify_nowwj(ctx: ScalarCtx, i: int, j: int, r_sexp: int,
 
     def sides(bra, ket, modes):
         [M] = modes
-        lhs = pinned_mode_value(
-            ctx, hw, bra,
-            {"ranks_shifts": (i, r_sexp, j, 0), "dress": (i, j)}, ket, M)
+        lhs = pinned_mode_value(ctx, hw, bra, (i, r_sexp, j, 0, (i, j), None),
+                                ket, M)
         rhs = composite_no_mode(ctx, hw, i, j, r_sexp, M, bra, ket)
         for k in range(1, i + 1):
             if j + k > N:
@@ -260,14 +260,9 @@ def verify_nowwj(ctx: ScalarCtx, i: int, j: int, r_sexp: int,
             lad = gamma_ladder(ctx, k)
             den_m = 1 - ctx.s_pow(r_sexp - (j - i) - 2 * k)
             den_p = 1 - ctx.s_pow(r_sexp + (j - i) + 2 * k)
-            plus = pinned_mode_value(
-                ctx, hw, bra,
-                {"ranks_shifts": (i - k, (j - i + k), j + k, k),
-                 "dress": (i - k, j + k)}, ket, M)
-            minus = pinned_mode_value(
-                ctx, hw, bra,
-                {"ranks_shifts": (i - k, -(j - i + k), j + k, -k),
-                 "dress": (i - k, j + k)}, ket, M)
+            plus, minus = (pinned_mode_value(ctx, hw, bra,
+                                             delta_pin(i, j, k, sign), ket, M)
+                           for sign in (1, -1))
             rhs = rhs + pref * lad * (plus / den_m - minus / den_p)
         return {M: lhs}, {M: rhs}
 
@@ -292,10 +287,10 @@ def verify_fusion(ctx: ScalarCtx, i: int, j: int, window: int = 2,
     case = f"N={N}:i={i}:j={j}:w={window}:L={level}:{ctx.describe()}"
     pref = ctx.prefactor()
 
-    def run_side(pinned_spec, rhs_coeff, rhs_rank, rhs_shift, label):
+    def run_side(pin, rhs_coeff, rhs_rank, rhs_shift, label):
         def sides(bra, ket, modes):
             [M] = modes
-            lhs = pinned_mode_value(ctx, hw, bra, pinned_spec, ket, M)
+            lhs = pinned_mode_value(ctx, hw, bra, pin, ket, M)
             if rhs_rank < 0 or rhs_rank > N:
                 rhs = ctx.zero
             else:
@@ -309,9 +304,8 @@ def verify_fusion(ctx: ScalarCtx, i: int, j: int, window: int = 2,
     if 1 <= j <= N:
         for sign in (1, -1):
             # pinned: z1 = s^{sign(j+1)} z2; clear factor (1 - s^{sign(j+1)} z2/z1)
-            spec = {"ranks_shifts": (1, sign * (j + 1), j, 0),
-                    "dress": (1, j), "clear_sexp": sign * (j + 1)}
-            rec = run_side(spec, -sign * pref, j + 1, sign,
+            pin = (1, sign * (j + 1), j, 0, (1, j), sign * (j + 1))
+            rec = run_side(pin, -sign * pref, j + 1, sign,
                            f"rank1:sign={sign:+d}")
             if not rec.ok:
                 return rec
@@ -320,13 +314,12 @@ def verify_fusion(ctx: ScalarCtx, i: int, j: int, window: int = 2,
         for sign in (1, -1):
             # ordered W^j(z2) W^i(z1), pinned z2 = s^{-sign(j+i)} z1,
             # clear factor (1 - s^{-sign(j+i)} z1/z2)
-            spec = {"ranks_shifts": (j, -sign * (j + i), i, 0),
-                    "dress": (j, i), "clear_sexp": -sign * (j + i)}
+            pin = (j, -sign * (j + i), i, 0, (j, i), -sign * (j + i))
             # with i = 0 the delta sum is empty, the product has no pole at
             # the fusion point, and the cleared limit vanishes identically
             coeff = ctx.zero if i == 0 else \
                 sign * pref * gamma_ladder(ctx, i)
-            rec = run_side(spec, coeff, j + i, -sign * j,
+            rec = run_side(pin, coeff, j + i, -sign * j,
                            f"general:sign={sign:+d}")
             if not rec.ok:
                 return rec
@@ -391,19 +384,14 @@ def order_reversal_check(ctx: ScalarCtx, i: int, j: int, window: int = 2,
         hw = HighestWeight.generic(ctx)
     case = f"N={N}:i={i}:j={j}:{ctx.describe()}"
     for k in range(1, min(i, N - j) + 1):
-        a, b = i - k, j + k
+        fwd = delta_pin(i, j, k, 1)
+        a, sa, b, sb, dress, clear = fwd
+        rev = (b, sb, a, sa, dress[::-1], clear)
 
         def sides(bra, ket, modes):
             [M] = modes
-            fwd = pinned_mode_value(
-                ctx, hw, bra,
-                {"ranks_shifts": (a, (j - i) + k, b, k), "dress": (a, b)},
-                ket, M)
-            rev = pinned_mode_value(
-                ctx, hw, bra,
-                {"ranks_shifts": (b, k, a, (j - i) + k), "dress": (b, a)},
-                ket, M)
-            return {M: fwd}, {M: rev}
+            return ({M: pinned_mode_value(ctx, hw, bra, fwd, ket, M)},
+                    {M: pinned_mode_value(ctx, hw, bra, rev, ket, M)})
         rec = _sweep("reversal", f"{case}:k={k}", _balanced_mode, window,
                      level, ("fwd", "rev"), sides)
         if not rec.ok:

@@ -145,8 +145,8 @@ def _options(name, cfg):
                              f"{' '.join(str(exc).split())}") from None
     if name == "poles":
         _check_poles_order(cfg, out)
-    if name == "fusion":
-        _check_fusion_window(cfg, out)
+    for window, level in _WINDOWS.get(name, ()):
+        _check_window(name, cfg, out, window, level)
     return out
 
 
@@ -172,17 +172,24 @@ def _check_poles_order(cfg, o):
                          f"(4*deg + 2, deg = 2*min(i, N - j))")
 
 
-def _check_fusion_window(cfg, o):
-    """verify_fusion compares a bra/ket pair only at its mode M, the level
-    difference, and only when |M| <= 2*window; over the family up to
-    `level` |M| runs to level, so window >= level/2 compares every pair."""
-    need = (o["level"] + 1) // 2
-    if o["window"] < need:
-        raise ValueError(f"[fusion] {_shown(cfg, o, ('window', 'level'))}: "
-                         f"window must be at least {need} for this level "
-                         f"(2*window >= level), or a bra/ket pair whose "
-                         f"levels differ by more than 2*window compares "
-                         f"nothing")
+# per suite, the (window, level) key pairs of its bra/ket sweeps
+_WINDOWS = {"relations": (("window_rank1", "level_rank1"),
+                          ("window", "level")),
+            "fusion": (("window", "level"),)}
+
+
+def _check_window(name, cfg, o, window, level):
+    """A sweep compares a bra/ket pair only at modes whose sum, the level
+    difference, is at most 2*window in size; over the family up to `level`
+    that difference runs to level, so window >= level/2 compares every
+    pair."""
+    need = (o[level] + 1) // 2
+    if o[window] < need:
+        raise ValueError(f"[{name}] {_shown(cfg, o, (window, level))}: "
+                         f"{window} must be at least {need} for this "
+                         f"{level} (2*{window} >= {level}), or a bra/ket "
+                         f"pair whose levels differ by more than 2*{window} "
+                         f"compares nothing")
 
 
 def check_options(name, cfg):

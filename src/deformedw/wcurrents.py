@@ -51,7 +51,7 @@ def block_slots(rank: int, base_shift: int, flavors):
 
 class Block:
     """One insertion point: a list of (coefficient, slots) alternatives,
-    named by its ctx.caches key."""
+    named by its ctx.caches key, which is its content."""
 
     __slots__ = ("options", "key")
 
@@ -60,25 +60,29 @@ class Block:
         self.key = key
 
 
-def current_block(ctx: ScalarCtx, hw: HighestWeight, w: WInsertion):
-    """Block for one W-current, built once per context and key; None
-    encodes the zero current."""
-    if w.rank < 0 or w.rank > ctx.N:
+def _zero_modes(ctx: ScalarCtx, hw: HighestWeight, flavors):
+    """Product of the flavors' zero-mode eigenvalues, folded from ctx.one in
+    flavor order."""
+    out = ctx.one
+    for f in flavors:
+        out = out * zero_mode(ctx, hw, f)
+    return out
+
+
+def current_block(ctx: ScalarCtx, hw: HighestWeight, rank: int,
+                  sshift: int = 0):
+    """Block of the rank-`rank` current at s^sshift times its point, built
+    once per context; None encodes the zero current."""
+    if rank < 0 or rank > ctx.N:
         return None
-    const = w.rank == 0 or w.rank == ctx.N
-    key = ("const", w.var) if const else \
-        ("W", w.rank, w.var, w.sshift, hw.key())
-    block = ctx.caches.get(key)
-    if block is not None:
-        return block
-    options = []
     # the constant current has no oscillator content and eigenvalue 1
-    for J in [()] if const else _subsets(ctx.N, w.rank):
-        coeff = ctx.one
-        for f in J:
-            coeff = coeff * zero_mode(ctx, hw, f)
-        options.append((coeff, block_slots(w.rank, w.sshift, J)))
-    block = ctx.caches[key] = Block(options, key)
+    const = rank == 0 or rank == ctx.N
+    key = ("const",) if const else ("W", rank, sshift, hw.key())
+    block = ctx.caches.get(key)
+    if block is None:
+        block = ctx.caches[key] = Block(
+            [(_zero_modes(ctx, hw, J), block_slots(rank, sshift, J))
+             for J in ([()] if const else _subsets(ctx.N, rank))], key)
     return block
 
 
@@ -95,64 +99,56 @@ def dressed_pin_factors(ctx: ScalarCtx, dress, slots1, slots2,
     return lk.resum(ctx.N)
 
 
-def pinned_block(ctx: ScalarCtx, hw: HighestWeight, var: str,
-                 rank1: int, shift1: int, rank2: int, shift2: int,
-                 dress=None, clear_sexp=None):
-    """Two currents pinned to proportional arguments s^{shift1} var and
-    s^{shift2} var, dressed with the structure function f^{dress} evaluated at
-    the pinned ratio.  This is the exact realization of a delta-term content
-    f^{a,b}(p^c) W^a(..) W^b(..), of the left side of the normal-ordering
-    rewrite, and (with clear_sexp) of a fusion limit: clear_sexp multiplies
-    in the pole-clearing factor (1 - s^{clear_sexp} x).  An option's
-    coefficient is the dressed slot-pair product at the pinning times its
-    zero modes.  Built once per context and key; a pinning singular for
-    some option raises PoleError, and the context remembers that as
-    Block(None, key), so every later call raises a fresh PoleError without
-    rebuilding the gamma factors."""
+def pinned_block(ctx: ScalarCtx, hw: HighestWeight, rank1: int, shift1: int,
+                 rank2: int, shift2: int, dress=None, clear_sexp=None):
+    """Two currents pinned to proportional arguments s^{shift1} z and
+    s^{shift2} z, dressed with the structure function f^{dress} (default
+    (rank1, rank2)) evaluated at the pinned ratio.  This is the exact
+    realization of a delta-term content f^{a,b}(p^c) W^a(..) W^b(..), of the
+    left side of the normal-ordering rewrite, and (with clear_sexp) of a
+    fusion limit: clear_sexp multiplies in the pole-clearing factor
+    (1 - s^{clear_sexp} x).  A pinning is the tuple of these arguments after
+    hw.  An option's coefficient is the dressed slot-pair product at the
+    pinning times its zero modes.  Built once per context; a pinning
+    singular for some option raises PoleError, and the context remembers
+    that as Block(None, key), so every later call raises a fresh PoleError
+    without rebuilding the gamma factors."""
     if rank1 < 0 or rank1 > ctx.N or rank2 < 0 or rank2 > ctx.N:
         return None
-    if dress is None:
-        dress = (rank1, rank2)
-    key = ("pin", rank1, shift1, rank2, shift2, dress, clear_sexp, var,
-           hw.key())
+    pin = (rank1, shift1, rank2, shift2, dress or (rank1, rank2), clear_sexp)
+    key = ("pin",) + pin + (hw.key(),)
     block = ctx.caches.get(key)
     if block is not None:
         if block.options is None:
             raise PoleError("pinning singular for some option")
         return block
+    options = []
     try:
-        options = _pinned_options(ctx, hw, rank1, shift1, rank2, shift2,
-                                  dress, clear_sexp)
+        for s1, s2, gf, zm in _pin_options(ctx, hw, pin):
+            coeff = gf.value(ctx, 0) if clear_sexp is None else \
+                gf.cleared_value(ctx, 0, ("s", clear_sexp + shift2 - shift1))
+            if coeff:
+                options.append((coeff * zm, s1 + s2))
     except PoleError:
         # the exception itself is not kept: its traceback holds the context
         ctx.caches[key] = Block(None, key)
         raise
-    block = ctx.caches[key] = Block(options, key)
+    block = ctx.caches[key] = Block(options or [(ctx.zero, ())], key)
     return block
 
 
-def _pinned_options(ctx, hw, rank1, shift1, rank2, shift2, dress,
-                    clear_sexp):
-    """The options of pinned_block; PoleError if some option is singular."""
-    pinexp = shift2 - shift1
-    options = []
+def _pin_options(ctx, hw, pin):
+    """Per flavor-subset pair of the pinning, in order: its two slot lists,
+    the gamma factors of the dressed pair and the zero-mode product."""
+    rank1, shift1, rank2, shift2, dress, _ = pin
+    dress = dress or (rank1, rank2)
     for J1 in _subsets(ctx.N, rank1):
         s1 = block_slots(rank1, shift1, J1)
-        zm1 = ctx.one
-        for f in J1:
-            zm1 = zm1 * zero_mode(ctx, hw, f)
         for J2 in _subsets(ctx.N, rank2):
             s2 = block_slots(rank2, shift2, J2)
-            gf = dressed_pin_factors(ctx, dress, s1, s2, pinexp)
-            coeff = gf.value(ctx, 0) if clear_sexp is None else \
-                gf.cleared_value(ctx, 0, ("s", clear_sexp + pinexp))
-            if not coeff:
-                continue
-            zm = zm1
-            for f in J2:
-                zm = zm * zero_mode(ctx, hw, f)
-            options.append((coeff * zm, s1 + s2))
-    return options or [(ctx.zero, ())]
+            yield (s1, s2, dressed_pin_factors(ctx, dress, s1, s2,
+                                               shift2 - shift1),
+                   _zero_modes(ctx, hw, J1 + J2))
 
 
 def _pair_kernel(ctx: ScalarCtx, slotsA, slotsB, order: int):
@@ -219,26 +215,17 @@ class ModeEngine:
     block takes yw of its own units with the Taylor coefficient f_yw; those
     units open no flow, since f depends on that one ratio alone.
 
-    Caches, one per quantity.  ctx.caches holds the blocks (current_block,
-    pinned_block: each is built once per context, and a pinned block pays
-    for a gamma-product resummation per option), the engines ("ME", per
-    block assembly and dress), the pair kernels ("KB", one tuple per slot
-    list pair, read at every landing) and the log-kernel coefficient lists
-    ("f", "K") they are built from.  Below the blocks, two caches are shared
-    by every engine of the context and dropped by the suites after each
-    case.  PREFIX_MEMO holds the states behind every block but the last,
-    under (prefix_keys[c], profile[:c+1]), so a profile resumes from the
-    deepest prefix any engine has absorbed.  STEP_STORE holds the transfer
-    steps: what a state feeds into the next block depends only on the block,
-    the state, that gap's budget and the dress on it, not on the state's
-    weight, so _step builds it once per case as parallel tuples (new-state
-    keys, factors) and a visit costs one mul and one add per entry.  The
-    store interns the new-state keys, so each is held once.  The engine
-    itself keeps value_cache, the value per profile, since the relation
-    checks ask the same profile of one engine many times (45 % of the calls
-    of the seed-0 perfbench relations config).  Without the memo or the
-    value cache, `verify` on that config took about 1.5x as long.  The
-    engine keeps no context: value takes it at each call, so nothing in
+    Caches.  Blocks, engines ("ME") and pair kernels ("KB") live in
+    ctx.caches for the context; blocks are keyed by content, so engines on
+    equal blocks share every entry below.  Two caches are shared by every
+    engine and dropped by the suites after each case: PREFIX_MEMO holds the
+    states behind every block but the last, so a profile resumes from the
+    deepest prefix any engine has absorbed, and STEP_STORE the transfer
+    steps, since what a state feeds into the next block does not depend on
+    the state's weight.  value_cache keeps the value per profile, which the
+    relation checks ask of one engine many times.  Without the memo or the
+    value cache, `verify` on the seed-0 perfbench relations config took
+    about 1.5x as long.  The engine keeps no context, so nothing in
     ctx.caches refers back to it.
 
     Every product and sum runs on the context's raw kernel ctx.raw =
@@ -479,9 +466,13 @@ def mode_profile(bra, mid_exps, ket):
     return tuple(prof)
 
 
-def _aux_blocks(ctx, hw, modes, prefix):
-    return [current_block(ctx, hw, WInsertion(r, f"{prefix}{k}", 0))
-            for k, (r, _) in enumerate(modes)]
+def _sandwich(ctx, hw, bra, middle, ket, dress=None):
+    """The engine on the bra's current blocks, the middle blocks and the
+    ket's; dress (i, j) weights the gap behind the first middle block."""
+    blocks = [current_block(ctx, hw, r) for r, _ in bra] + middle + \
+        [current_block(ctx, hw, r) for r, _ in ket]
+    return mode_engine(ctx, blocks,
+                       None if dress is None else (len(bra), *dress))
 
 
 def two_current_mode_table(ctx: ScalarCtx, hw: HighestWeight, bra,
@@ -491,14 +482,11 @@ def two_current_mode_table(ctx: ScalarCtx, hw: HighestWeight, bra,
     current points. Returns {(n, m): scalar}; missing keys are exact zeros."""
     r1, a1 = first
     r2, a2 = second
-    b1 = current_block(ctx, hw, WInsertion(r1, "zA", a1))
-    b2 = current_block(ctx, hw, WInsertion(r2, "zB", a2))
+    b1 = current_block(ctx, hw, r1, a1)
+    b2 = current_block(ctx, hw, r2, a2)
     if b1 is None or b2 is None:
         return {nm: ctx.zero for nm in nm_list}
-    blocks = _aux_blocks(ctx, hw, bra, "b") + [b1, b2] + \
-        _aux_blocks(ctx, hw, ket, "k")
-    eng = mode_engine(ctx, blocks,
-                      None if dress is None else (len(bra), *dress))
+    eng = _sandwich(ctx, hw, bra, [b1, b2], ket, dress)
     out = {}
     for n, m in nm_list:
         prof = mode_profile(bra, (-n, -m), ket)
@@ -506,10 +494,11 @@ def two_current_mode_table(ctx: ScalarCtx, hw: HighestWeight, bra,
     return out
 
 
-def pinned_mode_value(ctx: ScalarCtx, hw: HighestWeight, bra, pinned, ket,
+def pinned_mode_value(ctx: ScalarCtx, hw: HighestWeight, bra, pin, ket,
                       total_mode: int):
     """Matrix element of the z-mode `total_mode` of a pinned dressed pair
-    (see pinned_block) between bra/ket monomials.
+    between bra/ket monomials; pin is the pinning (rank1, shift1, rank2,
+    shift2, dress, clear_sexp) of pinned_block.
 
     The per-option gamma closed form is used when every option is regular at
     the pinning; when an individual option is singular there (the regularity
@@ -517,19 +506,20 @@ def pinned_mode_value(ctx: ScalarCtx, hw: HighestWeight, bra, pinned, ket,
     back to exact resummation of the unpinned mode series against the known
     denominator."""
     try:
-        blk = pinned_block(ctx, hw, "z", *pinned["ranks_shifts"],
-                           dress=pinned.get("dress"),
-                           clear_sexp=pinned.get("clear_sexp"))
+        blk = pinned_block(ctx, hw, *pin)
     except PoleError:
-        return pinned_mode_value_resummed(ctx, hw, bra, pinned, ket, total_mode)
+        return pinned_mode_value_resummed(ctx, hw, bra, pin, ket, total_mode)
+    return _middle_mode_value(ctx, hw, bra, blk, ket, total_mode)
+
+
+def _middle_mode_value(ctx, hw, bra, blk, ket, total_mode):
+    """z-mode `total_mode` of the one block blk between bra and ket."""
     if blk is None:
         return ctx.zero
-    blocks = _aux_blocks(ctx, hw, bra, "b") + [blk] + \
-        _aux_blocks(ctx, hw, ket, "k")
     prof = mode_profile(bra, (-total_mode,), ket)
     if prof is None:
         return ctx.zero
-    return mode_engine(ctx, blocks).value(prof, ctx)
+    return _sandwich(ctx, hw, bra, [blk], ket).value(prof, ctx)
 
 
 def _poly_mul_factor(ctx, poly, c, exponent):
@@ -541,7 +531,7 @@ def _poly_mul_factor(ctx, poly, c, exponent):
     return poly
 
 
-def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
+def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pin,
                                ket, total_mode: int):
     """Pinned dressed pair via exact resummation.
 
@@ -555,33 +545,23 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
     contradict the regularity of the full product and raises), and the
     result is evaluated.
     """
-    r1, sh1, r2, sh2 = pinned["ranks_shifts"]
-    dress = pinned.get("dress") or (r1, r2)
-    clearing = pinned.get("clear_sexp") is not None
+    r1, _, r2, _, _, clear_sexp = pin
+    clearing = clear_sexp is not None
     if r1 < 0 or r1 > ctx.N or r2 < 0 or r2 > ctx.N:
         return ctx.zero
-    pinexp = sh2 - sh1
     braSum = sum(h for _, h in bra)
     ketSum = sum(k for _, k in ket)
     ext_deg = braSum + ketSum
     drop = ctx.raw[4]
-    options = []
+    options = list(_pin_options(ctx, hw, pin))
     denom = {}
-    for J1 in _subsets(ctx.N, r1):
-        s1 = block_slots(r1, sh1, J1)
-        for J2 in _subsets(ctx.N, r2):
-            s2 = block_slots(r2, sh2, J2)
-            gf = dressed_pin_factors(ctx, dress, s1, s2, pinexp)
-            options.append((s1, s2, gf))
-            for fkey, mult in gf.factors.items():
-                if mult < 0:
-                    denom[fkey] = max(denom.get(fkey, 0), -mult)
+    for _, _, gf, _ in options:
+        for fkey, mult in gf.factors.items():
+            if mult < 0:
+                denom[fkey] = max(denom.get(fkey, 0), -mult)
     helper = GammaFactors()
     P = [ctx.zero]
-    for s1, s2, gf in options:
-        zm = ctx.one
-        for f, _ in s1 + s2:
-            zm = zm * zero_mode(ctx, hw, f)
+    for s1, s2, gf, zm in options:
         # the option's rational function times D: a polynomial
         numpoly = [zm]
         for fkey, mult in sorted(gf.factors.items()):
@@ -595,11 +575,9 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
                 numpoly = _poly_mul_factor(ctx, numpoly,
                                            helper.base(ctx, fkey), mult)
         # external contraction polynomial: E[g] = V[g] - sum_l K[l] E[g-l]
-        b1 = Block([(ctx.one, s1)], ("fix", s1, "zA"))
-        b2 = Block([(ctx.one, s2)], ("fix", s2, "zB"))
-        blocks = _aux_blocks(ctx, hw, bra, "b") + [b1, b2] + \
-            _aux_blocks(ctx, hw, ket, "k")
-        eng = mode_engine(ctx, blocks)
+        eng = _sandwich(ctx, hw, bra, [Block([(ctx.one, s1)], ("fix", s1)),
+                                       Block([(ctx.one, s2)], ("fix", s2))],
+                        ket)
         K = [drop(k) for k in _pair_kernel(ctx, s1, s2, ext_deg)]
         E = []
         for g in range(ext_deg + 1):
@@ -659,10 +637,9 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pinned,
 
 
 def single_current_mode_value(ctx, hw, bra, rank, sshift, ket, total_mode):
-    return pinned_mode_value(ctx, hw, bra,
-                             {"ranks_shifts": (0, 0, rank, sshift),
-                              "dress": (0, rank)},
-                             ket, total_mode)
+    """z-mode `total_mode` of W^rank(s^sshift z) between bra/ket monomials."""
+    blk = current_block(ctx, hw, rank, sshift)
+    return _middle_mode_value(ctx, hw, bra, blk, ket, total_mode)
 
 
 def w_mode_matrix_element(ctx: ScalarCtx, hw: HighestWeight, bra, ket):
@@ -681,8 +658,7 @@ def w_mode_matrix_element(ctx: ScalarCtx, hw: HighestWeight, bra, ket):
     prof = mode_profile(bra, (), kets)
     if prof is None:
         return ctx.zero
-    blocks = _aux_blocks(ctx, hw, bra, "b") + _aux_blocks(ctx, hw, kets, "k")
-    return mode_engine(ctx, blocks).value(prof, ctx)
+    return _sandwich(ctx, hw, bra, [], kets).value(prof, ctx)
 
 
 def composite_no_mode(ctx: ScalarCtx, hw: HighestWeight, i: int, j: int,

@@ -1,12 +1,14 @@
 import configparser
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from deformedw import cli
 from deformedw.cli import main, stray_sections
 from deformedw.suites import SUITES, check_options
 
@@ -153,8 +155,12 @@ def test_dump_matches_golden_output(capsys, args, golden):
 
 
 def test_console_entry_point():
+    # the subprocess imports the package the tests import, installed or not
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "deformedw.cli",
-                           "list-suites"], capture_output=True, text=True)
+                           "list-suites"], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0
     assert "characters" in proc.stdout
 
@@ -245,6 +251,8 @@ def test_shipped_and_benchmark_configs_pass_the_option_check():
     ("f-identities", "order = 0"),        # compares x^0 alone, 1 = 1
     ("limit2", "correlator_order_x = 0"),  # only products of 1-point values
     ("fusion", "window = 0"),             # skips pairs at the default level
+    ("relations", "window = 0"),          # the same floor, per key pair
+    ("relations", "window_rank1 = 1"),    # below level_rank1 = 3 / 2
 ])
 def test_verify_bad_option_fails_cleanly(tmp_path, capsys, section, line):
     out_path = tmp_path / "r.json"

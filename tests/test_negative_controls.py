@@ -134,9 +134,9 @@ def doubled_reversed_pair(monkeypatch):
     b > a) that the relations read, scaled by 2."""
     pinned = relations.pinned_mode_value
 
-    def mutated(ctx, hw, bra, spec, ket, M):
-        val = pinned(ctx, hw, bra, spec, ket, M)
-        a, b = spec["dress"]
+    def mutated(ctx, hw, bra, pin, ket, M):
+        val = pinned(ctx, hw, bra, pin, ket, M)
+        a, b = pin[4]
         return 2 * val if a > b else val
 
     monkeypatch.setattr(relations, "pinned_mode_value", mutated)
@@ -155,6 +155,40 @@ def test_order_reversal_fails_on_doubled_reversed_pair(doubled_reversed_pair,
 def test_order_reversal_passes_unmutated(N, i, j):
     ctx = ScalarCtx.generic(N, *RELATION_POINT)
     rec = relations.order_reversal_check(ctx, i, j)
+    assert rec.status == "pass", rec.detail
+
+
+# the general side of fusion, (N, i, j) at window and level 1; with i = 2 its
+# coefficient A gamma(p^{3/2}) reads a gamma ladder with one factor
+FUSION_GENERAL_CASES = [(4, 2, 2), (5, 2, 3)]
+
+
+@pytest.fixture
+def short_gamma_ladder(monkeypatch):
+    """The gamma ladder prod_{l=1}^{k-1} gamma(p^{l+1/2}), as the relations
+    read it, without its last factor."""
+    ladder = relations.gamma_ladder
+    monkeypatch.setattr(relations, "gamma_ladder",
+                        lambda ctx, k: ladder(ctx, k - 1))
+
+
+def _fusion_record(N, i, j):
+    ctx = ScalarCtx.generic(N, *RELATION_POINT)
+    return relations.verify_fusion(ctx, i, j, window=1, level=1)
+
+
+@pytest.mark.parametrize("N,i,j", FUSION_GENERAL_CASES)
+def test_fusion_general_side_fails_on_short_gamma_ladder(short_gamma_ladder,
+                                                         N, i, j):
+    rec = _fusion_record(N, i, j)
+    assert rec.status == "fail", rec.detail
+    assert rec.case.endswith(":general:sign=+1"), rec.case
+    assert " lhs=" in rec.detail and " rhs=" in rec.detail, rec.detail
+
+
+@pytest.mark.parametrize("N,i,j", FUSION_GENERAL_CASES)
+def test_fusion_general_side_passes_unmutated(N, i, j):
+    rec = _fusion_record(N, i, j)
     assert rec.status == "pass", rec.detail
 
 

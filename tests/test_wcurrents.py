@@ -12,8 +12,8 @@ from deformedw.fock import HighestWeight, hw_eigenvalue_w, kernel_coeffs, \
 from deformedw.exact import RAT, HbarSeries, QuadExt, rat
 from deformedw.limits import verify_correlator_order, \
     verify_limit_I_appendix
-from deformedw.relations import default_braket_family, verify_fusion, \
-    verify_nowwj, verify_wiwj
+from deformedw.relations import default_braket_family, delta_pin, \
+    verify_fusion, verify_nowwj, verify_w1wj, verify_wiwj
 from deformedw.structfn import PoleError, gamma_at
 from deformedw.wcurrents import (PREFIX_MEMO, STEP_STORE, WInsertion,
                                  _pair_kernel, block_slots, composite_no_mode,
@@ -79,8 +79,8 @@ def test_mode_engine_matches_w_correlator():
             win = w_correlator(ctx, hw,
                                [WInsertion(i, "z1", 1), WInsertion(j, "z2", -1)],
                                [5])
-            blocks = [current_block(ctx, hw, WInsertion(i, "z1", 1)),
-                      current_block(ctx, hw, WInsertion(j, "z2", -1))]
+            blocks = [current_block(ctx, hw, i, 1),
+                      current_block(ctx, hw, j, -1)]
             eng = mode_engine(ctx, blocks)
             for ell in range(6):
                 assert win.coefficient((ell,)) == eng.value((ell,), ctx)
@@ -117,7 +117,7 @@ def test_mode_window_object():
     ctx = ctx_n(2)
     hw = HighestWeight.generic(ctx)
     inserts = [WInsertion(1, "z1"), WInsertion(1, "z2")]
-    eng = mode_engine(ctx, [current_block(ctx, hw, w) for w in inserts])
+    eng = mode_engine(ctx, [current_block(ctx, hw, 1)] * 2)
     # two-point function: the mode (-n, n) matches the correlator, and an
     # unbalanced mode pair has no profile
     ref = w_correlator(ctx, hw, inserts, [3])
@@ -150,15 +150,21 @@ def test_two_current_mode_table_vs_explicit_mode_sum():
 
 
 def test_pinned_block_const_dressing():
-    # rank-0 content: the pinned pair degenerates to a single current
-    ctx = ctx_n(2)
+    # rank-0 content: the pinned pair degenerates to a single current, so the
+    # pinned route is the oracle of the single-current block
+    ctx = ctx_n(3)
     hw = HighestWeight.generic(ctx)
-    for M in (-2, -1, 0, 1, 2):
-        a = pinned_mode_value(ctx, hw, [(1, 2)],
-                              {"ranks_shifts": (0, 0, 1, 1), "dress": (0, 1)},
-                              [(1, -2)], M)
-        b = single_current_mode_value(ctx, hw, [(1, 2)], 1, 1, [(1, -2)], M)
-        assert a == b
+    family = default_braket_family(2)
+    for rank in range(-1, ctx.N + 2):
+        for sshift in (-2, 0, 1, 2):
+            pin = (0, 0, rank, sshift, (0, rank), None)
+            for bra in family:
+                for ket in family:
+                    for M in (-1, 0, 1):
+                        assert single_current_mode_value(
+                            ctx, hw, bra, rank, sshift, ket, M) == \
+                            pinned_mode_value(ctx, hw, bra, pin, ket, M), \
+                            (rank, sshift, bra, ket, M)
 
 
 def test_composite_no_mode_rank0_is_identity():
@@ -200,7 +206,7 @@ def test_pinned_dressed_value_matches_pade_route():
             x = ctx.s_pow(pin)
             nv = sum((c * x ** k for k, c in enumerate(num)), ctx.zero)
             dv = sum((c * x ** k for k, c in enumerate(den)), ctx.zero)
-            blk = pinned_block(ctx, hw, "z", 1, -pin, 1, 0, dress=(1, 1))
+            blk = pinned_block(ctx, hw, 1, -pin, 1, 0, dress=(1, 1))
             total = sum((c for c, _ in blk.options), ctx.zero)
             assert total == nv / dv
 
@@ -271,8 +277,7 @@ def test_limit2_engine_values_keep_their_truncation():
     for (N, level), prof in LIMIT2_GOLDEN:
         ctx = ScalarCtx.limit2(N, level, trunc=4)
         hw = HighestWeight.vacuum(ctx)
-        eng = mode_engine(ctx, [current_block(ctx, hw, WInsertion(1, f"z{a}"))
-                                for a in range(3)])
+        eng = mode_engine(ctx, [current_block(ctx, hw, 1)] * 3)
         val = eng.value(prof, ctx)
         assert (val.trunc, val.rows, val.D) == \
             LIMIT2_GOLDEN[((N, level), prof)], (N, level, prof)
@@ -313,7 +318,7 @@ def _engine_values(ctx):
     for dress in (None, (1, 2)):
         out += two_current_mode_table(ctx, hw, bra, (1, 0), (2, 1), ket,
                                       dress, nms).values()
-    pinned = {"ranks_shifts": (1, 1, 2, 0), "dress": (1, 2)}
+    pinned = (1, 1, 2, 0, (1, 2), None)
     for M in (-1, 0, 1, 2):
         out.append(pinned_mode_value(ctx, hw, [(1, 1)], pinned, [(1, 1)], M))
     out.append(w_mode_matrix_element(ctx, hw, [(1, 1), (2, 1)],
@@ -350,7 +355,7 @@ def test_prefix_memo_shared_across_pair_exclusions_matches_fresh_contexts():
     N = 4
     bra, ket = [(1, 1)], [(1, 1)]
     ctx = ctx_n(N)
-    pinned = {"ranks_shifts": (1, 1, 3, 1), "dress": (1, 3)}
+    pinned = (1, 1, 3, 1, (1, 3), None)
     for M in (-1, 0, 1):
         got = pinned_mode_value_resummed(ctx, HighestWeight.generic(ctx),
                                          bra, pinned, ket, M)
@@ -368,16 +373,14 @@ def _pinned_specs(N):
         for j in range(i, N + 1):
             for k in range(1, min(i, N - j) + 1):
                 for sign in (1, -1):
-                    specs.append({"ranks_shifts": (i - k, sign * (j - i + k),
-                                                   j + k, sign * k),
-                                  "dress": (i - k, j + k)})
+                    specs.append(delta_pin(i, j, k, sign))
             for sign in (1, -1):
-                specs.append({"ranks_shifts": (j, -sign * (j + i), i, 0),
-                              "dress": (j, i), "clear_sexp": -sign * (j + i)})
+                specs.append((j, -sign * (j + i), i, 0, (j, i),
+                              -sign * (j + i)))
         if i >= 1:
             for sign in (1, -1):
-                specs.append({"ranks_shifts": (1, sign * (i + 1), i, 0),
-                              "dress": (1, i), "clear_sexp": sign * (i + 1)})
+                specs.append((1, sign * (i + 1), i, 0, (1, i),
+                              sign * (i + 1)))
     return specs
 
 
@@ -392,9 +395,7 @@ def test_resummed_route_matches_closed_form(N):
     checked = 0
     for spec in _pinned_specs(N):
         try:
-            pinned_block(ctx, hw, "z", *spec["ranks_shifts"],
-                         dress=spec["dress"],
-                         clear_sexp=spec.get("clear_sexp"))
+            pinned_block(ctx, hw, *spec)
         except PoleError:
             continue
         for bra in family:
@@ -498,11 +499,36 @@ def test_second_identical_table_builds_no_block(monkeypatch):
 def test_pinned_block_is_built_once_per_context():
     ctx = ctx_n(3)
     hw = HighestWeight.generic(ctx)
-    blk = pinned_block(ctx, hw, "z", 1, -4, 1, 0, dress=(1, 1))
-    assert pinned_block(ctx, hw, "z", 1, -4, 1, 0, dress=(1, 1)) is blk
+    blk = pinned_block(ctx, hw, 1, -4, 1, 0, dress=(1, 1))
+    assert pinned_block(ctx, hw, 1, -4, 1, 0, dress=(1, 1)) is blk
     # the default dress (rank1, rank2) names the same block
-    assert pinned_block(ctx, hw, "z", 1, -4, 1, 0) is blk
-    assert pinned_block(ctx, hw, "z", 1, 4, 1, 0) is not blk
+    assert pinned_block(ctx, hw, 1, -4, 1, 0) is blk
+    assert pinned_block(ctx, hw, 1, 4, 1, 0) is not blk
+
+
+def _key_strings(key):
+    """Every string inside a ctx.caches key, however deeply nested."""
+    if isinstance(key, str):
+        return {key}
+    if isinstance(key, tuple):
+        return set().union(*map(_key_strings, key))
+    return set()
+
+
+def test_blocks_are_keyed_by_content():
+    # no cache key names an insertion point, so the bra and ket blocks of
+    # one rank are one cached object
+    ctx = ctx_n(3)
+    hw = HighestWeight.generic(ctx)
+    assert verify_w1wj(ctx, 2, window=1, level=1).status == "pass"
+    assert set().union(*map(_key_strings, ctx.caches)) <= \
+        {"W", "const", "pin", "ME", "KB", "f", "K", PREFIX_MEMO, STEP_STORE,
+         hw.key()}
+    [rank1] = [key for key in ctx.caches
+               if key[0] == "W" and key[1:3] == (1, 0)]
+    assert current_block(ctx, hw, 1) is ctx.caches[rank1]
+    assert any(len(key[1]) > 2 and key[1][0] == key[1][-1] == rank1
+               for key in ctx.caches if key[0] == "ME")
 
 
 def test_singular_pinning_is_remembered(monkeypatch):
@@ -520,14 +546,14 @@ def test_singular_pinning_is_remembered(monkeypatch):
     monkeypatch.setattr(wcurrents, "dressed_pin_factors", counted)
     for _ in range(3):
         with pytest.raises(PoleError):
-            pinned_block(ctx, hw, "z", 1, 1, 3, 1, dress=(1, 3))
+            pinned_block(ctx, hw, 1, 1, 3, 1, dress=(1, 3))
         built = len(calls)
         assert built
     assert len(calls) == built
     [key] = [k for k in ctx.caches if k[0] == "pin"]
     assert ctx.caches[key].options is None
     # the resummed route still gives the element
-    spec = {"ranks_shifts": (1, 1, 3, 1), "dress": (1, 3)}
+    spec = (1, 1, 3, 1, (1, 3), None)
     assert pinned_mode_value(ctx, hw, [(1, 1)], spec, [(1, 1)], 0) == \
         pinned_mode_value_resummed(ctx, hw, [(1, 1)], spec, [(1, 1)], 0)
 
@@ -541,8 +567,7 @@ def test_context_caches_hold_one_entry_kind_per_quantity():
         assert check(ctx).status == "pass"
     _engine_values(ctx)
     pinned_mode_value_resummed(ctx, HighestWeight.generic(ctx), [(1, 1)],
-                               {"ranks_shifts": (1, 1, 2, 0),
-                                "dress": (1, 2)}, [(1, 1)], 0)
+                               (1, 1, 2, 0, (1, 2), None), [(1, 1)], 0)
     two_current_mode_table(ctx, HighestWeight.generic(ctx), [], (0, 0),
                            (1, 0), [(1, 1)], None, [(0, -1)])
     kinds = {key if key in (PREFIX_MEMO, STEP_STORE) else key[0]
