@@ -181,20 +181,26 @@ def cmd_dump(args):
     return 0
 
 
+def _generic_ctx(kv):
+    """The generic context of a dumped object: rank N, and q and t (by
+    default the first default generic point)."""
+    q, t = DEFAULT_GENERIC_POINTS[0]
+    return ScalarCtx.generic(int(kv["N"]), RAT(kv.get("q", q)),
+                             RAT(kv.get("t", t)))
+
+
 def _dump_body(kind, kv, order):
     """The JSON body of one dumped object; None for an unknown kind.  A
     missing key raises KeyError, a bad value or a pole ValueError or
     ArithmeticError."""
     if kind == "f":
-        N = int(kv["N"])
-        q = RAT(kv.get("q", DEFAULT_GENERIC_POINTS[0][0]))
-        t = RAT(kv.get("t", DEFAULT_GENERIC_POINTS[0][1]))
-        ctx = ScalarCtx.generic(N, q, t)
+        ctx = _generic_ctx(kv)
         from .structfn import f_series
         win = f_series(ctx, int(kv["i"]), int(kv["j"]), order)
         data = [_scalar_json(win.coefficient((n,))) for n in range(order + 1)]
-        body = {"object": "f", "N": N, "i": int(kv["i"]), "j": int(kv["j"]),
-                "q": str(q), "t": str(t), "coefficients": data}
+        body = {"object": "f", "N": ctx.N, "i": int(kv["i"]),
+                "j": int(kv["j"]), "q": str(ctx.q), "t": str(ctx.t),
+                "coefficients": data}
     elif kind == "g":
         from .structfn import g_series
         N, k = int(kv["N"]), int(kv["k"])
@@ -204,10 +210,7 @@ def _dump_body(kind, kv, order):
                 "nu": int(kv["nu"]), "cyclotomic_order": 2 * N,
                 "coefficients": data}
     elif kind == "gamma":
-        N = int(kv["N"])
-        q = RAT(kv.get("q", DEFAULT_GENERIC_POINTS[0][0]))
-        t = RAT(kv.get("t", DEFAULT_GENERIC_POINTS[0][1]))
-        ctx = ScalarCtx.generic(N, q, t)
+        ctx = _generic_ctx(kv)
         from .structfn import gamma_at
         body = {"object": "gamma", "argument_s_power": int(kv["a"]),
                 "value": _scalar_json(gamma_at(ctx, int(kv["a"])))}
@@ -229,13 +232,10 @@ def _dump_body(kind, kv, order):
                 "coefficients": {str(k2): str(v)
                                  for k2, v in sorted(ch.coeffs.items())}}
     elif kind == "wvac":
-        N = int(kv["N"])
-        q = RAT(kv.get("q", DEFAULT_GENERIC_POINTS[0][0]))
-        t = RAT(kv.get("t", DEFAULT_GENERIC_POINTS[0][1]))
-        ctx = ScalarCtx.generic(N, q, t)
+        ctx = _generic_ctx(kv)
         from .fock import HighestWeight, hw_eigenvalue_w
         val = hw_eigenvalue_w(ctx, HighestWeight.vacuum(ctx), int(kv["i"]))
-        body = {"object": "wvac", "N": N, "i": int(kv["i"]),
+        body = {"object": "wvac", "N": ctx.N, "i": int(kv["i"]),
                 "value": _scalar_json(val)}
     else:
         return None

@@ -269,21 +269,6 @@ class Cyc(_Ring):
     def _one(self) -> "Cyc":
         return Cyc.const(self.order, 1)
 
-    # kept rather than derived: the limit II comparison subtracts in its
-    # inner loop, where building the negation first costs measurably
-    def __sub__(self, other):
-        if isinstance(other, Cyc):
-            self._same_order(other)
-            D1, D2 = self.D, other.D
-            if D1 == D2:
-                return Cyc._reduced(self.order, tuple(
-                    a - b for a, b in zip(self.N, other.N)), D1)
-            return Cyc._reduced(self.order, tuple(
-                a * D2 - b * D1 for a, b in zip(self.N, other.N)), D1 * D2)
-        if is_rational(other):
-            return self._plus_rat(-other.numerator, other.denominator)
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, Cyc):
             self._same_order(other)

@@ -167,6 +167,7 @@ def w2wj_rhs_paper_form(ctx, hw, j, bra, ket, nm_list):
     # term 1: -A gamma(p^{3/2}) [delta(p^{j/2+1}) W^{j+2}(p z2) - ...]
     if j + 2 <= N:
         g3 = gamma_ladder(ctx, 2)  # gamma(p^{3/2})
+        # W^{j+2}(p z2) and W^{j+2}(p^{-1} z2), read again by term 3
         wp = single(j + 2, 2)
         wm = single(j + 2, -2)
         for n, m in nm_list:
@@ -190,13 +191,11 @@ def w2wj_rhs_paper_form(ctx, hw, j, bra, ket, nm_list):
     if j + 2 <= N:
         c2 = 1 - ctx.p_pow(2)
         cj = 1 - ctx.p_pow(j)
-        w2p = single(j + 2, 2)
         w0 = single(j + 2, 0)
-        w2m = single(j + 2, -2)
         for n, m in nm_list:
             M = n + m
-            tp = (p * p / c2) * w2p[M] + w0[M] / cj
-            tm = (ctx.p_pow(j) / cj) * w0[M] + w2m[M] / c2
+            tp = (p * p / c2) * wp[M] + w0[M] / cj
+            tm = (ctx.p_pow(j) / cj) * w0[M] + wm[M] / c2
             t = delta_mode_weight(ctx, j, n) * tp \
                 - delta_mode_weight(ctx, -j, n) * tm
             out[(n, m)] = out[(n, m)] + pref * pref * t

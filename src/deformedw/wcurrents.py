@@ -28,7 +28,8 @@ from .structfn import GammaFactors, PoleError, contraction_logkernel, \
 @dataclass(frozen=True)
 class WInsertion:
     """Current of the given rank at (s^sshift * var); rank 0 and N are the
-    constant 1, ranks outside 0..N are the zero current."""
+    constant 1, ranks outside 0..N are the zero current (the block of no
+    options)."""
 
     rank: int
     var: str
@@ -72,17 +73,20 @@ def _zero_modes(ctx: ScalarCtx, hw: HighestWeight, flavors):
 def current_block(ctx: ScalarCtx, hw: HighestWeight, rank: int,
                   sshift: int = 0):
     """Block of the rank-`rank` current at s^sshift times its point, built
-    once per context; None encodes the zero current."""
+    once per context; a rank outside 0..N is the zero current, the block of
+    no options, which the engine gives the value zero."""
     if rank < 0 or rank > ctx.N:
-        return None
-    # the constant current has no oscillator content and eigenvalue 1
-    const = rank == 0 or rank == ctx.N
-    key = ("const",) if const else ("W", rank, sshift, hw.key())
+        key, subsets = ("zero",), []
+    elif rank == 0 or rank == ctx.N:
+        # the constant current has no oscillator content and eigenvalue 1
+        key, subsets = ("const",), [()]
+    else:
+        key, subsets = ("W", rank, sshift, hw.key()), _subsets(ctx.N, rank)
     block = ctx.caches.get(key)
     if block is None:
         block = ctx.caches[key] = Block(
             [(_zero_modes(ctx, hw, J), block_slots(rank, sshift, J))
-             for J in ([()] if const else _subsets(ctx.N, rank))], key)
+             for J in subsets], key)
     return block
 
 
@@ -114,7 +118,7 @@ def pinned_block(ctx: ScalarCtx, hw: HighestWeight, rank1: int, shift1: int,
     that as Block(None, key), so every later call raises a fresh PoleError
     without rebuilding the gamma factors."""
     if rank1 < 0 or rank1 > ctx.N or rank2 < 0 or rank2 > ctx.N:
-        return None
+        return current_block(ctx, hw, -1)  # the zero current
     pin = (rank1, shift1, rank2, shift2, dress or (rank1, rank2), clear_sexp)
     key = ("pin",) + pin + (hw.key(),)
     block = ctx.caches.get(key)
@@ -482,11 +486,8 @@ def two_current_mode_table(ctx: ScalarCtx, hw: HighestWeight, bra,
     current points. Returns {(n, m): scalar}; missing keys are exact zeros."""
     r1, a1 = first
     r2, a2 = second
-    b1 = current_block(ctx, hw, r1, a1)
-    b2 = current_block(ctx, hw, r2, a2)
-    if b1 is None or b2 is None:
-        return {nm: ctx.zero for nm in nm_list}
-    eng = _sandwich(ctx, hw, bra, [b1, b2], ket, dress)
+    eng = _sandwich(ctx, hw, bra, [current_block(ctx, hw, r1, a1),
+                                   current_block(ctx, hw, r2, a2)], ket, dress)
     out = {}
     for n, m in nm_list:
         prof = mode_profile(bra, (-n, -m), ket)
@@ -514,8 +515,6 @@ def pinned_mode_value(ctx: ScalarCtx, hw: HighestWeight, bra, pin, ket,
 
 def _middle_mode_value(ctx, hw, bra, blk, ket, total_mode):
     """z-mode `total_mode` of the one block blk between bra and ket."""
-    if blk is None:
-        return ctx.zero
     prof = mode_profile(bra, (-total_mode,), ket)
     if prof is None:
         return ctx.zero

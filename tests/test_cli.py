@@ -154,6 +154,18 @@ def test_dump_matches_golden_output(capsys, args, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_verify_small_report_is_golden(tmp_path, capsys):
+    # limit1, limit2 (reduction and correlator order), relations and fusion
+    # at small sizes; verify_small.json holds the report of an earlier
+    # version, so a change that moves any verdict, detail or truncation
+    # shows here
+    out_path = tmp_path / "report.json"
+    code, _ = run_cli(["verify", "--config", str(GOLDEN / "verify_small.ini"),
+                       "--out", str(out_path)], capsys)
+    assert code == 0
+    assert out_path.read_bytes() == (GOLDEN / "verify_small.json").read_bytes()
+
+
 def test_console_entry_point():
     # the subprocess imports the package the tests import, installed or not
     src = Path(cli.__file__).resolve().parent.parent

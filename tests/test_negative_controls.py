@@ -51,13 +51,50 @@ def no_derivative_delta(monkeypatch):
     monkeypatch.setattr(limits, "z_algebra_expression", mutated)
 
 
+@pytest.fixture
+def hbar_at_first_key(monkeypatch):
+    """hbar added to the reduction's entry at its smallest key, the first
+    the comparison meets, so the entry no longer starts at hbar^2; the
+    fixture's value lists the keys it touched."""
+    sides = limits.reduction_sides
+    touched = []
+
+    def mutated_sides(ctx, *args):
+        diff = sides(ctx, *args)
+        key = min(diff)
+        diff[key] = diff[key] + HbarSeries.hbar(ctx.trunc)
+        touched.append(key)
+        return diff
+
+    monkeypatch.setattr(limits, "reduction_sides", mutated_sides)
+    return touched
+
+
+# the first failing word of each control, as an earlier version of the
+# comparison (two word maps, subtracted key by key) reported it
+SCALED_F1_DETAILS = {
+    (2, 2, 1, 1): "hbar^2 at (-3, -2, ((1, -4), (1, -1))): 6 != 4",
+    (3, 1, 1, 1): "hbar^2 at (-3, -2, ((1, -4), (1, -1))): "
+                  "9 + (-9)*eta^1 != 6 + (-6)*eta^1",
+    (3, 1, 1, 2): "hbar^2 at (-3, -3, ((1, -4), (2, -2))): "
+                  "6 + (-6)*eta^1 != 3 + (-3)*eta^1",
+    (3, 2, 2, 1): "hbar^2 at (-3, -3, ((1, -4), (2, -2))): "
+                  "-3 + (3)*eta^1 != -3/2 + (3/2)*eta^1",
+}
+NO_DELTA_DETAILS = {
+    (2, 2, 1, 1): "hbar^2 at (-3, 3, ()): 6 != 0",
+    (3, 1, 1, 2): "hbar^2 at (-3, 3, ()): -3 != 0",
+    (3, 2, 2, 1): "hbar^2 at (-3, 3, ()): -6 != 0",
+}
+
+
 @pytest.mark.parametrize("N,k,i,j", LIMIT2_CASES)
 def test_limit2_fails_on_scaled_f_coefficient(doubled_f1_in_reduction,
                                               N, k, i, j):
     ctx = ScalarCtx.limit2(N, k, trunc=4)
     rec = limits.verify_limit_II_relation(ctx, i, j, order_x=3)
     assert rec.status == "fail"
-    assert rec.detail.startswith("hbar^2 at "), rec.detail
+    assert rec.detail == SCALED_F1_DETAILS[(N, k, i, j)]
 
 
 @pytest.mark.parametrize("N,k,i,j", CENTRAL_CASES)
@@ -66,7 +103,16 @@ def test_limit2_fails_without_derivative_delta(no_derivative_delta,
     ctx = ScalarCtx.limit2(N, k, trunc=4)
     rec = limits.verify_limit_II_relation(ctx, i, j, order_x=3)
     assert rec.status == "fail"
-    assert "()" in rec.detail, rec.detail
+    assert rec.detail == NO_DELTA_DETAILS[(N, k, i, j)]
+
+
+@pytest.mark.parametrize("N,k,i,j", LIMIT2_CASES)
+def test_limit2_fails_on_hbar1_term(hbar_at_first_key, N, k, i, j):
+    ctx = ScalarCtx.limit2(N, k, trunc=4)
+    rec = limits.verify_limit_II_relation(ctx, i, j, order_x=3)
+    [key] = hbar_at_first_key
+    assert rec.status == "fail"
+    assert rec.detail == f"hbar^1 at {key}: 1"
 
 
 @pytest.mark.parametrize("N,k,i,j", LIMIT2_CASES)

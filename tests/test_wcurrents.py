@@ -47,6 +47,23 @@ def test_w_correlator_out_of_range_rank_vanishes():
     assert all(not c for c in win.coeffs.values())
 
 
+@pytest.mark.parametrize("ctx", [ctx_n(2), ScalarCtx.limit2(2, 2, trunc=3)],
+                         ids=["generic", "limit2"])
+def test_out_of_range_rank_is_the_zero_block(ctx):
+    # a bra, ket or middle rank outside 0..N is the zero current: one cached
+    # block with no options, which the engine gives the value zero
+    hw = HighestWeight.vacuum(ctx)
+    assert w_mode_matrix_element(ctx, hw, [(3, 0)], []) == ctx.zero
+    assert two_current_mode_table(ctx, hw, [(3, 1)], (1, 0), (1, 0), [],
+                                  None, [(0, -1)]) == {(0, -1): ctx.zero}
+    assert pinned_mode_value(ctx, hw, [], (3, 0, 1, 0, None, None), [],
+                             0) == ctx.zero
+    zero = ctx.caches[("zero",)]
+    assert zero.options == []
+    assert current_block(ctx, hw, -1) is zero
+    assert pinned_block(ctx, hw, 1, 0, -1, 0) is zero
+
+
 def test_w_correlator_single_equals_eigenvalue():
     for N in (2, 3):
         ctx = ctx_n(N)
