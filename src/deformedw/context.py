@@ -20,7 +20,7 @@ from __future__ import annotations
 from operator import add, mul
 
 from .exact import (Cyc, HbarSeries, QuadExt, RAT, RAT_ONE, RAT_ZERO,
-                    _quad_raw, rat)
+                    _quad_raw, rat, scalar_inv)
 
 DEFAULT_GENERIC_POINTS = ((rat(3, 2), rat(5, 3)), (rat(2, 7), rat(3, 5)))
 
@@ -70,6 +70,7 @@ class ScalarCtx:
         self._spow = {}
         self._qpow = {}
         self._tpow = {}
+        self._recip = {}
         self.caches = {}
 
         if mode == "generic":
@@ -161,6 +162,21 @@ class ScalarCtx:
     def p_pow(self, n: int):
         return self.s_pow(2 * n)
 
+    def over_one_minus_p(self, x, m: int):
+        """x / (1 - p^m), with one inverse of 1 - p^m per m.  In the hbar
+        limits the divisor is kept as HbarSeries division uses it, shifted
+        by its valuation, so the quotient is the same series."""
+        try:
+            v, inv = self._recip[m]
+        except KeyError:
+            den = 1 - self.p_pow(m)
+            if self.mode == "generic":
+                v, inv = 0, scalar_inv(den)
+            else:
+                v, inv = den.shifted_inverse()
+            self._recip[m] = v, inv
+        return (x.shift(-v) if v else x) * inv
+
     def eta_pow(self, a: int) -> Cyc:
         if self.mode != "limit2":
             raise ValueError("eta lives in the limit2 context")
@@ -179,7 +195,7 @@ class ScalarCtx:
 
     def prefactor(self):
         """(1 - q)(1 - t^(-1)) / (1 - p)."""
-        return self.a_factor(1) / (1 - self.p_pow(1))
+        return self.over_one_minus_p(self.a_factor(1), 1)
 
     def describe(self) -> str:
         if self.mode == "generic":

@@ -792,6 +792,15 @@ class HbarSeries(_Ring):
         return HbarSeries(inverse_coeffs(coeffs, scalar_inv(coeffs[0]),
                                          RAT_ZERO), self.trunc)
 
+    def shifted_inverse(self):
+        """(v, the inverse of self / hbar^v) for v the valuation: what a
+        division by this series multiplies by, once the dividend is shifted
+        by -v."""
+        v = self.valuation()
+        if v == self.trunc:
+            raise ZeroDivisionError("division by series with no known nonzero term")
+        return v, (self.shift(-v) if v else self).inverse()
+
     # kept rather than derived: a series divisor is first shifted by its
     # valuation, and a Cyc divides on either side
     def __truediv__(self, other):
@@ -799,12 +808,8 @@ class HbarSeries(_Ring):
             return self * scalar_inv(other)
         if not isinstance(other, HbarSeries):
             return NotImplemented
-        v = other.valuation()
-        if v == other.trunc:
-            raise ZeroDivisionError("division by series with no known nonzero term")
-        num = self.shift(-v) if v else self
-        den = other.shift(-v) if v else other
-        return num * den.inverse()
+        v, inv = other.shifted_inverse()
+        return (self.shift(-v) if v else self) * inv
 
     def __rtruediv__(self, other):
         o = self._coerce(other)

@@ -59,6 +59,30 @@ def _add(expr, A, B, word, coeff):
     expr[key] = expr[key] + coeff if key in expr else coeff
 
 
+def _exchange_words(a, b, first, second, order_x):
+    """The exchange words of flavors (a, b) on the (A, B) grid, as a new word
+    map: ((a, A - l), (b, B + l)) weighted first[l] and ((b, B - l),
+    (a, A + l)) weighted second[l], for l = 0..2 order_x.
+
+    Every entry is one of the given objects or, when a = b, one of the
+    sums first[l1] + second[l2]: there the second word at l2 is the first
+    word at l1 = l2 + A - B, and each (l1, l2) sum is built once."""
+    ford = 2 * order_x
+    grid = range(-order_x, order_x + 1)
+    ls = range(ford + 1)
+    both = [[f + g for g in second] for f in first] if a == b else None
+    expr = {}
+    for A in grid:
+        for B in grid:
+            for l in ls:
+                expr[(A, B, ((a, A - l), (b, B + l)))] = first[l]
+            for l in ls:
+                l1 = l + A - B
+                expr[(A, B, ((b, B - l), (a, A + l)))] = (
+                    both[l1][l] if both and 0 <= l1 <= ford else second[l])
+    return expr
+
+
 def reduction_sides(ctx: ScalarCtx, i: int, j: int, order_x: int):
     """The quadratic relation after the formal current substitution, left
     side minus right side, as one word-coefficient map on the (A, B) grid.
@@ -84,13 +108,7 @@ def reduction_sides(ctx: ScalarCtx, i: int, j: int, order_x: int):
     cij = [h2 * (eta_ij * fij[l]) for l in ls]
     cji = [-(h2 * (eta_ij * fji[l])) for l in ls]
     cs = range(-ford, ford + 1)
-
-    diff = {}
-    for A in grid:
-        for B in grid:
-            for l in ls:
-                _add(diff, A, B, ((i, A - l), (j, B + l)), cij[l])
-                _add(diff, A, B, ((j, B - l), (i, A + l)), cji[l])
+    diff = _exchange_words(i, j, cij, cji, order_x)
 
     pref = ctx.prefactor()
     for kappa in range(1, i + 1):
@@ -143,25 +161,20 @@ def z_algebra_expression(ctx: ScalarCtx, mu: int, nu: int, order_x: int):
     ford = 2 * order_x
     gmn = g_series(N, k, mu, nu, ford)
     gnm = g_series(N, k, nu, mu, ford)
+    ls = range(ford + 1)
+    expr = _exchange_words(mu, nu, [gmn.coefficient((l,)) for l in ls],
+                           [-gnm.coefficient((l,)) for l in ls], order_x)
     grid = range(-order_x, order_x + 1)
-    expr = {}
-    for A in grid:
-        for B in grid:
-            for l in range(ford + 1):
-                _add(expr, A, B, ((mu, A - l), (nu, B + l)),
-                     gmn.coefficient((l,)))
-                _add(expr, A, B, ((nu, B - l), (mu, A + l)),
-                     -gnm.coefficient((l,)))
     if (mu + nu) % N == 0:
         for A in grid:
-            _add(expr, A, -A, (), -(k * A) * ctx.omega_pow(mu * A))
+            expr[(A, -A, ())] = -(k * A) * ctx.omega_pow(mu * A)
     else:
         fl = (mu + nu) % N
-        for A in grid:
-            for B in grid:
-                c = A + B
-                coeff = ctx.omega_pow(-mu * B) - ctx.omega_pow(-nu * A)
-                _add(expr, A, B, ((fl, c),), -coeff)
+        om_mu = [ctx.omega_pow(-mu * B) for B in grid]
+        om_nu = [ctx.omega_pow(-nu * A) for A in grid]
+        for A, wa in zip(grid, om_nu):
+            for B, wb in zip(grid, om_mu):
+                expr[(A, B, ((fl, A + B),))] = wa - wb
     return expr
 
 
@@ -186,8 +199,22 @@ def verify_limit_II_relation(ctx: ScalarCtx, i: int, j: int,
     # both substituted currents carry omega^{flavor/2}, so the reduction
     # reproduces the Z-algebra expression with an overall eta^{i+j}
     eta_ij = ctx.eta_pow(i + j)
+    h2_eta = HbarSeries([0, 0, eta_ij], 3)
+    zero = HbarSeries.zero(3)
+    # the maps share their values among many keys: each (entry, Z-value)
+    # pair is decided once, by identity, which both maps keep alive; an
+    # entry passes when it agrees with hbar^2 eta^{i+j} times its Z-value
+    # through hbar^2, and values are read back only for a failing key
+    passed = set()
     for key in sorted(keys):
-        d = diff.get(key)
+        d, want = diff.get(key), za.get(key)
+        pair = (id(d), id(want))
+        if pair in passed:
+            continue
+        if (zero if d is None else d) == (
+                zero if want is None else h2_eta * want):
+            passed.add(pair)
+            continue
         got = 0
         if d is not None:
             v = d.valuation()
@@ -195,11 +222,9 @@ def verify_limit_II_relation(ctx: ScalarCtx, i: int, j: int,
                 return CheckRecord("limit2", case, "fail",
                                    f"hbar^{v} at {key}: {d.coefficient(v)}")
             got = d.coefficient(2)
-        want = za.get(key)
         target = eta_ij * want if want is not None else 0
-        if got != target:
-            return CheckRecord("limit2", case, "fail",
-                               f"hbar^2 at {key}: {got} != {target}")
+        return CheckRecord("limit2", case, "fail",
+                           f"hbar^2 at {key}: {got} != {target}")
     return CheckRecord("limit2", case, "pass",
                        f"{len(keys)} word coefficients")
 

@@ -72,7 +72,7 @@ class LogKernel:
             a = ctx.a_factor(n)
             for k, v in self.num.items():
                 numv = numv + v * ctx.s_pow(k * n)
-            return (acc * a + (a * numv) / (1 - ctx.p_pow(ctx.N * n))) / n
+            return (acc * a + ctx.over_one_minus_p(a * numv, ctx.N * n)) / n
         return (acc * ctx.a_factor(n)) / n
 
     def resum(self, N: int) -> "GammaFactors":

@@ -111,13 +111,18 @@ _OPTIONS = {
     "limit1": {"n_values": (_ranks, (2, 3, 4, 5)), "window": (_int, 2),
                "order_h": (_int, 6)},
     "limit2": {"nk_pairs": (_pairs, ((2, 2), (2, 3), (3, 1), (3, 2))),
-               "order_x": (_int, 12),
+               "order_x": (_at_least_one(
+                   "at order 0 every compared word is fixed by construction: "
+                   "f_0 = g_0 = 1 and the two delta signs cancel"), 12),
                "correlator_nk_pairs": (_pairs, ((2, 2), (3, 2))),
                "correlator_points": (_int, 4),
                "correlator_order_x": (_at_least_one(
                    "at order 0 only the zero profile is compared, where an "
                    "n-point value is the product of n one-point values"), 8)},
-    "zalgebra": {"n_values": (_ranks, (2, 3, 4)), "order": (_int, 12),
+    "zalgebra": {"n_values": (_ranks, (2, 3, 4)),
+                 "order": (_at_least_one(
+                     "at order 0 the splitting compares only zeta^0, 1 in "
+                     "both series"), 12),
                  "nk_pairs": (_pairs, ((2, 1), (2, 2), (3, 1), (3, 2)))},
     "characters": {"k_values": (_levels, (2, 3, 4)),
                    "cutoff": (_at_least_one(

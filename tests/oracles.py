@@ -1,13 +1,15 @@
 """Test-side constructors and oracles that the package itself never calls:
 exact Laurent polynomials and the formal delta distribution as windows, the
 empty-window test, the logarithm of a window, the boson commutator, a
-partition count, the leading term of a q-series, and a reference model of
-the hbar series."""
+partition count, the leading term of a q-series, a reference model of
+the hbar series, and the limit II comparison word by word."""
 
+from deformedw import limits
 from deformedw.characters import partition_series
 from deformedw.exact import (RAT_ONE, RAT_ZERO, Cyc, exp_coeffs,
                              inverse_coeffs, is_rational, log_coeffs, rat,
                              scalar_inv)
+from deformedw.report import CheckRecord
 from deformedw.series import LaurentWindow, VarBound, _taylor_list
 from deformedw.structfn import contraction_logkernel
 
@@ -204,3 +206,34 @@ class HbarModel:
 
     def __bool__(self):
         return any(bool(c) for c in self.coeffs)
+
+
+def limit_II_per_key(ctx, i: int, j: int, order_x: int) -> CheckRecord:
+    """limits.verify_limit_II_relation as an earlier version wrote it: every
+    word key is compared on its own, reading its hbar^2 coefficient back and
+    multiplying its Z-algebra value by eta^{i+j}.  The maps come from the
+    module attributes, so a monkeypatched reduction reaches this too."""
+    case = f"N={ctx.N}:k={ctx.level}:i={i}:j={j}:x<={order_x}"
+    ok, msg = limits.check_f_reduces_to_g(ctx, i, j, order_x)
+    if not ok:
+        return CheckRecord("limit2", case, "fail", "f->g: " + msg)
+    diff = limits.reduction_sides(ctx, i, j, order_x)
+    za = limits.z_algebra_expression(ctx, i, j, order_x)
+    keys = set(diff) | set(za)
+    eta_ij = ctx.eta_pow(i + j)
+    for key in sorted(keys):
+        d = diff.get(key)
+        got = 0
+        if d is not None:
+            v = d.valuation()
+            if v < 2:
+                return CheckRecord("limit2", case, "fail",
+                                   f"hbar^{v} at {key}: {d.coefficient(v)}")
+            got = d.coefficient(2)
+        want = za.get(key)
+        target = eta_ij * want if want is not None else 0
+        if got != target:
+            return CheckRecord("limit2", case, "fail",
+                               f"hbar^2 at {key}: {got} != {target}")
+    return CheckRecord("limit2", case, "pass",
+                       f"{len(keys)} word coefficients")

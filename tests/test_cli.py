@@ -262,6 +262,8 @@ def test_shipped_and_benchmark_configs_pass_the_option_check():
     ("characters", "cutoff = 0"),         # compares the leading 1 alone
     ("f-identities", "order = 0"),        # compares x^0 alone, 1 = 1
     ("limit2", "correlator_order_x = 0"),  # only products of 1-point values
+    ("limit2", "order_x = 0"),            # only words fixed by construction
+    ("zalgebra", "order = 0"),            # compares zeta^0 alone, 1 = 1
     ("fusion", "window = 0"),             # skips pairs at the default level
     ("relations", "window = 0"),          # the same floor, per key pair
     ("relations", "window_rank1 = 1"),    # below level_rank1 = 3 / 2

@@ -2,7 +2,7 @@ import pytest
 
 from deformedw import suites
 from deformedw.context import ScalarCtx
-from deformedw.exact import Cyc, rat
+from deformedw.exact import Cyc, HbarSeries, rat
 from deformedw.fock import HighestWeight, hw_eigenvalue_w
 from deformedw.limits import (check_f_reduces_to_g, verify_correlator_order,
                               verify_limit_I_appendix,
@@ -73,6 +73,58 @@ def test_scalar_ctx_rejects_unknown_keywords(mode, kw, foreign):
     # a keyword another mode reads is unknown here
     with pytest.raises(TypeError, match=foreign):
         ScalarCtx(2, mode, **{foreign: 1}, **kw)
+
+
+def _stored(x):
+    """A scalar's stored form: its type and every slot."""
+    slots = getattr(type(x), "__slots__", None)
+    if slots:
+        return type(x), tuple(getattr(x, name) for name in slots)
+    return type(x), x.numerator, x.denominator
+
+
+@pytest.mark.parametrize("mode,kw", [
+    ("generic", {"q": "3/2", "t": "5/3"}),
+    ("limit1", {"beta": "3/2", "trunc": 5}),
+    ("limit2", {"level": 2, "trunc": 4}),
+])
+def test_over_one_minus_p_is_the_division(mode, kw, monkeypatch):
+    """ctx.over_one_minus_p(x, m) is x / (1 - p^m) in stored form (or raises
+    as the division does), for x of valuation 0 and 1 in the hbar limits
+    (a Q(s) value and a rational at the generic point), and it inverts
+    1 - p^m once per m."""
+    ctx = ScalarCtx(2, mode, **kw)
+    xs = [ctx.s_pow(3) + ctx.one, 1 - ctx.q]
+    ms = range(1, 7)
+    want = {}
+    for m in ms:
+        for n, x in enumerate(xs):
+            try:
+                want[m, n] = _stored(x / (1 - ctx.p_pow(m)))
+            except ValueError:  # a valuation-0 x over a valuation-1 divisor
+                want[m, n] = ValueError
+    inverted = []
+    inverse = HbarSeries.inverse
+
+    def counted(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(HbarSeries, "inverse", counted)
+    for _ in range(2):
+        for m in ms:
+            for n, x in enumerate(xs):
+                if want[m, n] is ValueError:
+                    with pytest.raises(ValueError):
+                        ctx.over_one_minus_p(x, m)
+                else:
+                    assert _stored(ctx.over_one_minus_p(x, m)) == want[m, n]
+    if ctx.mode == "generic":
+        assert not inverted
+    else:
+        assert len(inverted) == len(ms)
+        assert {x.valuation() for x in xs} == {0, 1}
+    assert set(want.values()) != {ValueError}
 
 
 def test_limit_II_rejects_bad_flavor():

@@ -11,6 +11,7 @@ from deformedw.context import ScalarCtx
 from deformedw.exact import Cyc, HbarSeries, rat
 from deformedw.fock import HighestWeight
 from deformedw.series import LaurentWindow, geometric_factor
+from oracles import limit_II_per_key
 
 # (N, level, i, j) at order_x <= 5; the central cases (i + j = N) carry the
 # derivative-delta term
@@ -70,6 +71,43 @@ def hbar_at_first_key(monkeypatch):
     return touched
 
 
+@pytest.fixture
+def doubled_last_entry(monkeypatch):
+    """The reduction's last entry in sorted key order with a nonzero hbar^2
+    coefficient, doubled.  The comparison meets it last; where its value is
+    shared, the earlier keys holding that value have passed by then.  The
+    fixture's value lists (key, number of earlier keys sharing the value)."""
+    sides = limits.reduction_sides
+    touched = []
+
+    def mutated_sides(*args):
+        diff = sides(*args)
+        key = max(k for k, d in diff.items() if d.coefficient(2))
+        shared = sum(1 for k, d in diff.items() if k < key and d is diff[key])
+        diff[key] = 2 * diff[key]
+        touched.append((key, shared))
+        return diff
+
+    monkeypatch.setattr(limits, "reduction_sides", mutated_sides)
+    return touched
+
+
+@pytest.fixture
+def doubled_last_z_value(monkeypatch):
+    """The Z-algebra map's last nonzero value in sorted key order, doubled:
+    the Z-side twin of doubled_last_entry, whose reduction entry is shared
+    with keys that have passed by then."""
+    expression = limits.z_algebra_expression
+
+    def mutated(*args):
+        expr = expression(*args)
+        key = max(k for k, v in expr.items() if v)
+        expr[key] = 2 * expr[key]
+        return expr
+
+    monkeypatch.setattr(limits, "z_algebra_expression", mutated)
+
+
 # the first failing word of each control, as an earlier version of the
 # comparison (two word maps, subtracted key by key) reported it
 SCALED_F1_DETAILS = {
@@ -115,10 +153,50 @@ def test_limit2_fails_on_hbar1_term(hbar_at_first_key, N, k, i, j):
     assert rec.detail == f"hbar^1 at {key}: 1"
 
 
+# the doubled last entry's detail, as the word-by-word comparison reported
+# it, and how many earlier keys share the entry's value
+DOUBLED_LAST = {
+    (2, 2, 1, 1): ("hbar^2 at (3, 2, ((1, 3), (1, 2))): -2 != -1", 20),
+    (3, 1, 1, 1): ("hbar^2 at (3, 2, ((2, 5),)): "
+                   "-2 + (4)*eta^1 != -1 + (2)*eta^1", 0),
+    (3, 1, 1, 2): ("hbar^2 at (3, 3, ((2, 3), (1, 3))): 2 != 1", 48),
+    (3, 2, 2, 1): ("hbar^2 at (3, 3, ((2, 3), (1, 3))): -2 != -1", 48),
+}
+
+
+@pytest.mark.parametrize("N,k,i,j", LIMIT2_CASES)
+def test_limit2_fails_on_doubled_last_entry(doubled_last_entry, N, k, i, j):
+    ctx = ScalarCtx.limit2(N, k, trunc=4)
+    rec = limits.verify_limit_II_relation(ctx, i, j, order_x=3)
+    [(key, shared)] = doubled_last_entry
+    assert rec.status == "fail"
+    assert rec.detail.startswith(f"hbar^2 at {key}: ")
+    assert (rec.detail, shared) == DOUBLED_LAST[(N, k, i, j)]
+
+
 @pytest.mark.parametrize("N,k,i,j", LIMIT2_CASES)
 def test_limit2_controls_pass_unmutated(N, k, i, j):
     ctx = ScalarCtx.limit2(N, k, trunc=4)
     assert limits.verify_limit_II_relation(ctx, i, j, order_x=3).ok
+
+
+@pytest.mark.parametrize("mutation", [None, "doubled_f1_in_reduction",
+                                      "no_derivative_delta",
+                                      "hbar_at_first_key",
+                                      "doubled_last_entry",
+                                      "doubled_last_z_value"])
+@pytest.mark.parametrize("N,k,i,j", LIMIT2_CASES)
+def test_limit2_matches_word_by_word_comparison(request, mutation, N, k, i, j):
+    """Deciding each (entry, Z-value) pair once gives the record of the
+    comparison that takes every word key on its own."""
+    if mutation:
+        request.getfixturevalue(mutation)
+    ctx = ScalarCtx.limit2(N, k, trunc=4)
+    rec = limits.verify_limit_II_relation(ctx, i, j, order_x=3)
+    assert rec == limit_II_per_key(ctx, i, j, 3)
+    # no_derivative_delta changes only the central cases
+    assert rec.ok == (mutation is None or (
+        mutation == "no_derivative_delta" and (i + j) % N != 0))
 
 
 # relations at generic points, where every scalar lives in Q(s): (check,
