@@ -37,21 +37,6 @@ class QSeries:
         res = self.res * other.res // gcd(self.res, other.res)
         return self.rescale(res), other.rescale(res)
 
-    def __add__(self, other):
-        a, b = self._align(other)
-        cutoff = min(a.cutoff, b.cutoff)
-        out = dict(a.coeffs)
-        for k, v in b.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return QSeries(a.res, cutoff, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "QSeries":
-        return QSeries(self.res, self.cutoff,
-                       {k: v * c for k, v in self.coeffs.items()})
-
     def __mul__(self, other):
         a, b = self._align(other)
         amin = min(a.coeffs, default=0)

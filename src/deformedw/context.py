@@ -133,30 +133,41 @@ class ScalarCtx:
         try:
             return self._qpow[n]
         except KeyError:
-            v = self._qpow[n] = self.q ** n
-            return v
+            return self._power(self._qpow, self.q, n)
 
     def t_pow(self, n: int):
         try:
             return self._tpow[n]
         except KeyError:
-            v = self._tpow[n] = self.t ** n
-            return v
+            return self._power(self._tpow, self.t, n)
 
     def s_pow(self, a: int):
-        """p^(a/2) as an exact scalar (integer powers of s)."""
+        """p^(a/2) as an exact scalar (integer powers of s); over Q(s),
+        p^(a//2), times s when a is odd."""
         try:
             return self._spow[a]
         except KeyError:
             pass
-        if self.mode == "generic":
-            half, odd = divmod(a, 2)
-            v = self.p ** half
-            if odd:
-                v = self.s * v
-        else:
-            v = self.s ** a
+        if self.mode != "generic":
+            return self._power(self._spow, self.s, a)
+        half, odd = divmod(a, 2)
+        v = self.p ** half
+        if odd:
+            v = self.s * v
         self._spow[a] = v
+        return v
+
+    def _power(self, cache, x, n: int):
+        """x^n, stored in `cache`; a negative power is a power of the one
+        stored x^-1, so x is inverted once."""
+        if n < -1:
+            inv = cache.get(-1)
+            if inv is None:
+                inv = self._power(cache, x, -1)
+            v = inv ** -n
+        else:
+            v = x ** n
+        cache[n] = v
         return v
 
     def p_pow(self, n: int):

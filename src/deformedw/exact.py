@@ -230,8 +230,8 @@ class Cyc(_Ring):
     @staticmethod
     def root(order: int, k: int = 1) -> "Cyc":
         """eta^k for eta the primitive order-th root (k may be negative;
-        eta^order = 1)."""
-        return Cyc(order, [0] * (k % order) + [1])
+        eta^order = 1): one shared value per (order, k mod order)."""
+        return _root(order, k % order)
 
     # -- ring structure
 
@@ -322,6 +322,12 @@ class Cyc(_Ring):
             if c:
                 terms.append(f"{c}" if i == 0 else f"({c})*eta^{i}")
         return " + ".join(terms) if terms else "0"
+
+
+@lru_cache(maxsize=None)
+def _root(order: int, k: int) -> Cyc:
+    """eta^k, 0 <= k < order, built once (Cyc.root)."""
+    return Cyc(order, [0] * k + [1])
 
 
 class QuadExt(_Ring):

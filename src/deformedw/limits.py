@@ -130,9 +130,9 @@ def reduction_sides(ctx: ScalarCtx, i: int, j: int, order_x: int):
                     _add(diff, A, -A, (), coeff)
             elif r1 == 0:
                 # single current on the zeta2 side: W^{r2}(s^{sign*kappa} z2)
-                arg = ctx.s_pow(sign * kappa + r2 - j)
+                e = sign * kappa + r2 - j
                 eta_r = ctx.eta_pow(r2)
-                single = {c: hbar * (eta_r * arg ** (-c)) for c in cs}
+                single = {c: hbar * (eta_r * ctx.s_pow(-e * c)) for c in cs}
                 for A in grid:
                     left = base * (term_sign * ctx.s_pow(Ezeta * A))
                     for B in grid:
@@ -141,9 +141,9 @@ def reduction_sides(ctx: ScalarCtx, i: int, j: int, order_x: int):
             else:
                 # r2 == N: single current on the zeta1 side:
                 # W^{r1}(s^{-sign*kappa} z1)
-                arg = ctx.s_pow(-sign * kappa + r1 - i)
+                e = -sign * kappa + r1 - i
                 eta_r = ctx.eta_pow(r1)
-                single = {c: hbar * (eta_r * arg ** (-c)) for c in cs}
+                single = {c: hbar * (eta_r * ctx.s_pow(-e * c)) for c in cs}
                 for B in grid:
                     left = base * (term_sign * ctx.s_pow(-Ezeta * B))
                     for A in grid:

@@ -290,11 +290,8 @@ def verify_fusion(ctx: ScalarCtx, i: int, j: int, window: int = 2,
         def sides(bra, ket, modes):
             [M] = modes
             lhs = pinned_mode_value(ctx, hw, bra, pin, ket, M)
-            if rhs_rank < 0 or rhs_rank > N:
-                rhs = ctx.zero
-            else:
-                rhs = rhs_coeff * single_current_mode_value(
-                    ctx, hw, bra, rhs_rank, rhs_shift, ket, M)
+            rhs = rhs_coeff * single_current_mode_value(
+                ctx, hw, bra, rhs_rank, rhs_shift, ket, M)
             return {M: lhs}, {M: rhs}
         return _sweep("fusion", case + ":" + label, _balanced_mode, window,
                       level, ("lhs", "rhs"), sides)

@@ -73,13 +73,6 @@ class LaurentWindow:
                     raise WindowError(f"exponent {expo} above window")
         return self.coeffs.get(expo, self.zero)
 
-    def known(self, expo) -> bool:
-        try:
-            self.coefficient(expo)
-            return True
-        except WindowError:
-            return False
-
     # -- linear structure ----------------------------------------------------
 
     def _check_vars(self, other):
@@ -109,15 +102,6 @@ class LaurentWindow:
             if _inside(e, bounds):
                 out[e] = out[e] + c if e in out else c
         return LaurentWindow(self.vars, out, bounds, self.zero)
-
-    def __neg__(self):
-        return LaurentWindow(self.vars, {e: -c for e, c in self.coeffs.items()},
-                             self.bounds, self.zero)
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentWindow):
-            return NotImplemented
-        return self + (-other)
 
     # -- multiplication with window shrink ------------------------------------
 
@@ -174,18 +158,6 @@ class LaurentWindow:
                 out[e] = c * inv**(-n)
         return LaurentWindow(self.vars, out, self.bounds, self.zero)
 
-    def __eq__(self, other):
-        """Equality of every coefficient on the common known region."""
-        if not isinstance(other, LaurentWindow):
-            return NotImplemented
-        self._check_vars(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        for e in keys:
-            if self.known(e) and other.known(e):
-                if self.coefficient(e) != other.coefficient(e):
-                    return False
-        return True
-
     def __repr__(self):
         n = len(self.coeffs)
         return f"LaurentWindow(vars={self.vars}, {n} terms, bounds={self.bounds})"
@@ -217,31 +189,6 @@ def series_exp(x: LaurentWindow) -> LaurentWindow:
         raise ValueError("series_exp needs zero constant term")
     return LaurentWindow.taylor(x.vars[0],
                                 exp_coeffs(g, [x.zero + 1], x.zero), x.zero)
-
-
-def geometric_factor(var, c, exponent, order, zero=RAT_ZERO) -> LaurentWindow:
-    """(1 - c*x)^exponent as a window on [0, order] (exponent any integer)."""
-    if exponent >= 0:
-        coeffs = {(0,): zero + 1}
-        binom = 1
-        power = None
-        for k in range(1, min(exponent, order) + 1):
-            binom = binom * (exponent - k + 1) // k
-            power = c if power is None else power * c
-            coeffs[(k,)] = (-1) ** (k % 2) * binom * power
-        hard_top = exponent <= order
-        return LaurentWindow((var,), coeffs,
-                             [VarBound(0, exponent if hard_top else order, True, hard_top)], zero)
-    # negative exponent: product of geometric series
-    m = -exponent
-    coeffs = {(0,): zero + 1}
-    binom = 1
-    power = None
-    for k in range(1, order + 1):
-        binom = binom * (m + k - 1) // k
-        power = c if power is None else power * c
-        coeffs[(k,)] = binom * power
-    return LaurentWindow((var,), coeffs, [VarBound(0, order, True, False)], zero)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from __future__ import annotations
 from functools import partial
 
 from .context import ScalarCtx
-from .exact import exp_coeffs
-from .series import LaurentWindow, VarBound, geometric_factor, series_exp
+from .exact import Cyc, HbarSeries, exp_coeffs, rat
+from .series import LaurentWindow, VarBound, series_exp
 
 
 class PoleError(ArithmeticError):
@@ -124,15 +124,19 @@ class GammaFactors:
         return ctx.s_pow(a)
 
     def value(self, ctx: ScalarCtx, e: int):
-        """Exact value at x = s^e; PoleError on a vanishing inverted factor."""
+        """Exact value at x = s^e; PoleError on an inverted factor that is
+        not invertible there.  A factor of positive multiplicity is always
+        multiplied in: in the hbar limits a base with no constant term is
+        O(hbar), not zero."""
         acc = ctx.one
-        for (kind, a), m in sorted(self.factors.items()):
-            base = 1 - self.base(ctx, (kind, a)) * ctx.s_pow(e)
-            if _not_invertible(base):
-                if m < 0:
-                    raise PoleError(f"pole from factor {(kind, a)}^{m} at s^{e}")
-                return ctx.zero
-            acc = acc * base**m if m > 0 else acc / base**(-m)
+        for key, m in sorted(self.factors.items()):
+            base = 1 - self.base(ctx, key) * ctx.s_pow(e)
+            if m > 0:
+                acc = acc * base**m
+            elif _not_invertible(base):
+                raise PoleError(f"pole from factor {key}^{m} at s^{e}")
+            else:
+                acc = acc / base**(-m)
         return acc
 
     def cleared_value(self, ctx: ScalarCtx, e: int, clear_key):
@@ -147,20 +151,11 @@ class GammaFactors:
             rest[clear_key] = m
         return GammaFactors(rest).value(ctx, e)
 
-    def series(self, ctx: ScalarCtx, var: str, order: int) -> LaurentWindow:
-        win = LaurentWindow.constant((var,), ctx.one, ctx.zero)
-        win = LaurentWindow((var,), win.coeffs, [VarBound(0, order, True, False)], ctx.zero)
-        for (kind, a), m in sorted(self.factors.items()):
-            c = self.base(ctx, (kind, a))
-            win = win * geometric_factor(var, c, m, order, ctx.zero)
-        return win
-
     def __repr__(self):
         return f"GammaFactors({self.factors})"
 
 
 def _not_invertible(x) -> bool:
-    from .exact import HbarSeries
     if isinstance(x, HbarSeries):
         return not x.coeffs[0] if x.coeffs else True
     return not x
@@ -234,20 +229,23 @@ def f_series(ctx: ScalarCtx, i: int, j: int, order: int,
                                 ctx.zero)
 
 
+def gamma_logkernel(a: int) -> LogKernel:
+    """Log-kernel of gamma(s^a x), where
+    gamma(p^{1/2} z) = (1-qz)(1-t^{-1}z)/((1-z)(1-pz)): its n-th log
+    coefficient is (1/n)(1-q^n)(1-t^{-n}) s^{(a-1)n}."""
+    return LogKernel({a - 1: 1})
+
+
 def gamma_at(ctx: ScalarCtx, a: int):
-    """gamma(s^a) where gamma(p^{1/2} z) = (1-qz)(1-t^{-1}z)/((1-z)(1-pz)).
+    """gamma(s^a), the value at x = 1 of the resummed gamma_logkernel(a).
 
     The argument is the integer a with s^a = p^{a/2}; a = 1 and a = -1 hit
-    the poles of gamma and raise PoleError.
+    the poles of gamma and raise PoleError, and so does an argument where
+    an inverted factor is not invertible.
     """
     if a == 1 or a == -1:
         raise PoleError("pole of gamma")
-    w = ctx.s_pow(a - 1)
-    den1 = 1 - w
-    den2 = 1 - ctx.s_pow(a + 1)
-    if _not_invertible(den1) or _not_invertible(den2):
-        raise PoleError(f"pole of gamma at s^{a}")
-    return (1 - ctx.q_pow(1) * w) * (1 - ctx.t_pow(-1) * w) / (den1 * den2)
+    return gamma_logkernel(a).resum(ctx.N).value(ctx, 0)
 
 
 def gamma_ladder(ctx: ScalarCtx, k: int):
@@ -259,17 +257,17 @@ def gamma_ladder(ctx: ScalarCtx, k: int):
 
 
 def gamma_series(ctx: ScalarCtx, var: str, a: int, order: int) -> LaurentWindow:
-    """gamma(s^a * z) expanded as a Taylor window in z to z^order."""
-    gf = GammaFactors({("q", a - 1): 1, ("t", a - 1): 1,
-                       ("s", a - 1): -1, ("s", a + 1): -1})
-    return gf.series(ctx, var, order)
+    """gamma(s^a * z) expanded as a Taylor window in z to z^order (the
+    shared list of logkernel_coeffs)."""
+    coeffs = logkernel_coeffs(ctx, ("gamma", a), partial(gamma_logkernel, a),
+                              order)
+    return LaurentWindow.taylor(var, coeffs[:order + 1], ctx.zero)
 
 
 def g_series(N: int, k: int, mu: int, nu: int, order: int,
              var: str = "zeta") -> LaurentWindow:
     """Z-algebra structure function g^{mu,nu} as a cyclotomic-coefficient
     series: exp(-(1/k) sum_{n>0, n != 0 mod N} (1/n)(1-w^{mu n})(1-w^{-nu n}) x^n)."""
-    from .exact import Cyc, rat
     if k == 0:
         raise ValueError("level k must be nonzero")
     if not (1 <= mu % N <= N - 1) or not (1 <= nu % N <= N - 1):

@@ -33,8 +33,12 @@ def _int(raw, lo=0):
 
 
 def _ints(raw, lo):
-    """Integers >= lo, separated by spaces or commas."""
-    return [_int(x, lo) for x in raw.replace(",", " ").split()]
+    """Integers >= lo, separated by spaces or commas; at least one, or the
+    suite would check nothing."""
+    out = [_int(x, lo) for x in raw.replace(",", " ").split()]
+    if not out:
+        raise ValueError("empty list: the suite would check nothing")
+    return out
 
 
 def _ranks(raw):

@@ -10,8 +10,6 @@ integer only when comparing with structure-function series.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .exact import Cyc, rat
 from .report import CheckRecord
 from .series import LaurentWindow, VarBound, series_exp
@@ -114,16 +112,9 @@ def gl_bracket(a: GlElement, b: GlElement) -> GlElement:
     return GlElement(N, out)
 
 
-@lru_cache(maxsize=None)
-def _omega_powers(N: int) -> tuple:
-    """omega^0 .. omega^{N-1} in closed form, as eta^{2k} with eta the
-    primitive 2N-th root."""
-    return tuple(Cyc.root(2 * N, 2 * k) for k in range(N))
-
-
 def _omega_pow(N: int, k: int) -> Cyc:
-    """omega^k for any integer k (omega^N = 1)."""
-    return _omega_powers(N)[k % N]
+    """omega^k = eta^{2k} for eta the primitive 2N-th root (omega^N = 1)."""
+    return Cyc.root(2 * N, 2 * k)
 
 
 def beta_gen(N: int, n: int) -> GlElement:

@@ -1,8 +1,9 @@
 """Test-side constructors and oracles that the package itself never calls:
 exact Laurent polynomials and the formal delta distribution as windows, the
-empty-window test, the logarithm of a window, the boson commutator, a
-partition count, the leading term of a q-series, a reference model of
-the hbar series, and the limit II comparison word by word."""
+empty-window test, the logarithm of a window, a geometric factor and a gamma
+product expanded factor by factor, a scalar's stored form, the boson
+commutator, a partition count, the leading term of a q-series, a reference
+model of the hbar series, and the limit II comparison word by word."""
 
 from deformedw import limits
 from deformedw.characters import partition_series
@@ -44,6 +45,50 @@ def series_log(x: LaurentWindow) -> LaurentWindow:
     if x.coeffs.get((0,), x.zero) - 1:
         raise ValueError("series_log needs constant term 1")
     return LaurentWindow.taylor(x.vars[0], log_coeffs(f, x.zero), x.zero)
+
+
+def geometric_factor(var, c, exponent, order, zero=RAT_ZERO) -> LaurentWindow:
+    """(1 - c*x)^exponent as a window on [0, order] (exponent any integer)."""
+    if exponent >= 0:
+        coeffs = {(0,): zero + 1}
+        binom = 1
+        power = None
+        for k in range(1, min(exponent, order) + 1):
+            binom = binom * (exponent - k + 1) // k
+            power = c if power is None else power * c
+            coeffs[(k,)] = (-1) ** (k % 2) * binom * power
+        hard_top = exponent <= order
+        return LaurentWindow((var,), coeffs,
+                             [VarBound(0, exponent if hard_top else order, True, hard_top)], zero)
+    # negative exponent: product of geometric series
+    m = -exponent
+    coeffs = {(0,): zero + 1}
+    binom = 1
+    power = None
+    for k in range(1, order + 1):
+        binom = binom * (m + k - 1) // k
+        power = c if power is None else power * c
+        coeffs[(k,)] = binom * power
+    return LaurentWindow((var,), coeffs, [VarBound(0, order, True, False)], zero)
+
+
+def gamma_product_series(gf, ctx, var: str, order: int) -> LaurentWindow:
+    """The finite gamma product `gf` (a structfn.GammaFactors) as a Taylor
+    window in var to var^order, one geometric factor at a time."""
+    win = LaurentWindow.constant((var,), ctx.one, ctx.zero)
+    win = LaurentWindow((var,), win.coeffs, [VarBound(0, order, True, False)], ctx.zero)
+    for (kind, a), m in sorted(gf.factors.items()):
+        c = gf.base(ctx, (kind, a))
+        win = win * geometric_factor(var, c, m, order, ctx.zero)
+    return win
+
+
+def stored_form(x):
+    """A scalar's stored form: its type and every slot."""
+    slots = getattr(type(x), "__slots__", None)
+    if slots:
+        return type(x), tuple(getattr(x, name) for name in slots)
+    return type(x), x.numerator, x.denominator
 
 
 def boson_commutator(ctx, i: int, j: int, n: int):

@@ -155,10 +155,11 @@ def test_dump_matches_golden_output(capsys, args, golden):
 
 
 def test_verify_small_report_is_golden(tmp_path, capsys):
-    # limit1, limit2 (reduction and correlator order), relations and fusion
-    # at small sizes; verify_small.json holds the report of an earlier
-    # version, so a change that moves any verdict, detail or truncation
-    # shows here
+    # limit1, limit2 (reduction and correlator order), relations (to N = 4,
+    # where gamma_ladder reaches gamma_at), fusion, f-identities (the gamma
+    # series) and zalgebra (the roots of unity) at small sizes;
+    # verify_small.json holds the report of an earlier version, so a change
+    # that moves any verdict, detail or truncation shows here
     out_path = tmp_path / "report.json"
     code, _ = run_cli(["verify", "--config", str(GOLDEN / "verify_small.ini"),
                        "--out", str(out_path)], capsys)
@@ -245,6 +246,8 @@ def test_shipped_and_benchmark_configs_pass_the_option_check():
     ("zeta", "n_valuez = 2"),             # unknown key
     ("zeta", "n_values = two"),           # integer list
     ("relations", "n_values = 1 2"),      # ranks below 2
+    ("relations", "n_values ="),          # empty list: checks nothing
+    ("characters", "k_values ="),
     ("characters", "k_values = 0"),       # levels below 1
     ("characters", "cutoff = 3 4"),       # one integer
     ("zalgebra", "order = -1"),           # negative count

@@ -494,6 +494,12 @@ def test_cyc_root_is_power_of_eta(m):
         assert Cyc.root(m, k) == eta ** k
 
 
+@pytest.mark.parametrize("m", MODEL_ORDERS)
+def test_cyc_root_is_one_shared_value_per_residue(m):
+    for k in range(-m, m):
+        assert Cyc.root(m, k) is Cyc.root(m, k + m)
+
+
 # -- Q(s) against a reference model: a + b*s as a pair of Fractions, s^2 = p
 
 # non-square p, with numerators and denominators other than 1 so that the

@@ -10,6 +10,7 @@ from deformedw.limits import (check_f_reduces_to_g, verify_correlator_order,
 from deformedw.structfn import f_series
 from deformedw.wcurrents import PREFIX_MEMO
 from deformedw.zeta import p_binomial
+from oracles import stored_form
 
 
 def test_limit2_context_basics():
@@ -75,19 +76,15 @@ def test_scalar_ctx_rejects_unknown_keywords(mode, kw, foreign):
         ScalarCtx(2, mode, **{foreign: 1}, **kw)
 
 
-def _stored(x):
-    """A scalar's stored form: its type and every slot."""
-    slots = getattr(type(x), "__slots__", None)
-    if slots:
-        return type(x), tuple(getattr(x, name) for name in slots)
-    return type(x), x.numerator, x.denominator
-
-
-@pytest.mark.parametrize("mode,kw", [
+# one context per mode, for the per-context stores
+CONTEXT_MODES = [
     ("generic", {"q": "3/2", "t": "5/3"}),
     ("limit1", {"beta": "3/2", "trunc": 5}),
     ("limit2", {"level": 2, "trunc": 4}),
-])
+]
+
+
+@pytest.mark.parametrize("mode,kw", CONTEXT_MODES)
 def test_over_one_minus_p_is_the_division(mode, kw, monkeypatch):
     """ctx.over_one_minus_p(x, m) is x / (1 - p^m) in stored form (or raises
     as the division does), for x of valuation 0 and 1 in the hbar limits
@@ -100,7 +97,7 @@ def test_over_one_minus_p_is_the_division(mode, kw, monkeypatch):
     for m in ms:
         for n, x in enumerate(xs):
             try:
-                want[m, n] = _stored(x / (1 - ctx.p_pow(m)))
+                want[m, n] = stored_form(x / (1 - ctx.p_pow(m)))
             except ValueError:  # a valuation-0 x over a valuation-1 divisor
                 want[m, n] = ValueError
     inverted = []
@@ -118,13 +115,40 @@ def test_over_one_minus_p_is_the_division(mode, kw, monkeypatch):
                     with pytest.raises(ValueError):
                         ctx.over_one_minus_p(x, m)
                 else:
-                    assert _stored(ctx.over_one_minus_p(x, m)) == want[m, n]
+                    assert stored_form(ctx.over_one_minus_p(x, m)) == want[m, n]
     if ctx.mode == "generic":
         assert not inverted
     else:
         assert len(inverted) == len(ms)
         assert {x.valuation() for x in xs} == {0, 1}
     assert set(want.values()) != {ValueError}
+
+
+@pytest.mark.parametrize("mode,kw", CONTEXT_MODES)
+def test_negative_powers_share_one_inverse(mode, kw, monkeypatch):
+    """ctx.s_pow(n) and ctx.t_pow(n) equal s ** n and t ** n in stored form
+    for negative n (by value over Q(s), where s_pow keeps its p^(n//2) * s
+    form), and each base is inverted once."""
+    ctx = ScalarCtx(2, mode, **kw)
+    ns = range(-9, 0)
+    want = {(x, n): stored_form(getattr(ctx, x) ** n)
+            for x in ("s", "t") for n in ns}
+    inverted = []
+    inverse = HbarSeries.inverse
+
+    def counted(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(HbarSeries, "inverse", counted)
+    for n in reversed(ns):
+        assert stored_form(ctx.t_pow(n)) == want["t", n], n
+        got = ctx.s_pow(n)
+        if mode == "generic":
+            assert got == ctx.s ** n, n
+        else:
+            assert stored_form(got) == want["s", n], n
+    assert len(inverted) == (0 if mode == "generic" else 2)
 
 
 def test_limit_II_rejects_bad_flavor():

@@ -10,8 +10,8 @@ from deformedw import characters, limits, relations, structfn, suites, \
 from deformedw.context import ScalarCtx
 from deformedw.exact import Cyc, HbarSeries, rat
 from deformedw.fock import HighestWeight
-from deformedw.series import LaurentWindow, geometric_factor
-from oracles import limit_II_per_key
+from deformedw.series import LaurentWindow
+from oracles import geometric_factor, limit_II_per_key
 
 # (N, level, i, j) at order_x <= 5; the central cases (i + j = N) carry the
 # derivative-delta term

@@ -1,7 +1,8 @@
 """Every function, method and class defined in the package is referenced
 somewhere in the package beyond its own definition; a name the package
 exports in `__all__` may instead be referenced by a demo.  Tests do not
-count, so no public API exists only for the tests that call it.
+count, so no public API exists only for the tests that call it.  Every
+top-level helper of tests/oracles.py is referenced by some test module.
 
 References are counted by name (plain names and attribute names), so the
 check is conservative: a definition passes when any same-named reference
@@ -17,6 +18,7 @@ import deformedw
 
 SRC = Path(deformedw.__file__).resolve().parent
 DEMOS = SRC.parent.parent / "demos"
+TESTS = Path(__file__).resolve().parent
 
 
 def _references(tree, methods_only=False) -> Counter:
@@ -63,4 +65,17 @@ def test_every_definition_is_referenced():
                 uses += demo_refs[name]
             if uses <= 0:
                 unused.append(f"{module}:{node.lineno} {name}")
+    assert not unused, unused
+
+
+def test_every_oracle_is_used_by_a_test():
+    # tests/oracles.py holds reference code the package no longer calls; a
+    # helper there that no test reads is dead too
+    refs = Counter()
+    for path in sorted(TESTS.glob("test_*.py")):
+        refs.update(_references(ast.parse(path.read_text())))
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = [f"oracles.py:{node.lineno} {node.name}" for node in tree.body
+              if isinstance(node, defs) and not refs[node.name]]
     assert not unused, unused

@@ -4,9 +4,9 @@ import pytest
 
 from deformedw.exact import rat
 from deformedw.series import (LaurentWindow, VarBound, WindowError,
-                              geometric_factor, rational_reconstruct,
-                              series_exp)
-from oracles import delta_window, is_empty, series_log, window_from_terms
+                              rational_reconstruct, series_exp)
+from oracles import (delta_window, geometric_factor, is_empty, series_log,
+                     window_from_terms)
 
 
 def brute_convolution(terms_a, terms_b, expo):

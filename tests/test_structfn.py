@@ -3,14 +3,15 @@ from itertools import combinations
 import pytest
 
 from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
-from deformedw.exact import Cyc, rat
+from deformedw.exact import Cyc, HbarSeries, rat
 from deformedw.structfn import (GammaFactors, NonRationalKernel, PoleError,
                                 check_f_identities, contraction_logkernel,
                                 f_logkernel, f_point_regular, f_series,
                                 g_series, gamma_at, gamma_ladder,
+                                gamma_logkernel, gamma_series,
                                 logkernel_coeffs)
 from deformedw.wcurrents import block_slots, dressed_pin_factors
-from oracles import series_log
+from oracles import gamma_product_series, series_log, stored_form
 
 
 def ctx_n(N, point=0):
@@ -75,6 +76,73 @@ def test_gamma_functional_identity():
         w = ctx.s_pow(a - 1)
         assert gamma_at(ctx, a) * (1 - w) * (1 - p * w) == \
             (1 - q * w) * (1 - w / t)
+
+
+def _gamma_closed_form(ctx, a):
+    """gamma(s^a) = (1-qw)(1-t^{-1}w)/((1-w)(1-pw)), w = s^{a-1}, from the
+    context's generators; PoleError where the denominator has no inverse."""
+    if a in (1, -1):
+        raise PoleError("pole of gamma")
+    w = ctx.s ** (a - 1)
+    den = (1 - w) * (1 - ctx.p * w)
+    if not (den.coefficient(0) if isinstance(den, HbarSeries) else den):
+        raise PoleError(f"pole of gamma at s^{a}")
+    return (1 - ctx.q * w) * (1 - w / ctx.t) / den
+
+
+GAMMA_CONTEXTS = [
+    ScalarCtx.generic(3, rat(3, 2), rat(5, 3)),
+    ScalarCtx.limit1(3, rat(3, 2), trunc=5),
+    ScalarCtx.limit2(2, 2, trunc=4),
+    ScalarCtx.limit2(3, 2, trunc=4),
+]
+
+
+@pytest.mark.parametrize("ctx", GAMMA_CONTEXTS, ids=lambda c: c.describe())
+def test_gamma_comes_from_its_log_kernel(ctx):
+    # gamma_series, exp of gamma_logkernel's log series, equals the resummed
+    # gamma product expanded factor by factor; gamma_at, the resummed value,
+    # equals the closed form, or both raise PoleError (in limit1 every
+    # 1 - s^{a-1} is O(hbar), so every a is a pole)
+    order = 5
+    poles = 0
+    for a in range(-9, 10):
+        got = gamma_series(ctx, "x", a, order)
+        want = gamma_product_series(gamma_logkernel(a).resum(ctx.N), ctx,
+                                    "x", order)
+        for n in range(order + 1):
+            g, w = got.coefficient((n,)), want.coefficient((n,))
+            assert g == w, (a, n)
+            if isinstance(g, HbarSeries):
+                # a zero slot may be rational on one route and cyclotomic
+                # on the other; the values and truncations agree
+                assert g.trunc == w.trunc, (a, n)
+        try:
+            want = _gamma_closed_form(ctx, a)
+        except PoleError:
+            poles += 1
+            with pytest.raises(PoleError):
+                gamma_at(ctx, a)
+            continue
+        got = gamma_at(ctx, a)
+        if ctx.mode == "generic":
+            assert got == want, a
+        else:
+            assert stored_form(got) == stored_form(want), a
+    if ctx.mode == "limit2":
+        assert 0 < poles < 19
+    else:
+        assert poles == {"generic": 2, "limit1": 19}[ctx.mode]
+
+
+def test_gamma_factor_without_constant_term_is_multiplied_in():
+    # in limit1, 1 - q is O(hbar), not zero: the factor is multiplied in
+    ctx = ScalarCtx.limit1(3, rat(3, 2), trunc=5)
+    got = GammaFactors({("q", -1): 1}).value(ctx, 1)
+    assert got == 1 - ctx.q and got.coefficient(1) == -1
+    # an inverted factor without an inverse is a pole
+    with pytest.raises(PoleError):
+        GammaFactors({("q", -1): -1}).value(ctx, 1)
 
 
 def test_gamma_ladder():
@@ -170,8 +238,9 @@ def test_logkernel_coeffs_match_gamma_products():
                     lk = lk + contraction_logkernel(N, f1, f2).shifted(b - a)
             coeffs = logkernel_coeffs(ctx, ("pair", dress, s1, s2, pinexp),
                                       lambda: lk, order)
-            gamma = dressed_pin_factors(ctx, dress, s1, s2, pinexp) \
-                .series(ctx, "x", order)
+            gamma = gamma_product_series(
+                dressed_pin_factors(ctx, dress, s1, s2, pinexp), ctx, "x",
+                order)
             assert coeffs[:order + 1] == \
                 [gamma.coefficient((n,)) for n in range(order + 1)]
 
