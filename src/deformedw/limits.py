@@ -20,7 +20,8 @@ from .context import ScalarCtx
 from .exact import HbarSeries
 from .fock import HighestWeight
 from .report import CheckRecord
-from .structfn import f_series, g_series, gamma_ladder
+from .relations import delta_coeff
+from .structfn import delta_terms, f_series, g_series
 from .wcurrents import current_block, mode_engine, w_mode_matrix_element
 from .zeta import p_binomial
 
@@ -110,45 +111,42 @@ def reduction_sides(ctx: ScalarCtx, i: int, j: int, order_x: int):
     cs = range(-ford, ford + 1)
     diff = _exchange_words(i, j, cij, cji, order_x)
 
-    pref = ctx.prefactor()
-    for kappa in range(1, i + 1):
-        if j + kappa > N:
-            continue
+    base = {}
+    for kappa, sign, u in delta_terms(N, i, j):
         r1, r2 = i - kappa, j + kappa
         if 1 <= r1 <= N - 1 and 1 <= r2 <= N - 1:
             continue  # O(hbar^3), below the comparison order
-        # the right side's -pref * gamma, subtracted
-        base = pref * gamma_ladder(ctx, kappa)
-        for sign in (1, -1):
-            # recentered delta argument s^{Ezeta}; dressing scalar is f^{0,.}
-            # or f^{.,N}, identically 1
-            Ezeta = sign * (j - i + 2 * kappa) - (j - i)
-            term_sign = 1 if sign == 1 else -1
-            if r1 == 0 and r2 == N:
-                for A in grid:
-                    coeff = base * (term_sign * ctx.s_pow(Ezeta * A))
-                    _add(diff, A, -A, (), coeff)
-            elif r1 == 0:
-                # single current on the zeta2 side: W^{r2}(s^{sign*kappa} z2)
-                e = sign * kappa + r2 - j
-                eta_r = ctx.eta_pow(r2)
-                single = {c: hbar * (eta_r * ctx.s_pow(-e * c)) for c in cs}
-                for A in grid:
-                    left = base * (term_sign * ctx.s_pow(Ezeta * A))
-                    for B in grid:
-                        c = A + B
-                        _add(diff, A, B, ((r2 % N, c),), left * single[c])
-            else:
-                # r2 == N: single current on the zeta1 side:
-                # W^{r1}(s^{-sign*kappa} z1)
-                e = -sign * kappa + r1 - i
-                eta_r = ctx.eta_pow(r1)
-                single = {c: hbar * (eta_r * ctx.s_pow(-e * c)) for c in cs}
+        # the right side's -A gamma_ladder(kappa), subtracted
+        if kappa not in base:
+            base[kappa] = delta_coeff(ctx, kappa)
+        # recentered delta argument s^{Ezeta}; dressing scalar is f^{0,.}
+        # or f^{.,N}, identically 1
+        Ezeta = u - (j - i)
+        if r1 == 0 and r2 == N:
+            for A in grid:
+                coeff = base[kappa] * (sign * ctx.s_pow(Ezeta * A))
+                _add(diff, A, -A, (), coeff)
+        elif r1 == 0:
+            # single current on the zeta2 side: W^{r2}(s^{sign*kappa} z2)
+            e = sign * kappa + r2 - j
+            eta_r = ctx.eta_pow(r2)
+            single = {c: hbar * (eta_r * ctx.s_pow(-e * c)) for c in cs}
+            for A in grid:
+                left = base[kappa] * (sign * ctx.s_pow(Ezeta * A))
                 for B in grid:
-                    left = base * (term_sign * ctx.s_pow(-Ezeta * B))
-                    for A in grid:
-                        c = A + B
-                        _add(diff, A, B, ((r1 % N, c),), left * single[c])
+                    c = A + B
+                    _add(diff, A, B, ((r2 % N, c),), left * single[c])
+        else:
+            # r2 == N: single current on the zeta1 side:
+            # W^{r1}(s^{-sign*kappa} z1)
+            e = -sign * kappa + r1 - i
+            eta_r = ctx.eta_pow(r1)
+            single = {c: hbar * (eta_r * ctx.s_pow(-e * c)) for c in cs}
+            for B in grid:
+                left = base[kappa] * (sign * ctx.s_pow(-Ezeta * B))
+                for A in grid:
+                    c = A + B
+                    _add(diff, A, B, ((r1 % N, c),), left * single[c])
     return diff
 
 

@@ -18,7 +18,8 @@ from .context import ScalarCtx
 from .fock import HighestWeight
 from .report import CheckRecord
 from .series import rational_reconstruct
-from .structfn import f_series, gamma_ladder
+from .structfn import delta_terms, f_series, gamma_at, gamma_ladder, \
+    pole_window
 from .wcurrents import (WInsertion, composite_no_mode, pinned_mode_value,
                         single_current_mode_value, two_current_mode_table,
                         w_correlator)
@@ -66,26 +67,32 @@ def delta_pin(i: int, j: int, k: int, sign: int):
     return (i - k, sign * (j - i + k), j + k, sign * k, (i - k, j + k), None)
 
 
+def delta_coeff(ctx: ScalarCtx, k: int):
+    """A gamma_ladder(k): the weight of the k-th delta terms and, up to its
+    sign, the right side of a fusion limit with k = i (rank 1: k = 1)."""
+    return ctx.prefactor() * gamma_ladder(ctx, k)
+
+
+def _delta_values(ctx, hw, i, j, bra, ket, M):
+    """Per delta term of the (i, j) relation, in delta_terms order, its
+    argument exponent u and sign A gamma_ladder(k) <bra| delta_pin |ket> at
+    the z-mode M; each k's coefficient is computed once."""
+    terms = delta_terms(ctx.N, i, j)
+    coeffs = {k: delta_coeff(ctx, k) for k in {k for k, _, _ in terms}}
+    return [(u, sign * coeffs[k] * pinned_mode_value(
+        ctx, hw, bra, delta_pin(i, j, k, sign), ket, M))
+        for k, sign, u in terms]
+
+
 def rhs_mode_table(ctx, hw, i, j, bra, ket, nm_list):
-    """The delta-term side of the general quadratic relation (k-sum over
-    pinned dressed pairs) in mode form."""
-    N = ctx.N
-    pref = ctx.prefactor()
-    out = {nm: ctx.zero for nm in nm_list}
-    modes = sorted({n + m for n, m in nm_list})
-    for k in range(1, i + 1):
-        if j + k > N:
-            continue
-        coeff = -(pref * gamma_ladder(ctx, k))
-        plus, minus = ({M: pinned_mode_value(ctx, hw, bra,
-                                             delta_pin(i, j, k, sign), ket, M)
-                        for M in modes} for sign in (1, -1))
-        for n, m in nm_list:
-            M = n + m
-            term = delta_mode_weight(ctx, (j - i) + 2 * k, n) * plus[M] \
-                - delta_mode_weight(ctx, -(j - i) - 2 * k, n) * minus[M]
-            out[(n, m)] = out[(n, m)] + coeff * term
-    return out
+    """The delta-term side of the general quadratic relation in mode form:
+    per (n, m), minus the sum over the delta terms of u^n times the term's
+    value at the z-mode n + m, which every (n, m) of nm_list shares."""
+    [M] = {n + m for n, m in nm_list}
+    values = _delta_values(ctx, hw, i, j, bra, ket, M)
+    return {(n, m): -sum((delta_mode_weight(ctx, u, n) * v
+                          for u, v in values), ctx.zero)
+            for n, m in nm_list}
 
 
 def _nm_grid(window: int, bra, ket):
@@ -158,44 +165,38 @@ def w2wj_rhs_paper_form(ctx, hw, j, bra, ket, nm_list):
     pref = ctx.prefactor()
     p = ctx.p_pow(1)
     out = {nm: ctx.zero for nm in nm_list}
-    modes = sorted({n + m for n, m in nm_list})
-
-    def single(rank, sshift):
-        return {M: single_current_mode_value(ctx, hw, bra, rank, sshift, ket, M)
-                for M in modes}
+    # the one z-mode of every (n, m)
+    [M] = {n + m for n, m in nm_list}
 
     # term 1: -A gamma(p^{3/2}) [delta(p^{j/2+1}) W^{j+2}(p z2) - ...]
     if j + 2 <= N:
-        g3 = gamma_ladder(ctx, 2)  # gamma(p^{3/2})
+        g3 = gamma_at(ctx, 3)  # gamma(p^{3/2})
         # W^{j+2}(p z2) and W^{j+2}(p^{-1} z2), read again by term 3
-        wp = single(j + 2, 2)
-        wm = single(j + 2, -2)
+        wp = single_current_mode_value(ctx, hw, bra, j + 2, 2, ket, M)
+        wm = single_current_mode_value(ctx, hw, bra, j + 2, -2, ket, M)
         for n, m in nm_list:
-            M = n + m
-            t = delta_mode_weight(ctx, j + 2, n) * wp[M] \
-                - delta_mode_weight(ctx, -j - 2, n) * wm[M]
+            t = delta_mode_weight(ctx, j + 2, n) * wp \
+                - delta_mode_weight(ctx, -j - 2, n) * wm
             out[(n, m)] = out[(n, m)] - pref * g3 * t
     # term 2: -A [delta(p^{j/2}) oo W^1(p^{-1/2}z1) W^{j+1}(p^{1/2}z2) oo - ...]
     if j + 1 <= N:
-        comp_p = {M: ctx.s_pow(-M) * composite_no_mode(
-            ctx, hw, 1, j + 1, j - 2, M, bra, ket) for M in modes}
-        comp_m = {M: ctx.s_pow(M) * composite_no_mode(
-            ctx, hw, 1, j + 1, 2 - j, M, bra, ket) for M in modes}
+        comp_p = ctx.s_pow(-M) * composite_no_mode(
+            ctx, hw, 1, j + 1, j - 2, M, bra, ket)
+        comp_m = ctx.s_pow(M) * composite_no_mode(
+            ctx, hw, 1, j + 1, 2 - j, M, bra, ket)
         for n, m in nm_list:
-            M = n + m
-            t = delta_mode_weight(ctx, j, n) * comp_p[M] \
-                - delta_mode_weight(ctx, -j, n) * comp_m[M]
+            t = delta_mode_weight(ctx, j, n) * comp_p \
+                - delta_mode_weight(ctx, -j, n) * comp_m
             out[(n, m)] = out[(n, m)] - pref * t
     # term 3: +A^2 [delta(p^{j/2})(p^2/(1-p^2) W^{j+2}(p z2) + 1/(1-p^j) W^{j+2}(z2))
     #              - delta(p^{-j/2})(p^j/(1-p^j) W^{j+2}(z2) + 1/(1-p^2) W^{j+2}(p^{-1} z2))]
     if j + 2 <= N:
         c2 = 1 - ctx.p_pow(2)
         cj = 1 - ctx.p_pow(j)
-        w0 = single(j + 2, 0)
+        w0 = single_current_mode_value(ctx, hw, bra, j + 2, 0, ket, M)
         for n, m in nm_list:
-            M = n + m
-            tp = (p * p / c2) * wp[M] + w0[M] / cj
-            tm = (ctx.p_pow(j) / cj) * w0[M] + wm[M] / c2
+            tp = (p * p / c2) * wp + w0 / cj
+            tm = (ctx.p_pow(j) / cj) * w0 + wm / c2
             t = delta_mode_weight(ctx, j, n) * tp \
                 - delta_mode_weight(ctx, -j, n) * tm
             out[(n, m)] = out[(n, m)] + pref * pref * t
@@ -241,28 +242,18 @@ def verify_nowwj(ctx: ScalarCtx, i: int, j: int, r_sexp: int,
         raise ValueError("need 0 <= i <= j <= N")
     if hw is None:
         hw = HighestWeight.generic(ctx)
-    # goodness of r: stay off the pole set p^{+-((j-i)/2+k)}
-    for k in range(1, min(i, N - j) + 1):
-        if r_sexp in ((j - i) + 2 * k, -(j - i) - 2 * k):
-            raise ValueError("r hits a pole of the dressed product")
+    # goodness of r: stay off the pole set, the delta arguments s^u
+    if r_sexp in [u for _, _, u in delta_terms(N, i, j)]:
+        raise ValueError("r hits a pole of the dressed product")
     case = f"N={N}:i={i}:j={j}:r=s^{r_sexp}:w={window}:L={level}:{ctx.describe()}"
-    pref = ctx.prefactor()
 
     def sides(bra, ket, modes):
         [M] = modes
         lhs = pinned_mode_value(ctx, hw, bra, (i, r_sexp, j, 0, (i, j), None),
                                 ket, M)
         rhs = composite_no_mode(ctx, hw, i, j, r_sexp, M, bra, ket)
-        for k in range(1, i + 1):
-            if j + k > N:
-                continue
-            lad = gamma_ladder(ctx, k)
-            den_m = 1 - ctx.s_pow(r_sexp - (j - i) - 2 * k)
-            den_p = 1 - ctx.s_pow(r_sexp + (j - i) + 2 * k)
-            plus, minus = (pinned_mode_value(ctx, hw, bra,
-                                             delta_pin(i, j, k, sign), ket, M)
-                           for sign in (1, -1))
-            rhs = rhs + pref * lad * (plus / den_m - minus / den_p)
+        for u, v in _delta_values(ctx, hw, i, j, bra, ket, M):
+            rhs = rhs + v / (1 - ctx.s_pow(r_sexp - u))
         return {M: lhs}, {M: rhs}
 
     return _sweep("noww", case, _balanced_mode, window, level,
@@ -284,7 +275,6 @@ def verify_fusion(ctx: ScalarCtx, i: int, j: int, window: int = 2,
     if hw is None:
         hw = HighestWeight.generic(ctx)
     case = f"N={N}:i={i}:j={j}:w={window}:L={level}:{ctx.describe()}"
-    pref = ctx.prefactor()
 
     def run_side(pin, rhs_coeff, rhs_rank, rhs_shift, label):
         def sides(bra, ket, modes):
@@ -301,7 +291,7 @@ def verify_fusion(ctx: ScalarCtx, i: int, j: int, window: int = 2,
         for sign in (1, -1):
             # pinned: z1 = s^{sign(j+1)} z2; clear factor (1 - s^{sign(j+1)} z2/z1)
             pin = (1, sign * (j + 1), j, 0, (1, j), sign * (j + 1))
-            rec = run_side(pin, -sign * pref, j + 1, sign,
+            rec = run_side(pin, -sign * delta_coeff(ctx, 1), j + 1, sign,
                            f"rank1:sign={sign:+d}")
             if not rec.ok:
                 return rec
@@ -313,8 +303,7 @@ def verify_fusion(ctx: ScalarCtx, i: int, j: int, window: int = 2,
             pin = (j, -sign * (j + i), i, 0, (j, i), -sign * (j + i))
             # with i = 0 the delta sum is empty, the product has no pole at
             # the fusion point, and the cleared limit vanishes identically
-            coeff = ctx.zero if i == 0 else \
-                sign * pref * gamma_ladder(ctx, i)
+            coeff = ctx.zero if i == 0 else sign * delta_coeff(ctx, i)
             rec = run_side(pin, coeff, j + i, -sign * j,
                            f"general:sign={sign:+d}")
             if not rec.ok:
@@ -335,9 +324,8 @@ def verify_poles(ctx: ScalarCtx, i: int, j: int, order: int = 14, hw=None):
     if hw is None:
         hw = HighestWeight.vacuum(ctx)
     case = f"N={N}:i={i}:j={j}:order={order}:{ctx.describe()}:hw={hw.key()}"
-    kmax = min(i, N - j)
-    deg = 2 * kmax
-    if order < 4 * deg + 2:
+    deg, floor = pole_window(N, i, j)
+    if order < floor:
         raise ValueError("order too small for reconstruction")
     corr = w_correlator(ctx, hw, [WInsertion(i, "z1"), WInsertion(j, "z2")],
                         [order])
@@ -349,10 +337,7 @@ def verify_poles(ctx: ScalarCtx, i: int, j: int, order: int = 14, hw=None):
                            (ZERO_MODES_CENTRAL, "reconstructed"))
     num, den = rec
     dd = len(den) - 1
-    roots = []
-    for k in range(1, kmax + 1):
-        roots.append((j - i) + 2 * k)
-        roots.append(-(j - i) - 2 * k)
+    roots = [u for _, _, u in delta_terms(N, i, j)]
     if dd != len(roots):
         return CheckRecord("poles", case, "fail",
                            f"denominator degree {dd}, expected {len(roots)}",
@@ -379,7 +364,7 @@ def order_reversal_check(ctx: ScalarCtx, i: int, j: int, window: int = 2,
     if hw is None:
         hw = HighestWeight.generic(ctx)
     case = f"N={N}:i={i}:j={j}:{ctx.describe()}"
-    for k in range(1, min(i, N - j) + 1):
+    for k in [k for k, sign, _ in delta_terms(N, i, j) if sign == 1]:
         fwd = delta_pin(i, j, k, 1)
         a, sa, b, sb, dress, clear = fwd
         rev = (b, sb, a, sa, dress[::-1], clear)

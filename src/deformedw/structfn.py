@@ -256,6 +256,24 @@ def gamma_ladder(ctx: ScalarCtx, k: int):
     return acc
 
 
+def delta_terms(N: int, i: int, j: int) -> list:
+    """The delta terms of the (i, j) quadratic relation, k-major with the +
+    term first: (k, sign, u) for 1 <= k <= min(i, N - j) and sign = +1, -1,
+    the term -sign A gamma_ladder(k) delta(s^u z2/z1) f^{i-k,j+k}(p^{(j-i)/2})
+    W^{i-k}(p^{-k/2} z1) W^{j+k}(p^{k/2} z2), u = sign((j - i) + 2k)."""
+    return [(k, sign, sign * ((j - i) + 2 * k))
+            for k in range(1, min(i, N - j) + 1) for sign in (1, -1)]
+
+
+def pole_window(N: int, i: int, j: int):
+    """(deg, 4 deg + 2): the denominator degree, two poles per k of the
+    delta terms, at which verify_poles reconstructs f^{i,j} <W^i W^j>, and
+    the least series order that fixes and checks it.  deg follows the
+    k-range, so a claimed root set missing a pole meets the full degree."""
+    deg = 2 * max((k for k, _, _ in delta_terms(N, i, j)), default=0)
+    return deg, 4 * deg + 2
+
+
 def gamma_series(ctx: ScalarCtx, var: str, a: int, order: int) -> LaurentWindow:
     """gamma(s^a * z) expanded as a Taylor window in z to z^order (the
     shared list of logkernel_coeffs)."""
@@ -379,15 +397,12 @@ def check_f_identities(ctx: ScalarCtx, N: int, order: int):
                     * gamma_series(ctx, var, sign * j, order)
                 compare(f"ffgamma:i={i}:j={j}:sign={sign:+d}", lhs, rhs)
 
-    # regularity of the delta-term scalars f^{i-k,j+k}(p^{-+(j-i)/2})
+    # regularity of the delta-term scalars f^{i-k,j+k}(p^{+-(j-i)/2})
     for i in range(0, N + 1):
         for j in range(i, N + 1):
-            for k in range(1, i + 1):
-                a, b = i - k, j + k
-                if b > N:
-                    continue
-                for e in (j - i, i - j):
-                    ok = f_point_regular(N, a, b, e)
-                    out.append((f"regular:f^{a},{b}(s^{e})", ok,
-                                "" if ok else "pole in gamma-product form"))
+            for k, sign, _ in delta_terms(N, i, j):
+                a, b, e = i - k, j + k, sign * (j - i)
+                ok = f_point_regular(N, a, b, e)
+                out.append((f"regular:f^{a},{b}(s^{e})", ok,
+                            "" if ok else "pole in gamma-product form"))
     return out

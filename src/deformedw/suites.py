@@ -17,7 +17,7 @@ from .relations import (cross_check_w2_route, order_reversal_check,
                         verify_fusion, verify_nowwj, verify_poles,
                         verify_w1wj, verify_w2wj, verify_wiwj)
 from .report import CheckRecord
-from .structfn import check_f_identities
+from .structfn import check_f_identities, pole_window
 from .wcurrents import PREFIX_MEMO, STEP_STORE
 from .zalg import verify_principal_relations, verify_splitting_consistency
 from .zeta import log_sinh_identity_holds, verify_zeta_identity, \
@@ -170,11 +170,11 @@ _POLE_PAIRS = ((1, 1), (1, 2), (2, 2))
 
 
 def _check_poles_order(cfg, o):
-    """verify_poles reconstructs a denominator of degree deg = 2*min(i, N-j)
-    from `order` >= 4*deg + 2 coefficients; a rule over two keys, so it is
-    checked once both are parsed."""
-    need = 4 * max([2 * min(i, N - j) for N in o["n_values"]
-                    for i, j in _POLE_PAIRS], default=0) + 2
+    """verify_poles needs `order` at least the floor of structfn.pole_window
+    for each of its (N, i, j); a rule over two keys, so it is checked once
+    both are parsed."""
+    need = max(pole_window(N, i, j)[1] for N in o["n_values"]
+               for i, j in _POLE_PAIRS)
     if o["order"] < need:
         raise ValueError(f"[poles] {_shown(cfg, o, ('order', 'n_values'))}: "
                          f"order must be at least {need} for these ranks "

@@ -514,9 +514,10 @@ def pinned_mode_value(ctx: ScalarCtx, hw: HighestWeight, bra, pin, ket,
 
 
 def _middle_mode_value(ctx, hw, bra, blk, ket, total_mode):
-    """z-mode `total_mode` of the one block blk between bra and ket."""
+    """z-mode `total_mode` of the one block blk between bra and ket; the zero
+    current, the block of no options, gives zero without an engine."""
     prof = mode_profile(bra, (-total_mode,), ket)
-    if prof is None:
+    if prof is None or not blk.options:
         return ctx.zero
     return _sandwich(ctx, hw, bra, [blk], ket).value(prof, ctx)
 
@@ -544,10 +545,7 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pin,
     contradict the regularity of the full product and raises), and the
     result is evaluated.
     """
-    r1, _, r2, _, _, clear_sexp = pin
-    clearing = clear_sexp is not None
-    if r1 < 0 or r1 > ctx.N or r2 < 0 or r2 > ctx.N:
-        return ctx.zero
+    clearing = pin[5] is not None  # clear_sexp: a fusion limit
     braSum = sum(h for _, h in bra)
     ketSum = sum(k for _, k in ket)
     ext_deg = braSum + ketSum

@@ -316,6 +316,50 @@ def test_fusion_general_side_passes_unmutated(N, i, j):
     assert rec.status == "pass", rec.detail
 
 
+@pytest.fixture
+def dropped_last_delta_term(monkeypatch):
+    """delta_terms without its last term, wherever relations, limits and
+    structfn read it."""
+    terms = structfn.delta_terms
+    for module in (relations, limits, structfn):
+        monkeypatch.setattr(module, "delta_terms",
+                            lambda N, i, j: terms(N, i, j)[:-1])
+
+
+# a check reading each consumer of delta_terms: the general relation (the
+# mode table), the pole set and the limit II reduction, with the start of
+# each mutated detail; the pole check reconstructs the full denominator and
+# finds one claimed root fewer
+DELTA_TERM_CHECKS = {"wiwj": "(n,m)=",
+                     "poles": "denominator degree 2, expected 1",
+                     "limit2": "hbar^2 at "}
+
+
+def _delta_term_record(check):
+    if check == "wiwj":
+        ctx = ScalarCtx.generic(4, *RELATION_POINT)
+        return relations.verify_wiwj(ctx, 2, 2, window=1, level=1)
+    if check == "poles":
+        ctx = ScalarCtx.generic(3, *RELATION_POINT)
+        return relations.verify_poles(ctx, 2, 2)
+    ctx = ScalarCtx.limit2(3, 1, trunc=4)
+    return limits.verify_limit_II_relation(ctx, 1, 1, order_x=3)
+
+
+@pytest.mark.parametrize("check", DELTA_TERM_CHECKS)
+def test_relations_fail_without_last_delta_term(dropped_last_delta_term,
+                                                check):
+    rec = _delta_term_record(check)
+    assert rec.status == "fail", rec.detail
+    assert rec.detail.startswith(DELTA_TERM_CHECKS[check]), rec.detail
+
+
+@pytest.mark.parametrize("check", DELTA_TERM_CHECKS)
+def test_delta_term_controls_pass_unmutated(check):
+    rec = _delta_term_record(check)
+    assert rec.status == "pass", rec.detail
+
+
 # the rank-2 relation in printed form and its cross check against the
 # rewrite route, (N, j) at window and level 1, all with j + 1 <= N, so that
 # the printed right side carries composite normal-ordered W^1 W^{j+1} terms

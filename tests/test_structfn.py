@@ -6,10 +6,10 @@ from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from deformedw.exact import Cyc, HbarSeries, rat
 from deformedw.structfn import (GammaFactors, NonRationalKernel, PoleError,
                                 check_f_identities, contraction_logkernel,
-                                f_logkernel, f_point_regular, f_series,
-                                g_series, gamma_at, gamma_ladder,
+                                delta_terms, f_logkernel, f_point_regular,
+                                f_series, g_series, gamma_at, gamma_ladder,
                                 gamma_logkernel, gamma_series,
-                                logkernel_coeffs)
+                                logkernel_coeffs, pole_window)
 from deformedw.wcurrents import block_slots, dressed_pin_factors
 from oracles import gamma_product_series, series_log, stored_form
 
@@ -149,6 +149,25 @@ def test_gamma_ladder():
     ctx = ctx_n(4)
     assert gamma_ladder(ctx, 1) == 1
     assert gamma_ladder(ctx, 3) == gamma_at(ctx, 3) * gamma_at(ctx, 5)
+
+
+def test_delta_terms_follow_the_printed_relation():
+    # as printed, the k-th summand exists while both content ranks i - k and
+    # j + k lie in 0..N, and carries delta(p^{(j-i)/2+k} z2/z1) before
+    # delta(p^{-((j-i)/2+k)} z2/z1); u is the exponent of s = p^{1/2}
+    for N in range(1, 6):
+        for i in range(N + 1):
+            for j in range(i, N + 1):
+                printed = []
+                k = 1
+                while i - k >= 0 and j + k <= N:
+                    half = rat(j - i, 2) + k
+                    printed += [(k, 1, 2 * half), (k, -1, -2 * half)]
+                    k += 1
+                assert delta_terms(N, i, j) == printed, (N, i, j)
+                # one denominator root per summand, 4 deg + 2 coefficients
+                deg = len(printed)
+                assert pole_window(N, i, j) == (deg, 4 * deg + 2)
 
 
 def test_g_series_N2_k2():

@@ -51,13 +51,17 @@ def test_w_correlator_out_of_range_rank_vanishes():
                          ids=["generic", "limit2"])
 def test_out_of_range_rank_is_the_zero_block(ctx):
     # a bra, ket or middle rank outside 0..N is the zero current: one cached
-    # block with no options, which the engine gives the value zero
+    # block with no options, which the engine gives the value zero; as the
+    # one middle block it is zero before any engine is built
     hw = HighestWeight.vacuum(ctx)
+    assert pinned_mode_value(ctx, hw, [], (3, 0, 1, 0, None, None), [],
+                             0) == ctx.zero
+    assert single_current_mode_value(ctx, hw, [], 3, 0, [], 0) == ctx.zero
+    assert not [key for key in ctx.caches
+                if key[0] == "ME" and ("zero",) in key[1]]
     assert w_mode_matrix_element(ctx, hw, [(3, 0)], []) == ctx.zero
     assert two_current_mode_table(ctx, hw, [(3, 1)], (1, 0), (1, 0), [],
                                   None, [(0, -1)]) == {(0, -1): ctx.zero}
-    assert pinned_mode_value(ctx, hw, [], (3, 0, 1, 0, None, None), [],
-                             0) == ctx.zero
     zero = ctx.caches[("zero",)]
     assert zero.options == []
     assert current_block(ctx, hw, -1) is zero
