@@ -71,6 +71,7 @@ class ScalarCtx:
         self._qpow = {}
         self._tpow = {}
         self._recip = {}
+        self._afactor = {}
         self.caches = {}
 
         if mode == "generic":
@@ -201,8 +202,13 @@ class ScalarCtx:
     # -- composite quantities
 
     def a_factor(self, n: int):
-        """(1 - q^n)(1 - t^(-n)), the ubiquitous numerator of Eq.-level data."""
-        return (1 - self.q_pow(n)) * (1 - self.t_pow(-n))
+        """(1 - q^n)(1 - t^(-n)), the ubiquitous numerator of Eq.-level data;
+        computed once per n."""
+        try:
+            return self._afactor[n]
+        except KeyError:
+            v = self._afactor[n] = (1 - self.q_pow(n)) * (1 - self.t_pow(-n))
+            return v
 
     def prefactor(self):
         """(1 - q)(1 - t^(-1)) / (1 - p)."""

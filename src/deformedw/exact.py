@@ -470,6 +470,8 @@ def _quad_raw(F):
         if not x:
             return None
         if type(x) is QuadExt:
+            if x.F is not F and x.F != F:
+                raise ValueError("mixed quadratic extensions")
             return (x.A, x.B, x.D)
         return (x.numerator, 0, x.denominator)
 
@@ -511,6 +513,36 @@ def _quad_raw(F):
         return QuadExt._make(F, A // g, B // g, D // g)
 
     return lift, mul, add, norm, drop
+
+
+# the raw kernel of Q: a rational's triple keeps B = 0 through mul and add,
+# so the kernel of the trivial field s^2 = 1 serves, and lift refuses a
+# QuadExt of any real field
+RAT_RAW = _quad_raw((RAT_ONE, 1, 1))
+
+
+def raw_exp_coeffs(g, out, raw, zero):
+    """exp_coeffs on raw values of the kernel `raw` = (lift, mul, add, norm,
+    drop): extend `out`, the raw coefficients of exp(g) with out[0] the raw
+    1, in place to len(g) terms.  out[j] = (1/j) sum_{i=1..j} (i g[i])
+    out[j-i], summed unreduced from `zero` (the raw zero) with i ascending
+    and normalized once; a zero is None or a falsy scalar, and a term with
+    one is skipped."""
+    lift, mul, add, norm, _ = raw
+    dg = [None]
+    for j in range(len(out), len(g)):
+        # i g[i] for every i this extension reads, each formed once
+        for i in range(len(dg), j + 1):
+            gi = g[i]
+            dg.append(mul(lift(i), gi) if gi else None)
+        acc = zero
+        for i in range(1, j + 1):
+            di, oj = dg[i], out[j - i]
+            if di is not None and oj:
+                t = mul(di, oj)
+                acc = t if acc is None else add(acc, t)
+        out.append(acc if acc is None else norm(mul(acc, lift(RAT(1, j)))))
+    return out
 
 
 def _slot_nonzero(r) -> bool:
@@ -792,9 +824,27 @@ class HbarSeries(_Ring):
                                    self.trunc + k)
 
     def inverse(self) -> "HbarSeries":
-        coeffs = self.coeffs
-        if not coeffs or not coeffs[0]:
+        rows = self.rows
+        if not rows or not _slot_nonzero(rows[0]):
             raise ZeroDivisionError("inverse needs an invertible constant term")
+        if self.order is None:
+            # rational slots, on integers: 1/f = D/g for g = sum r_i h^i,
+            # whose coefficients are u_j / r0^(j+1) with u_0 = 1 and
+            # u_j = -sum_{i=1..j} r_i r0^(i-1) u_{j-i}
+            T, r0 = self.trunc, rows[0]
+            pw = [1]
+            for _ in range(T):
+                pw.append(pw[-1] * r0)
+            u = [1]
+            for j in range(1, T):
+                u.append(-sum(rows[i] * pw[i - 1] * u[j - i]
+                              for i in range(1, j + 1) if rows[i]))
+            # over the denominator r0^T, made positive
+            sign = 1 if pw[T] > 0 else -1
+            return HbarSeries._reduced(
+                None, [sign * self.D * uj * pw[T - 1 - j]
+                       for j, uj in enumerate(u)], sign * pw[T], T)
+        coeffs = self.coeffs
         return HbarSeries(inverse_coeffs(coeffs, scalar_inv(coeffs[0]),
                                          RAT_ZERO), self.trunc)
 

@@ -80,6 +80,13 @@ def kernel_coeffs(ctx: ScalarCtx, i: int, j: int, delta: int, order: int):
         lambda: contraction_logkernel(ctx.N, i, j).shifted(delta), order)
 
 
+def kernel_log_terms(ctx: ScalarCtx, i: int, j: int, delta: int):
+    """Log terms of C_{ij}(s^delta * x) as raw values of ctx.raw: the raw
+    copies kept in the entry of kernel_coeffs (see
+    structfn.logkernel_coeffs), through the order it was last grown to."""
+    return ctx.caches[("K", i, j, delta)][2]
+
+
 def hw_eigenvalue_w(ctx: ScalarCtx, hw: HighestWeight, i: int):
     """w^i(lambda): i-th elementary symmetric polynomial of the zero-mode
     factors a_f * s^{N+1-2f}."""
@@ -117,7 +124,7 @@ def lambda_correlator(ctx: ScalarCtx, hw: HighestWeight, insertions,
             raise ValueError("insertion points must follow the given order")
         varseq = list(points)
     if not varseq:
-        return LaurentWindow.constant((), ctx.one, ctx.zero)
+        return LaurentWindow.constant((), ctx.one, ctx.zero, ctx.raw)
     gaps = len(varseq) - 1
     if len(orders) != gaps:
         raise ValueError(f"need {gaps} gap orders, got {len(orders)}")
@@ -127,7 +134,11 @@ def lambda_correlator(ctx: ScalarCtx, hw: HighestWeight, insertions,
     for it in ins:
         zm = zm * zero_mode(ctx, hw, it.flavor)
 
-    acc = {(0,) * gaps: zm}
+    # the sum runs on the raw kernel: each pair's kernel coefficients are
+    # lifted once, every entry is normalized once per pair and dropped back
+    # to a scalar at the end (a cancelled entry is removed)
+    lift, mul, add, norm, drop = ctx.raw
+    acc = {(0,) * gaps: lift(zm)}
     for a in range(len(ins)):
         for b in range(a + 1, len(ins)):
             A, B = ins[a], ins[b]
@@ -140,20 +151,29 @@ def lambda_correlator(ctx: ScalarCtx, hw: HighestWeight, insertions,
             cap = min(orders[g] for g in span)
             if cap <= 0:
                 continue
-            coeffs = kernel_coeffs(ctx, A.flavor, B.flavor,
-                                   B.sshift - A.sshift, cap)
+            kc = [lift(k) for k in kernel_coeffs(
+                ctx, A.flavor, B.flavor, B.sshift - A.sshift, cap)[:cap + 1]]
             new = {}
             for e, c in acc.items():
                 room = min(orders[g] - e[g] for g in span)
                 for ell in range(0, min(cap, room) + 1):
-                    k = coeffs[ell] if ell else None
-                    if ell and not k:
-                        continue
-                    ne = tuple(x + ell if g in span else x
-                               for g, x in enumerate(e)) if ell else e
-                    v = c * k if ell else c
-                    new[ne] = new[ne] + v if ne in new else v
-            acc = new
+                    if ell:
+                        k = kc[ell]
+                        if not k:
+                            continue
+                        ne = tuple(x + ell if g in span else x
+                                   for g, x in enumerate(e))
+                        v = mul(c, k)
+                    else:
+                        ne, v = e, c
+                    old = new.get(ne)
+                    new[ne] = v if old is None else add(old, v)
+            acc = {}
+            for e, v in new.items():
+                v = norm(v)
+                if v is not None:
+                    acc[e] = v
     bounds = [VarBound(0, orders[g], True, False) for g in range(gaps)]
     varnames = tuple(f"{varseq[k + 1]}/{varseq[k]}" for k in range(gaps))
-    return LaurentWindow(varnames, acc, bounds, ctx.zero)
+    return LaurentWindow(varnames, {e: drop(c) for e, c in acc.items()},
+                         bounds, ctx.zero, ctx.raw)

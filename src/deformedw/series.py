@@ -10,9 +10,11 @@ read an inexact coefficient.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import add as plus, itemgetter
 
-from .exact import RAT_ZERO, HbarSeries, exp_coeffs
+from .exact import RAT_RAW, RAT_ZERO, HbarSeries, exp_coeffs
 
 
 class WindowError(ValueError):
@@ -33,28 +35,34 @@ def _prunable(x) -> bool:
 
 
 class LaurentWindow:
-    __slots__ = ("vars", "coeffs", "bounds", "zero")
+    """`zero` is the coefficients' zero and `raw` the raw kernel (lift,
+    mul, add, norm, drop) of their ring that products run on: ctx.zero and
+    ctx.raw for a window a context builds, the rationals' by default."""
 
-    def __init__(self, vars, coeffs, bounds, zero=RAT_ZERO):
+    __slots__ = ("vars", "coeffs", "bounds", "zero", "raw")
+
+    def __init__(self, vars, coeffs, bounds, zero=RAT_ZERO, raw=RAT_RAW):
         self.vars = tuple(vars)
         self.bounds = tuple(bounds)
         self.zero = zero
+        self.raw = raw
         self.coeffs = {e: c for e, c in coeffs.items() if not _prunable(c)}
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(vars, value, zero=RAT_ZERO) -> "LaurentWindow":
+    def constant(vars, value, zero=RAT_ZERO, raw=RAT_RAW) -> "LaurentWindow":
         n = len(vars)
         coeffs = {} if _prunable(value) else {(0,) * n: value}
-        return LaurentWindow(vars, coeffs, [VarBound(0, 0, True, True)] * n, zero)
+        return LaurentWindow(vars, coeffs, [VarBound(0, 0, True, True)] * n,
+                             zero, raw)
 
     @staticmethod
-    def taylor(var, coeff_list, zero=RAT_ZERO) -> "LaurentWindow":
+    def taylor(var, coeff_list, zero=RAT_ZERO, raw=RAT_RAW) -> "LaurentWindow":
         """One-variable truncated Taylor series: hard floor at 0, soft top."""
         coeffs = {(i,): c for i, c in enumerate(coeff_list)}
         b = VarBound(0, len(coeff_list) - 1, True, False)
-        return LaurentWindow((var,), coeffs, [b], zero)
+        return LaurentWindow((var,), coeffs, [b], zero, raw)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -101,7 +109,7 @@ class LaurentWindow:
         for e, c in other.coeffs.items():
             if _inside(e, bounds):
                 out[e] = out[e] + c if e in out else c
-        return LaurentWindow(self.vars, out, bounds, self.zero)
+        return LaurentWindow(self.vars, out, bounds, self.zero, self.raw)
 
     # -- multiplication with window shrink ------------------------------------
 
@@ -131,14 +139,31 @@ class LaurentWindow:
             lo = los[0] if lo_hard else max(los[1:])
             hi = his[0] if hi_hard else min(his[1:])
             bounds.append(VarBound(lo, hi, lo_hard, hi_hard))
+        # on self's raw kernel: each coefficient lifted once, every output
+        # coefficient one unreduced sum, normalized once as drop reads it
+        # back.  other's terms are sorted by exponent, so a term of self
+        # meets only those whose first exponent (e[:1]) lands inside the
+        # first bound; the other bounds are checked term by term
+        lift, mul, add, _, drop = self.raw
+        right = sorted(((e2, lift(c2)) for e2, c2 in other.coeffs.items()),
+                       key=itemgetter(0))
+        firsts = [e2[:1] for e2, _ in right]
+        first, rest = bounds[:1], bounds[1:]
         out = {}
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if _inside(e, bounds):
-                    v = c1 * c2
-                    out[e] = out[e] + v if e in out else v
-        return LaurentWindow(self.vars, out, bounds, self.zero)
+            c1 = lift(c1)
+            lo = tuple(b.lo - x for b, x in zip(first, e1))
+            hi = tuple(b.hi - x for b, x in zip(first, e1))
+            for e2, c2 in right[bisect_left(firsts, lo):
+                                bisect_right(firsts, hi)]:
+                e = tuple(map(plus, e1, e2))
+                if rest and not _inside(e[1:], rest):
+                    continue
+                v = mul(c1, c2)
+                old = out.get(e)
+                out[e] = v if old is None else add(old, v)
+        return LaurentWindow(self.vars, {e: drop(v) for e, v in out.items()},
+                             bounds, self.zero, self.raw)
 
     # -- variable manipulation -------------------------------------------------
 
@@ -156,7 +181,7 @@ class LaurentWindow:
                 if inv is None:
                     inv = scalar_inv(scalar)
                 out[e] = c * inv**(-n)
-        return LaurentWindow(self.vars, out, self.bounds, self.zero)
+        return LaurentWindow(self.vars, out, self.bounds, self.zero, self.raw)
 
     def __repr__(self):
         n = len(self.coeffs)
@@ -188,7 +213,8 @@ def series_exp(x: LaurentWindow) -> LaurentWindow:
     if x.coeffs.get((0,), x.zero):
         raise ValueError("series_exp needs zero constant term")
     return LaurentWindow.taylor(x.vars[0],
-                                exp_coeffs(g, [x.zero + 1], x.zero), x.zero)
+                                exp_coeffs(g, [x.zero + 1], x.zero), x.zero,
+                                x.raw)
 
 
 # ---------------------------------------------------------------------------

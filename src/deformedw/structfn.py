@@ -198,17 +198,23 @@ def logkernel_coeffs(ctx: ScalarCtx, key, make, order: int) -> list:
     the log-kernel that `make()` builds; every series of that kernel in the
     context reads this one list.
 
-    ctx.caches[key] holds (kernel, log terms, coefficients), both lists
-    extended in place on demand, so a caller may keep the returned list and
-    index it directly once it is long enough.  Callers must not modify it.
+    ctx.caches[key] holds (kernel, log terms, raw log terms, coefficients),
+    the lists extended in place on demand, so a caller may keep a returned
+    list and index it directly once it is long enough.  The raw log terms
+    are the log terms lifted by ctx.raw, for sums of log-kernels on the raw
+    kernel (fock.kernel_log_terms).  Callers must not modify the lists.
     """
     entry = ctx.caches.get(key)
     if entry is None:
-        entry = ctx.caches[key] = (make(), [ctx.zero], [ctx.one])
-    kernel, terms, coeffs = entry
+        entry = ctx.caches[key] = (make(), [ctx.zero], [ctx.raw[0](ctx.zero)],
+                                   [ctx.one])
+    kernel, terms, raw_terms, coeffs = entry
     if len(coeffs) <= order:
+        lift = ctx.raw[0]
         for n in range(len(terms), order + 1):
-            terms.append(kernel.term(ctx, n))
+            term = kernel.term(ctx, n)
+            terms.append(term)
+            raw_terms.append(lift(term))
         exp_coeffs(terms, coeffs, ctx.zero)
     return coeffs
 
@@ -226,7 +232,7 @@ def f_series(ctx: ScalarCtx, i: int, j: int, order: int,
     if order < 0:
         raise ValueError("order must be nonnegative")
     return LaurentWindow.taylor(var, f_coeffs(ctx, i, j, order)[:order + 1],
-                                ctx.zero)
+                                ctx.zero, ctx.raw)
 
 
 def gamma_logkernel(a: int) -> LogKernel:
@@ -279,7 +285,7 @@ def gamma_series(ctx: ScalarCtx, var: str, a: int, order: int) -> LaurentWindow:
     shared list of logkernel_coeffs)."""
     coeffs = logkernel_coeffs(ctx, ("gamma", a), partial(gamma_logkernel, a),
                               order)
-    return LaurentWindow.taylor(var, coeffs[:order + 1], ctx.zero)
+    return LaurentWindow.taylor(var, coeffs[:order + 1], ctx.zero, ctx.raw)
 
 
 def g_series(N: int, k: int, mu: int, nu: int, order: int,

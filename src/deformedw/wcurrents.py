@@ -18,8 +18,9 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .context import ScalarCtx
+from .exact import raw_exp_coeffs
 from .fock import HighestWeight, Insertion, kernel_coeffs, \
-    lambda_correlator, zero_mode
+    kernel_log_terms, lambda_correlator, zero_mode
 from .series import LaurentWindow
 from .structfn import GammaFactors, PoleError, contraction_logkernel, \
     f_coeffs, f_logkernel
@@ -160,39 +161,32 @@ def _pair_kernel(ctx: ScalarCtx, slotsA, slotsB, order: int):
     at least order + 1 of them, as raw values of ctx.raw (drop reads them
     back).
 
-    ctx.caches holds one tuple per slot-pair product; a larger order
-    rebuilds it, multiplying in one pair's kernel after the other.  Each
-    new coefficient is one unreduced raw sum, normalized once."""
+    The product is one exponential: its log terms are the sums of the slot
+    pairs' raw log terms (fock.kernel_log_terms), each normalized once, and
+    raw_exp_coeffs exponentiates them.  ctx.caches holds (log terms,
+    coefficients) per slot-list pair, both extended in place on demand."""
     key = ("KB", slotsA, slotsB)
-    coeffs = ctx.caches.get(key, ())
+    entry = ctx.caches.get(key)
+    if entry is None:
+        entry = ctx.caches[key] = ([None], [ctx.raw[0](ctx.one)])
+    logs, coeffs = entry
     if len(coeffs) <= order:
-        lift, mul, add, norm, _ = ctx.raw
+        lift, _, add, norm, _ = ctx.raw
         zero = lift(ctx.zero)
-        # the constant 1, then the product over the slot pairs so far
-        coeffs = (lift(ctx.one),) + (zero,) * order
+        pairs = []
         for fa, sa in slotsA:
             for fb, sb in slotsB:
-                # coefficient 0 is 1 times the previous product's; order 0
-                # asks no kernel
-                kc = [lift(k) for k in
-                      kernel_coeffs(ctx, fa, fb, sb - sa, order)[:order + 1]] \
-                    if order else ()
-                new = []
-                for m in range(order + 1):
-                    acc = zero
-                    for i in range(m + 1):
-                        c = coeffs[i]
-                        if not c:
-                            continue
-                        if i < m:
-                            k = kc[m - i]
-                            if not k:
-                                continue
-                            c = mul(c, k)
-                        acc = c if acc is None else add(acc, c)
-                    new.append(acc if acc is None else norm(acc))
-                coeffs = tuple(new)
-        ctx.caches[key] = coeffs
+                # grows the pair's kernel entry, which keeps its log terms
+                kernel_coeffs(ctx, fa, fb, sb - sa, order)
+                pairs.append(kernel_log_terms(ctx, fa, fb, sb - sa))
+        for n in range(len(logs), order + 1):
+            acc = zero
+            for terms in pairs:
+                t = terms[n]
+                if t:
+                    acc = t if acc is None else add(acc, t)
+            logs.append(acc if acc is None else norm(acc))
+        raw_exp_coeffs(logs, coeffs, ctx.raw, zero)
     return coeffs
 
 
@@ -438,7 +432,7 @@ def w_correlator(ctx: ScalarCtx, hw: HighestWeight, winsertions,
         varseq = list(dict.fromkeys(w.var for w in ws))
         varnames = tuple(f"{varseq[k + 1]}/{varseq[k]}"
                          for k in range(len(varseq) - 1))
-        return LaurentWindow.constant(varnames, ctx.zero, ctx.zero)
+        return LaurentWindow.constant(varnames, ctx.zero, ctx.zero, ctx.raw)
     points = list(dict.fromkeys(w.var for w in ws))
     choice_lists = [_subsets(ctx.N, w.rank) for w in ws]
     out = None
@@ -522,12 +516,21 @@ def _middle_mode_value(ctx, hw, bra, blk, ket, total_mode):
     return _sandwich(ctx, hw, bra, [blk], ket).value(prof, ctx)
 
 
-def _poly_mul_factor(ctx, poly, c, exponent):
-    """Multiply a dense polynomial by (1 - c x)^exponent, exponent >= 0."""
+def _times_factor(raw, poly, mc, exponent):
+    """poly * (1 + mc x)^exponent on the raw kernel `raw` (mc is the raw -c
+    of a factor 1 - c x), each new coefficient normalized once; a zero is
+    None or a falsy scalar."""
+    _, mul, add, norm, _ = raw
     for _ in range(exponent):
-        poly = [(poly[k] if k < len(poly) else ctx.zero) -
-                (c * poly[k - 1] if k >= 1 else ctx.zero)
-                for k in range(len(poly) + 1)]
+        out = [poly[0]]
+        for k in range(1, len(poly) + 1):
+            v = poly[k] if k < len(poly) else None
+            p = poly[k - 1]
+            if p:
+                t = mul(mc, p)
+                v = t if v is None else add(v, t)
+            out.append(v if v is None else norm(v))
+        poly = out
     return poly
 
 
@@ -544,12 +547,20 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pin,
     pinning are divided out exactly (their survival in the numerator would
     contradict the regularity of the full product and raises), and the
     result is evaluated.
+
+    The polynomials, the E recurrence, the convolution and the division run
+    on the raw kernel ctx.raw, with K read raw from _pair_kernel; each new
+    coefficient is normalized once, a zero is None or a falsy scalar, and
+    the numerator is dropped back to a scalar once, before the division by
+    the surviving denominator factors.
     """
     clearing = pin[5] is not None  # clear_sexp: a fusion limit
     braSum = sum(h for _, h in bra)
     ketSum = sum(k for _, k in ket)
     ext_deg = braSum + ketSum
-    drop = ctx.raw[4]
+    raw = ctx.raw
+    lift, mul, add, norm, drop = raw
+    minus = lift(-1)
     options = list(_pin_options(ctx, hw, pin))
     denom = {}
     for _, _, gf, _ in options:
@@ -557,46 +568,53 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pin,
             if mult < 0:
                 denom[fkey] = max(denom.get(fkey, 0), -mult)
     helper = GammaFactors()
-    P = [ctx.zero]
+    mbase = {}  # per factor key the raw -c of its factor 1 - c x
+
+    def times(poly, fkey, exponent):
+        if fkey not in mbase:
+            mbase[fkey] = lift(-helper.base(ctx, fkey))
+        return _times_factor(raw, poly, mbase[fkey], exponent)
+
+    P = [None]
     for s1, s2, gf, zm in options:
         # the option's rational function times D: a polynomial
-        numpoly = [zm]
+        numpoly = [lift(zm)]
         for fkey, mult in sorted(gf.factors.items()):
-            c = helper.base(ctx, fkey)
             extra = mult + denom.get(fkey, 0)
             if extra < 0:
                 raise PoleError("denominator union miscounted")
-            numpoly = _poly_mul_factor(ctx, numpoly, c, extra)
+            numpoly = times(numpoly, fkey, extra)
         for fkey, mult in sorted(denom.items()):
             if fkey not in gf.factors:
-                numpoly = _poly_mul_factor(ctx, numpoly,
-                                           helper.base(ctx, fkey), mult)
+                numpoly = times(numpoly, fkey, mult)
         # external contraction polynomial: E[g] = V[g] - sum_l K[l] E[g-l]
         eng = _sandwich(ctx, hw, bra, [Block([(ctx.one, s1)], ("fix", s1)),
                                        Block([(ctx.one, s2)], ("fix", s2))],
                         ket)
-        K = [drop(k) for k in _pair_kernel(ctx, s1, s2, ext_deg)]
+        K = _pair_kernel(ctx, s1, s2, ext_deg)
+        negK = [mul(minus, k) if k else None for k in K[:ext_deg + 1]]
         E = []
         for g in range(ext_deg + 1):
             n1 = g - braSum
             prof = mode_profile(bra, (-n1, -(total_mode - n1)), ket)
-            e = eng.value(prof, ctx) if prof is not None else ctx.zero
+            e = lift(eng.value(prof, ctx)) if prof is not None else None
             for ell in range(1, g + 1):
-                if K[ell]:
-                    e = e - K[ell] * E[g - ell]
-            E.append(e)
+                k, eg = negK[ell], E[g - ell]
+                if k is not None and eg:
+                    t = mul(k, eg)
+                    e = t if e is None else add(e, t)
+            E.append(e if e is None else norm(e))
         # P += numpoly * E
-        conv = [ctx.zero] * (len(numpoly) + len(E) - 1)
+        P += [None] * (len(numpoly) + len(E) - 1 - len(P))
         for a, pa in enumerate(numpoly):
             if not pa:
                 continue
             for b, eb in enumerate(E):
                 if eb:
-                    conv[a + b] = conv[a + b] + pa * eb
-        if len(conv) > len(P):
-            P = P + [ctx.zero] * (len(conv) - len(P))
-        for k2, v in enumerate(conv):
-            P[k2] = P[k2] + v
+                    t = mul(pa, eb)
+                    old = P[a + b]
+                    P[a + b] = t if old is None else add(old, t)
+        P = [v if v is None else norm(v) for v in P]
     while len(P) > 1 and not P[-1]:
         P.pop()
     # divide out factors vanishing at the pinning (x = 1 in this convention)
@@ -613,16 +631,24 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pin,
             if not P[0]:
                 continue
             raise PoleError("pinned matrix element is genuinely singular")
+        # synthetic division by 1 - c x: Q[k] = P[k] + c Q[k-1], and the
+        # remainder P[-1] + c Q[-1] must vanish
+        lc = lift(c)
         Q = [P[0]]
-        for k2 in range(1, len(P) - 1):
-            Q.append(P[k2] + c * Q[k2 - 1])
-        if P[-1] + c * Q[-1]:
+        for v in P[1:]:
+            q = Q[-1]
+            if q:
+                t = mul(lc, q)
+                v = t if v is None else add(v, t)
+            Q.append(v if v is None else norm(v))
+        if Q.pop():
             raise PoleError("pinned matrix element is genuinely singular "
                             "at the pinning")
         P = Q
-    num = ctx.zero
+    num = lift(ctx.zero)
     for pk in P:
-        num = num + pk
+        if pk:
+            num = pk if num is None else add(num, pk)
     den = ctx.one
     skipped = 0
     for c in bases:
@@ -630,7 +656,7 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pin,
             skipped += 1
             continue
         den = den * (1 - c)
-    return num / den
+    return drop(num) / den
 
 
 def single_current_mode_value(ctx, hw, bra, rank, sshift, ket, total_mode):

@@ -10,6 +10,8 @@ integer only when comparing with structure-function series.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .exact import Cyc, rat
 from .report import CheckRecord
 from .series import LaurentWindow, VarBound, series_exp
@@ -243,17 +245,24 @@ def exchange_factor_series(N: int, k_value: int, mu: int, nu: int,
     for n in range(1, order + 1):
         if n % N == 0:
             continue
-        bkt = gl_bracket(beta_gen(N, n), beta_gen(N, -n))
-        if set(bkt.terms) - {CENTER}:
-            raise ArithmeticError("beta bracket is not central")
-        central = bkt.coefficient(CENTER)  # n, times the formal center
-        level_value = central * k_value
+        level_value = _beta_central(N, n) * k_value
         coeff = (one - _omega_pow(N, mu * n)) \
             * (one - _omega_pow(N, -nu * n)) \
             * level_value * rat(-1, k_value ** 2 * n ** 2)
         terms[(n,)] = coeff
     win = LaurentWindow(("zeta",), terms, [VarBound(0, order, True, False)])
     return series_exp(win)
+
+
+@lru_cache(maxsize=None)
+def _beta_central(N: int, n: int) -> Cyc:
+    """The coefficient of the center in [beta_n, beta_{-n}] (n, times the
+    formal center), bracketed once per (N, n); ArithmeticError if the
+    bracket is not central."""
+    bkt = gl_bracket(beta_gen(N, n), beta_gen(N, -n))
+    if set(bkt.terms) - {CENTER}:
+        raise ArithmeticError("beta bracket is not central")
+    return bkt.coefficient(CENTER)
 
 
 def verify_splitting_consistency(N: int, k_value: int, mu: int, nu: int,

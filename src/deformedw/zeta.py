@@ -46,11 +46,13 @@ def bernoulli_table(M: int):
     return table
 
 
-def zeta_value(m: int):
-    """zeta(1 - 2m) = (-1)^m B_m / (2m)."""
+def zeta_value(m: int, table=None):
+    """zeta(1 - 2m) = (-1)^m B_m / (2m), B_m read from `table` (a
+    bernoulli_table through m) when given."""
     if m < 1:
         raise ValueError("m must be positive")
-    return (-1) ** m * bernoulli(m) / (2 * m)
+    B = bernoulli(m) if table is None else table[m]
+    return (-1) ** m * B / (2 * m)
 
 
 def log_sinh_identity_holds(M: int) -> bool:
@@ -133,10 +135,11 @@ def verify_zeta_identity(N: int, i: int, beta, M: int = 6):
         raise ValueError("beta must be (N+1)/N or N/(N+1)")
     T = 2 * M + 1
     a = a_coefficients(N, i, beta, M)
+    table = bernoulli_table(M)  # one table for every zeta value
     exponent = [RAT(0)] * T
     for m in range(1, M + 1):
         if 2 * m < T:
-            exponent[2 * m] = a[m] * zeta_value(m)
+            exponent[2 * m] = a[m] * zeta_value(m, table)
     lhs = HbarSeries(exponent, T).exp()
     ctx = ScalarCtx.limit1(N, beta, trunc=T)
     rhs = (p_binomial(ctx, N, i) / comb(N, i)) ** 2

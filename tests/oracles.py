@@ -3,7 +3,8 @@ exact Laurent polynomials and the formal delta distribution as windows, the
 empty-window test, the logarithm of a window, a geometric factor and a gamma
 product expanded factor by factor, a scalar's stored form, the boson
 commutator, a partition count, the leading term of a q-series, a reference
-model of the hbar series, and the limit II comparison word by word."""
+model of the hbar series, the limit II comparison word by word, and the
+resummed pinned route in object arithmetic."""
 
 from deformedw import limits
 from deformedw.characters import partition_series
@@ -12,7 +13,9 @@ from deformedw.exact import (RAT_ONE, RAT_ZERO, Cyc, exp_coeffs,
                              scalar_inv)
 from deformedw.report import CheckRecord
 from deformedw.series import LaurentWindow, VarBound, _taylor_list
-from deformedw.structfn import contraction_logkernel
+from deformedw.structfn import GammaFactors, PoleError, contraction_logkernel
+from deformedw.wcurrents import (Block, _pair_kernel, _pin_options, _sandwich,
+                                 mode_profile)
 
 
 def window_from_terms(vars, terms):
@@ -44,7 +47,8 @@ def series_log(x: LaurentWindow) -> LaurentWindow:
     f = _taylor_list(x, "series_log")
     if x.coeffs.get((0,), x.zero) - 1:
         raise ValueError("series_log needs constant term 1")
-    return LaurentWindow.taylor(x.vars[0], log_coeffs(f, x.zero), x.zero)
+    return LaurentWindow.taylor(x.vars[0], log_coeffs(f, x.zero), x.zero,
+                                x.raw)
 
 
 def geometric_factor(var, c, exponent, order, zero=RAT_ZERO) -> LaurentWindow:
@@ -75,8 +79,8 @@ def geometric_factor(var, c, exponent, order, zero=RAT_ZERO) -> LaurentWindow:
 def gamma_product_series(gf, ctx, var: str, order: int) -> LaurentWindow:
     """The finite gamma product `gf` (a structfn.GammaFactors) as a Taylor
     window in var to var^order, one geometric factor at a time."""
-    win = LaurentWindow.constant((var,), ctx.one, ctx.zero)
-    win = LaurentWindow((var,), win.coeffs, [VarBound(0, order, True, False)], ctx.zero)
+    win = LaurentWindow((var,), {(0,): ctx.one},
+                        [VarBound(0, order, True, False)], ctx.zero, ctx.raw)
     for (kind, a), m in sorted(gf.factors.items()):
         c = gf.base(ctx, (kind, a))
         win = win * geometric_factor(var, c, m, order, ctx.zero)
@@ -282,3 +286,105 @@ def limit_II_per_key(ctx, i: int, j: int, order_x: int) -> CheckRecord:
                                f"hbar^2 at {key}: {got} != {target}")
     return CheckRecord("limit2", case, "pass",
                        f"{len(keys)} word coefficients")
+
+
+def pinned_mode_value_resummed(ctx, hw, bra, pin, ket, total_mode: int):
+    """wcurrents.pinned_mode_value_resummed as an earlier version wrote it,
+    every polynomial, the E recurrence, the convolution and the division by
+    vanishing factors in the scalar objects themselves: the pair kernel's
+    raw coefficients are dropped to scalars first."""
+
+    def _poly_mul_factor(ctx, poly, c, exponent):
+        # a dense polynomial times (1 - c x)^exponent, exponent >= 0
+        for _ in range(exponent):
+            poly = [(poly[k] if k < len(poly) else ctx.zero) -
+                    (c * poly[k - 1] if k >= 1 else ctx.zero)
+                    for k in range(len(poly) + 1)]
+        return poly
+
+    clearing = pin[5] is not None  # clear_sexp: a fusion limit
+    braSum = sum(h for _, h in bra)
+    ketSum = sum(k for _, k in ket)
+    ext_deg = braSum + ketSum
+    drop = ctx.raw[4]
+    options = list(_pin_options(ctx, hw, pin))
+    denom = {}
+    for _, _, gf, _ in options:
+        for fkey, mult in gf.factors.items():
+            if mult < 0:
+                denom[fkey] = max(denom.get(fkey, 0), -mult)
+    helper = GammaFactors()
+    P = [ctx.zero]
+    for s1, s2, gf, zm in options:
+        # the option's rational function times D: a polynomial
+        numpoly = [zm]
+        for fkey, mult in sorted(gf.factors.items()):
+            c = helper.base(ctx, fkey)
+            extra = mult + denom.get(fkey, 0)
+            if extra < 0:
+                raise PoleError("denominator union miscounted")
+            numpoly = _poly_mul_factor(ctx, numpoly, c, extra)
+        for fkey, mult in sorted(denom.items()):
+            if fkey not in gf.factors:
+                numpoly = _poly_mul_factor(ctx, numpoly,
+                                           helper.base(ctx, fkey), mult)
+        # external contraction polynomial: E[g] = V[g] - sum_l K[l] E[g-l]
+        eng = _sandwich(ctx, hw, bra, [Block([(ctx.one, s1)], ("fix", s1)),
+                                       Block([(ctx.one, s2)], ("fix", s2))],
+                        ket)
+        K = [drop(k) for k in _pair_kernel(ctx, s1, s2, ext_deg)]
+        E = []
+        for g in range(ext_deg + 1):
+            n1 = g - braSum
+            prof = mode_profile(bra, (-n1, -(total_mode - n1)), ket)
+            e = eng.value(prof, ctx) if prof is not None else ctx.zero
+            for ell in range(1, g + 1):
+                if K[ell]:
+                    e = e - K[ell] * E[g - ell]
+            E.append(e)
+        # P += numpoly * E
+        conv = [ctx.zero] * (len(numpoly) + len(E) - 1)
+        for a, pa in enumerate(numpoly):
+            if not pa:
+                continue
+            for b, eb in enumerate(E):
+                if eb:
+                    conv[a + b] = conv[a + b] + pa * eb
+        if len(conv) > len(P):
+            P = P + [ctx.zero] * (len(conv) - len(P))
+        for k2, v in enumerate(conv):
+            P[k2] = P[k2] + v
+    while len(P) > 1 and not P[-1]:
+        P.pop()
+    # divide out factors vanishing at the pinning (x = 1 in this convention)
+    bases = []
+    for fkey, mult in sorted(denom.items()):
+        bases.extend([helper.base(ctx, fkey)] * mult)
+    vanishing = [c for c in bases if not (1 - c)]
+    m = len(vanishing)
+    to_clear = m - 1 if clearing else m
+    if clearing and m == 0:
+        return ctx.zero
+    for c in vanishing[:to_clear]:
+        if len(P) == 1:
+            if not P[0]:
+                continue
+            raise PoleError("pinned matrix element is genuinely singular")
+        Q = [P[0]]
+        for k2 in range(1, len(P) - 1):
+            Q.append(P[k2] + c * Q[k2 - 1])
+        if P[-1] + c * Q[-1]:
+            raise PoleError("pinned matrix element is genuinely singular "
+                            "at the pinning")
+        P = Q
+    num = ctx.zero
+    for pk in P:
+        num = num + pk
+    den = ctx.one
+    skipped = 0
+    for c in bases:
+        if skipped < m and not (1 - c):
+            skipped += 1
+            continue
+        den = den * (1 - c)
+    return num / den

@@ -5,16 +5,18 @@ from math import gcd
 
 import pytest
 
+import oracles
 from deformedw import wcurrents
 from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
-from deformedw.fock import HighestWeight, hw_eigenvalue_w, kernel_coeffs, \
-    zero_mode
-from deformedw.exact import RAT, HbarSeries, QuadExt, rat
+from deformedw.fock import HighestWeight, Insertion, hw_eigenvalue_w, \
+    kernel_coeffs, lambda_correlator, zero_mode
+from deformedw.exact import RAT, HbarSeries, QuadExt, exp_coeffs, rat
 from deformedw.limits import verify_correlator_order, \
     verify_limit_I_appendix
 from deformedw.relations import default_braket_family, delta_pin, \
     verify_fusion, verify_nowwj, verify_w1wj, verify_wiwj
-from deformedw.structfn import PoleError, gamma_at
+from deformedw.structfn import PoleError, contraction_logkernel, f_series, \
+    gamma_at, gamma_series
 from deformedw.wcurrents import (PREFIX_MEMO, STEP_STORE, WInsertion,
                                  _pair_kernel, block_slots, composite_no_mode,
                                  current_block, mode_engine, mode_profile,
@@ -347,16 +349,35 @@ def _engine_values(ctx):
     return out
 
 
+def _window_values(ctx):
+    """Coefficients of windows built on the context's raw kernel at N=3: a
+    three-point lambda_correlator with a shifted insertion and a shared
+    group, and products of f and gamma series as the f-identities and the
+    pole check multiply them."""
+    hw = HighestWeight.generic(ctx)
+    ins = [Insertion(1, "z1", 0, 0), Insertion(3, "z1", 2, 0),
+           Insertion(2, "z2", -1, 1), Insertion(1, "z3", 1, 2)]
+    wins = [lambda_correlator(ctx, hw, ins, (3, 2)),
+            f_series(ctx, 1, 2, 6).scale_var("x", ctx.s_pow(3))
+            * f_series(ctx, 2, 2, 6),
+            f_series(ctx, 2, 3, 6) * gamma_series(ctx, "x", -2, 6)]
+    return [v for win in wins for _, v in sorted(win.coeffs.items())]
+
+
 def test_engine_raw_kernel_matches_object_arithmetic(monkeypatch):
     raw_ctx = ctx_n(3)
     got = _engine_values(raw_ctx)
+    got_windows = _window_values(raw_ctx)
     obj_ctx = ctx_n(3)
     monkeypatch.setattr(obj_ctx, "raw", OBJECT_KERNEL)
     want = _engine_values(obj_ctx)
     assert got == want
+    assert got_windows == _window_values(obj_ctx)
     assert any(isinstance(v, QuadExt) for v in got)
+    assert any(isinstance(v, QuadExt) for v in got_windows)
     # the dropped values are canonical: a QuadExt only with an s part
-    assert all(type(v) is RAT or (type(v) is QuadExt and v.B) for v in got)
+    assert all(type(v) is RAT or (type(v) is QuadExt and v.B)
+               for v in got + got_windows)
     # the same memoized states, read back, up to the cancelled weights the
     # raw kernel drops
     drop = raw_ctx.raw[4]
@@ -430,6 +451,31 @@ def test_resummed_route_matches_closed_form(N):
     assert checked
 
 
+def test_resummed_route_matches_object_arithmetic_reference():
+    # the pinnings at N=4 whose closed form is singular, so that
+    # pinned_mode_value falls back to the resummed route: the raw-kernel
+    # route equals the object-arithmetic one, each on its own context
+    N = 4
+    ctx, ref_ctx = ctx_n(N), ctx_n(N)
+    hw, ref_hw = HighestWeight.generic(ctx), HighestWeight.generic(ref_ctx)
+    family = default_braket_family(1)
+    checked = 0
+    for spec in _pinned_specs(N):
+        try:
+            pinned_block(ctx, hw, *spec)
+            continue
+        except PoleError:
+            pass
+        for bra in family:
+            for ket in family:
+                M = sum(k for _, k in ket) - sum(h for _, h in bra)
+                got = pinned_mode_value_resummed(ctx, hw, bra, spec, ket, M)
+                assert got == oracles.pinned_mode_value_resummed(
+                    ref_ctx, ref_hw, bra, spec, ket, M), (spec, bra, ket)
+                checked += bool(got)
+    assert checked
+
+
 KERNEL_CONTEXTS = {
     "generic": lambda: ctx_n(3),
     "limit1": lambda: ScalarCtx.limit1(3, rat(4, 3), trunc=6),
@@ -461,6 +507,20 @@ def kernel_product(ctx, slotsA, slotsB, order):
     return cur
 
 
+def kernel_exponential(ctx, slotsA, slotsB, order):
+    """The pair kernel built from scratch as one exponential: per order the
+    slot pairs' contraction log terms summed, then exp_coeffs."""
+    logs = [ctx.zero]
+    for n in range(1, order + 1):
+        acc = ctx.zero
+        for fa, sa in slotsA:
+            for fb, sb in slotsB:
+                acc = acc + contraction_logkernel(ctx.N, fa, fb).shifted(
+                    sb - sa).term(ctx, n)
+        logs.append(acc)
+    return exp_coeffs(logs, [ctx.one], ctx.zero)
+
+
 def stored_form(x):
     """Value and type of a scalar; for an hbar series also its slot types
     and truncation, through its canonical stored form."""
@@ -488,10 +548,19 @@ def test_pair_kernel_grown_one_order_at_a_time_equals_fresh_build(mode, slots):
         assert len(got) == o + 1
     fresh = KERNEL_CONTEXTS[mode]()
     built = _pair_kernel(fresh, slotsA, slotsB, order)
-    want = kernel_product(KERNEL_CONTEXTS[mode](), slotsA, slotsB, order)
     assert [stored_form(c) for c in got] == [stored_form(c) for c in built]
+    # the product of the slot pairs' kernels has the same values, each
+    # through its own truncation; in the hbar limits the exponential knows
+    # at least the product's orders
+    want = kernel_product(KERNEL_CONTEXTS[mode](), slotsA, slotsB, order)
+    drop = fresh.raw[4]
+    assert [drop(c) for c in built] == want
+    assert all(c.trunc >= w.trunc for c, w in zip(built, want)
+               if isinstance(c, HbarSeries))
+    # the stored form is the exponential's, built independently
+    exp = kernel_exponential(KERNEL_CONTEXTS[mode](), slotsA, slotsB, order)
     assert [stored_form(c) for c in built] == \
-        [stored_form(raw_form(fresh, c)) for c in want]
+        [stored_form(raw_form(fresh, c)) for c in exp]
     # a smaller order reads the cached coefficients back
     assert _pair_kernel(grown, slotsA, slotsB, 2) is got
 

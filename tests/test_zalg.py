@@ -1,5 +1,6 @@
 import random
 
+from deformedw import zalg
 from deformedw.exact import Cyc
 from deformedw.zalg import (GlElement, _omega_pow, beta_gen,
                             exchange_factor_series, gl_bracket,
@@ -87,3 +88,20 @@ def test_closed_form_omega_powers():
         omega = Cyc.root(2 * N, 2)
         for k in range(-2 * N, 2 * N + 1):
             assert _omega_pow(N, k).coeffs == (omega ** k).coeffs
+
+
+def test_splitting_brackets_each_beta_pair_once(monkeypatch):
+    # [beta_n, beta_-n] is bracketed once per (N, n), whatever the level,
+    # orientation or number of calls
+    zalg._beta_central.cache_clear()
+    pairs = []
+    bracket = zalg.gl_bracket
+
+    def counted(a, b):
+        pairs.append((a, b))
+        return bracket(a, b)
+
+    monkeypatch.setattr(zalg, "gl_bracket", counted)
+    for k in (1, 2):
+        assert verify_splitting_consistency(3, k, 1, 2, order=6).ok
+    assert len(pairs) == 4  # n = 1, 2, 4, 5

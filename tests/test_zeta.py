@@ -1,5 +1,6 @@
 import pytest
 
+from deformedw import zeta
 from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from deformedw.exact import rat
 from deformedw.zeta import (a_coefficients, bernoulli, bernoulli_table,
@@ -77,3 +78,18 @@ def test_vacuum_eigenvalues():
         ctx = ScalarCtx.generic(N, q, t)
         for i in range(N + 1):
             assert verify_vacuum_eigenvalue(ctx, i).ok
+
+
+def test_zeta_identity_builds_one_bernoulli_table(monkeypatch):
+    # every zeta value of one identity is read from a single table, built
+    # through the module attribute the shifted-Bernoulli controls patch
+    sizes = []
+    table = zeta.bernoulli_table
+
+    def counted(M):
+        sizes.append(M)
+        return table(M)
+
+    monkeypatch.setattr(zeta, "bernoulli_table", counted)
+    assert verify_zeta_identity(3, 1, rat(4, 3), M=6).ok
+    assert sizes == [6]
