@@ -17,10 +17,8 @@ the engine is an integer and every value is exact.
 
 from __future__ import annotations
 
-from operator import add, mul
-
-from .exact import (Cyc, HbarSeries, QuadExt, RAT, RAT_ONE, RAT_ZERO,
-                    _quad_raw, rat, scalar_inv)
+from .exact import (OBJECT_RAW, Cyc, HbarSeries, QuadExt, RAT, RAT_ONE,
+                    RAT_ZERO, _quad_raw, rat, scalar_inv)
 
 DEFAULT_GENERIC_POINTS = ((rat(3, 2), rat(5, 3)), (rat(2, 7), rat(3, 5)))
 
@@ -38,15 +36,6 @@ def _check_generic_point(q, t):
         raise ValueError("degenerate point: p is a root of unity, "
                          "1 - p^M vanishes for some M")
     # with |p| != 1 rational, 1 - p^(M n) is nonzero for every M, n
-
-
-def _same(x):
-    return x
-
-
-# the raw kernel (lift, mul, add, norm, drop) of the hbar-series contexts:
-# their scalars are their own raw values, combined by the scalar operators
-_OBJECT_RAW = (_same, mul, add, _same, _same)
 
 
 class ScalarCtx:
@@ -95,7 +84,7 @@ class ScalarCtx:
             self.t = HbarSeries.exp_hbar(beta, T)
             self.p = HbarSeries.exp_hbar(1 - beta, T)
             self.s = HbarSeries.exp_hbar((1 - beta) / 2, T)
-            self.raw = _OBJECT_RAW
+            self.raw = OBJECT_RAW
         else:  # limit2
             k = int(kw["level"])
             T = int(kw.get("trunc", 4))
@@ -112,7 +101,7 @@ class ScalarCtx:
             self.t = HbarSeries.exp_hbar(rat(k + N, N), T) * Cyc.root(order, -2)
             self.p = HbarSeries.exp_hbar(rat(-k, N), T) * self.omega
             self.s = HbarSeries.exp_hbar(rat(-k, 2 * N), T) * self.eta
-            self.raw = _OBJECT_RAW
+            self.raw = OBJECT_RAW
 
     # -- constructors
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, mul
 
 from fractions import Fraction as RAT
 
@@ -30,17 +31,29 @@ def is_rational(x) -> bool:
 # entries may be any scalars of the tower, `zero` starts each accumulation
 
 
-def exp_coeffs(g, out, zero):
+def exp_coeffs(g, out, zero, raw=None):
     """Extend `out`, the coefficients of exp(g) with out[0] = 1, in place to
     len(g) terms; g[0] is ignored (taken as 0).  Uses f' = g' f:
-    out[j] = (1/j) sum_{i=1..j} i g[i] out[j-i]."""
+    out[j] = (1/j) sum_{i=1..j} (i g[i]) out[j-i], summed from `zero` with
+    i ascending, each i g[i] formed once.
+
+    The entries are scalars combined by their operators, or, given a
+    context's raw kernel `raw` = (lift, mul, add, norm, drop), its raw
+    values (`zero` the raw zero), each new coefficient normalized once.  A
+    term with a zero g[i] is skipped, and so is one with a raw zero None."""
+    lift, mul, add, norm, _ = raw or OBJECT_RAW
+    dg = [None]
     for j in range(len(out), len(g)):
+        for i in range(len(dg), j + 1):
+            gi = g[i]
+            dg.append(mul(lift(i), gi) if gi else None)
         acc = zero
         for i in range(1, j + 1):
-            gi = g[i]
-            if gi:
-                acc = acc + (i * gi) * out[j - i]
-        out.append(acc / j)
+            di, oj = dg[i], out[j - i]
+            if di is not None and oj is not None:
+                t = mul(di, oj)
+                acc = t if acc is None else add(acc, t)
+        out.append(acc if acc is None else norm(mul(acc, lift(RAT(1, j)))))
     return out
 
 
@@ -515,34 +528,19 @@ def _quad_raw(F):
     return lift, mul, add, norm, drop
 
 
+def _same(x):
+    return x
+
+
+# the raw kernel (lift, mul, add, norm, drop) of scalars that are their own
+# raw values, combined by their operators: the hbar-series contexts' kernel,
+# and exp_coeffs' default
+OBJECT_RAW = (_same, mul, add, _same, _same)
+
 # the raw kernel of Q: a rational's triple keeps B = 0 through mul and add,
 # so the kernel of the trivial field s^2 = 1 serves, and lift refuses a
 # QuadExt of any real field
 RAT_RAW = _quad_raw((RAT_ONE, 1, 1))
-
-
-def raw_exp_coeffs(g, out, raw, zero):
-    """exp_coeffs on raw values of the kernel `raw` = (lift, mul, add, norm,
-    drop): extend `out`, the raw coefficients of exp(g) with out[0] the raw
-    1, in place to len(g) terms.  out[j] = (1/j) sum_{i=1..j} (i g[i])
-    out[j-i], summed unreduced from `zero` (the raw zero) with i ascending
-    and normalized once; a zero is None or a falsy scalar, and a term with
-    one is skipped."""
-    lift, mul, add, norm, _ = raw
-    dg = [None]
-    for j in range(len(out), len(g)):
-        # i g[i] for every i this extension reads, each formed once
-        for i in range(len(dg), j + 1):
-            gi = g[i]
-            dg.append(mul(lift(i), gi) if gi else None)
-        acc = zero
-        for i in range(1, j + 1):
-            di, oj = dg[i], out[j - i]
-            if di is not None and oj:
-                t = mul(di, oj)
-                acc = t if acc is None else add(acc, t)
-        out.append(acc if acc is None else norm(mul(acc, lift(RAT(1, j)))))
-    return out
 
 
 def _slot_nonzero(r) -> bool:

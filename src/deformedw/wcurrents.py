@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .context import ScalarCtx
-from .exact import raw_exp_coeffs
+from .exact import exp_coeffs
 from .fock import HighestWeight, Insertion, kernel_coeffs, \
     kernel_log_terms, lambda_correlator, zero_mode
 from .series import LaurentWindow
@@ -163,7 +163,7 @@ def _pair_kernel(ctx: ScalarCtx, slotsA, slotsB, order: int):
 
     The product is one exponential: its log terms are the sums of the slot
     pairs' raw log terms (fock.kernel_log_terms), each normalized once, and
-    raw_exp_coeffs exponentiates them.  ctx.caches holds (log terms,
+    exp_coeffs exponentiates them on ctx.raw.  ctx.caches holds (log terms,
     coefficients) per slot-list pair, both extended in place on demand."""
     key = ("KB", slotsA, slotsB)
     entry = ctx.caches.get(key)
@@ -186,7 +186,7 @@ def _pair_kernel(ctx: ScalarCtx, slotsA, slotsB, order: int):
                 if t:
                     acc = t if acc is None else add(acc, t)
             logs.append(acc if acc is None else norm(acc))
-        raw_exp_coeffs(logs, coeffs, ctx.raw, zero)
+        exp_coeffs(logs, coeffs, zero, ctx.raw)
     return coeffs
 
 

@@ -10,7 +10,7 @@ from deformedw import wcurrents
 from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from deformedw.fock import HighestWeight, Insertion, hw_eigenvalue_w, \
     kernel_coeffs, lambda_correlator, zero_mode
-from deformedw.exact import RAT, HbarSeries, QuadExt, exp_coeffs, rat
+from deformedw.exact import RAT, HbarSeries, QuadExt, rat
 from deformedw.limits import verify_correlator_order, \
     verify_limit_I_appendix
 from deformedw.relations import default_braket_family, delta_pin, \
@@ -508,8 +508,9 @@ def kernel_product(ctx, slotsA, slotsB, order):
 
 
 def kernel_exponential(ctx, slotsA, slotsB, order):
-    """The pair kernel built from scratch as one exponential: per order the
-    slot pairs' contraction log terms summed, then exp_coeffs."""
+    """The pair kernel built from scratch as one exponential, in the scalar
+    objects: per order the slot pairs' contraction log terms summed, then
+    out[j] = (1/j) sum_i (i log[i]) out[j-i]."""
     logs = [ctx.zero]
     for n in range(1, order + 1):
         acc = ctx.zero
@@ -518,7 +519,14 @@ def kernel_exponential(ctx, slotsA, slotsB, order):
                 acc = acc + contraction_logkernel(ctx.N, fa, fb).shifted(
                     sb - sa).term(ctx, n)
         logs.append(acc)
-    return exp_coeffs(logs, [ctx.one], ctx.zero)
+    out = [ctx.one]
+    for j in range(1, order + 1):
+        acc = ctx.zero
+        for i in range(1, j + 1):
+            if logs[i]:
+                acc = acc + (i * logs[i]) * out[j - i]
+        out.append(acc / j)
+    return out
 
 
 def stored_form(x):
