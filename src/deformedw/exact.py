@@ -26,12 +26,22 @@ def is_rational(x) -> bool:
     return isinstance(x, (int, RAT))
 
 
+def _same(x):
+    return x
+
+
+# the raw kernel (lift, mul, add, norm, drop) of scalars that are their own
+# raw values, combined by their operators: the hbar-series contexts' kernel,
+# and exp_coeffs' default (see _quad_raw for the kernel of Q(s))
+OBJECT_RAW = (_same, mul, add, _same, _same)
+
+
 # ---------------------------------------------------------------------------
 # power-series recurrences on coefficient lists (constant term first); the
 # entries may be any scalars of the tower, `zero` starts each accumulation
 
 
-def exp_coeffs(g, out, zero, raw=None):
+def exp_coeffs(g, out, zero, raw=OBJECT_RAW):
     """Extend `out`, the coefficients of exp(g) with out[0] = 1, in place to
     len(g) terms; g[0] is ignored (taken as 0).  Uses f' = g' f:
     out[j] = (1/j) sum_{i=1..j} (i g[i]) out[j-i], summed from `zero` with
@@ -41,7 +51,7 @@ def exp_coeffs(g, out, zero, raw=None):
     context's raw kernel `raw` = (lift, mul, add, norm, drop), its raw
     values (`zero` the raw zero), each new coefficient normalized once.  A
     term with a zero g[i] is skipped, and so is one with a raw zero None."""
-    lift, mul, add, norm, _ = raw or OBJECT_RAW
+    lift, mul, add, norm, _ = raw
     dg = [None]
     for j in range(len(out), len(g)):
         for i in range(len(dg), j + 1):
@@ -527,15 +537,6 @@ def _quad_raw(F):
 
     return lift, mul, add, norm, drop
 
-
-def _same(x):
-    return x
-
-
-# the raw kernel (lift, mul, add, norm, drop) of scalars that are their own
-# raw values, combined by their operators: the hbar-series contexts' kernel,
-# and exp_coeffs' default
-OBJECT_RAW = (_same, mul, add, _same, _same)
 
 # the raw kernel of Q: a rational's triple keeps B = 0 through mul and add,
 # so the kernel of the trivial field s^2 = 1 serves, and lift refuses a
