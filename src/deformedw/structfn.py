@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import partial
 
 from .context import ScalarCtx
-from .exact import Cyc, HbarSeries, exp_coeffs, rat
+from .exact import Cyc, HbarSeries, QuadExt, exp_coeffs, rat
 from .series import LaurentWindow, VarBound, series_exp
 
 
@@ -198,24 +198,34 @@ def logkernel_coeffs(ctx: ScalarCtx, key, make, order: int) -> list:
     the log-kernel that `make()` builds; every series of that kernel in the
     context reads this one list.
 
-    ctx.caches[key] holds (kernel, log terms, raw log terms, coefficients),
-    the lists extended in place on demand, so a caller may keep a returned
-    list and index it directly once it is long enough.  The raw log terms
-    are the log terms lifted by ctx.raw, for sums of log-kernels on the raw
-    kernel (fock.kernel_log_terms).  Callers must not modify the lists.
+    ctx.caches[key] holds (kernel, log terms, raw log terms, coefficients,
+    raw coefficients), the lists extended in place on demand, so a caller
+    may keep a returned list and index it directly once it is long enough.
+    The raw lists are lifted by ctx.raw: the exponential runs on them
+    (exp_coeffs), and sums of log-kernels read the raw log terms
+    (fock.kernel_log_terms).  Callers must not modify the lists.
+
+    Each coefficient is read back with the type the scalar recurrence would
+    give it: from the first nonzero log term in Q(s) on, a QuadExt even
+    with no s part (the f dump prints that type), a drop before it.
     """
     entry = ctx.caches.get(key)
+    lift, drop = ctx.raw[0], ctx.raw[4]
     if entry is None:
-        entry = ctx.caches[key] = (make(), [ctx.zero], [ctx.raw[0](ctx.zero)],
-                                   [ctx.one])
-    kernel, terms, raw_terms, coeffs = entry
+        entry = ctx.caches[key] = (make(), [ctx.zero], [lift(ctx.zero)],
+                                   [ctx.one], [lift(ctx.one)])
+    kernel, terms, raw_terms, coeffs, raw_coeffs = entry
     if len(coeffs) <= order:
-        lift = ctx.raw[0]
         for n in range(len(terms), order + 1):
             term = kernel.term(ctx, n)
             terms.append(term)
             raw_terms.append(lift(term))
-        exp_coeffs(terms, coeffs, ctx.zero)
+        exp_coeffs(raw_terms, raw_coeffs, lift(ctx.zero), ctx.raw)
+        first = next((n for n, term in enumerate(terms)
+                      if n and term and type(term) is QuadExt), len(terms))
+        for j in range(len(coeffs), len(raw_coeffs)):
+            v = drop(raw_coeffs[j])
+            coeffs.append(v + ctx.s * 0 if j >= first else v)
     return coeffs
 
 

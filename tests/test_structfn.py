@@ -135,6 +135,33 @@ def test_gamma_comes_from_its_log_kernel(ctx):
         assert poles == {"generic": 2, "limit1": 19}[ctx.mode]
 
 
+@pytest.mark.parametrize("ctx", GAMMA_CONTEXTS, ids=lambda c: c.describe())
+def test_logkernel_lists_keep_the_scalar_recurrence_forms(ctx):
+    # logkernel_coeffs exponentiates on ctx.raw; grown one order at a time,
+    # as the engine grows it, every coefficient has the stored form, type
+    # included (a QuadExt with no s part stays one), of the exponential
+    # recurrence run on the scalar log terms
+    N, order = ctx.N, 6
+    kernels = {("f", i, j): f_logkernel(N, i, j)
+               for i in range(N + 1) for j in range(N + 1)}
+    kernels.update({("K", i, j, d): contraction_logkernel(N, i, j).shifted(d)
+                    for i in range(1, N + 1) for j in range(1, N + 1)
+                    for d in (-3, 0, 1, 4)})
+    for key, kernel in kernels.items():
+        for o in range(order + 1):
+            got = logkernel_coeffs(ctx, key, lambda: kernel, o)
+        logs = [ctx.zero] + [kernel.term(ctx, n) for n in range(1, order + 1)]
+        want = [ctx.one]
+        for j in range(1, order + 1):
+            acc = ctx.zero
+            for i in range(1, j + 1):
+                if logs[i]:
+                    acc = acc + (i * logs[i]) * want[j - i]
+            want.append(acc / j)
+        assert [stored_form(c) for c in got[:order + 1]] == \
+            [stored_form(c) for c in want], key
+
+
 def test_gamma_factor_without_constant_term_is_multiplied_in():
     # in limit1, 1 - q is O(hbar), not zero: the factor is multiplied in
     ctx = ScalarCtx.limit1(3, rat(3, 2), trunc=5)
