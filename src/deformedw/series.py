@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import add as plus, itemgetter
 
-from .exact import RAT_RAW, RAT_ZERO, HbarSeries, exp_coeffs
+from .exact import RAT_RAW, RAT_ZERO, HbarSeries, exp_coeffs, scalar_inv
 
 
 class WindowError(ValueError):
@@ -168,19 +168,24 @@ class LaurentWindow:
     # -- variable manipulation -------------------------------------------------
 
     def scale_var(self, var, scalar) -> "LaurentWindow":
-        """Substitute var -> scalar * var (scalar invertible)."""
+        """Substitute var -> scalar * var (scalar invertible), on the raw
+        kernel: each power of scalar, or of its one inverse, is one product
+        from the power before it."""
         k = self._vi(var)
-        from .exact import scalar_inv
-        inv = None
-        out = {}
-        for e, c in self.coeffs.items():
-            n = e[k]
-            if n >= 0:
-                out[e] = c * scalar**n if n else c
-            else:
-                if inv is None:
-                    inv = scalar_inv(scalar)
-                out[e] = c * inv**(-n)
+        lift, mul, _, norm, drop = self.raw
+        powers = {}
+
+        def power(n):
+            if n not in powers:
+                if n == 1 or n == -1:
+                    powers[n] = lift(scalar if n > 0 else scalar_inv(scalar))
+                else:
+                    unit = 1 if n > 0 else -1
+                    powers[n] = norm(mul(power(n - unit), power(unit)))
+            return powers[n]
+
+        out = {e: drop(mul(lift(c), power(e[k]))) if e[k] else c
+               for e, c in self.coeffs.items()}
         return LaurentWindow(self.vars, out, self.bounds, self.zero, self.raw)
 
     def __repr__(self):
@@ -236,7 +241,6 @@ def _solve_homogeneous(rows, ncols):
         if piv is None:
             continue
         inv = row[piv]
-        from .exact import scalar_inv
         invv = scalar_inv(inv)
         row = [c * invv for c in row]
         pivots[piv] = row
@@ -303,7 +307,6 @@ def rational_reconstruct(series: LaurentWindow, deg_num: int, deg_den: int):
         num.append(acc)
     # normalize q_0 = 1 when possible
     if q[0]:
-        from .exact import scalar_inv
         inv = scalar_inv(q[0])
         num = [a * inv for a in num]
         q = [a * inv for a in q]
