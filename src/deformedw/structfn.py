@@ -207,7 +207,8 @@ def logkernel_coeffs(ctx: ScalarCtx, key, make, order: int) -> list:
 
     Each coefficient is read back with the type the scalar recurrence would
     give it: from the first nonzero log term in Q(s) on, a QuadExt even
-    with no s part (the f dump prints that type), a drop before it.
+    with no s part (the f dump prints that type); before it, the canonical
+    scalar drop gives.
     """
     entry = ctx.caches.get(key)
     lift, drop = ctx.raw[0], ctx.raw[4]

@@ -157,8 +157,9 @@ def test_dump_matches_golden_output(capsys, args, golden):
 def test_verify_small_report_is_golden(tmp_path, capsys):
     # limit1, limit2 (reduction and correlator order), relations (to N = 4,
     # where gamma_ladder reaches gamma_at), fusion, f-identities (the gamma
-    # series), poles (the claimed roots, from structfn.delta_terms) and
-    # zalgebra (the roots of unity) at small sizes;
+    # series), poles (the claimed roots, from structfn.delta_terms),
+    # zalgebra (the roots of unity) and zeta (the Bernoulli table read
+    # once per identity) at small sizes;
     # verify_small.json holds the report of an earlier version, so a change
     # that moves any verdict, detail or truncation shows here
     out_path = tmp_path / "report.json"
