@@ -42,11 +42,15 @@ def run_suites(names, cp, jobs=1):
     report = Report()
     timings = {}
     cfgs = [dict(cp[name]) if cp.has_section(name) else {} for name in names]
+    # a fork pool starts all its workers at the first submit, so it gets
+    # no more workers than suites, and one suite runs in this process
+    workers = min(jobs, len(names))
     with ExitStack() as stack:
         run = map
-        if jobs > 1:
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers))
             run = pool.map
         for name, (recs, ms) in zip(names, run(_run_one, names, cfgs)):
             report.extend(recs)

@@ -60,7 +60,7 @@ class ScalarCtx:
         self._qpow = {}
         self._tpow = {}
         self._recip = {}
-        self._afactor = {}
+        self._logpre = {}
         self.caches = {}
 
         if mode == "generic":
@@ -190,18 +190,21 @@ class ScalarCtx:
 
     # -- composite quantities
 
-    def a_factor(self, n: int):
-        """(1 - q^n)(1 - t^(-n)), the ubiquitous numerator of Eq.-level data;
-        computed once per n."""
+    def log_prefactors(self, n: int):
+        """(a/n, a/((1 - p^{N n}) n)) for a = (1 - q^n)(1 - t^(-n)): the
+        factors of the two parts of every log-kernel's n-th term
+        (structfn.LogKernel.term); computed once per n."""
         try:
-            return self._afactor[n]
+            return self._logpre[n]
         except KeyError:
-            v = self._afactor[n] = (1 - self.q_pow(n)) * (1 - self.t_pow(-n))
+            a = (1 - self.q_pow(n)) * (1 - self.t_pow(-n))
+            v = self._logpre[n] = (a / n,
+                                   self.over_one_minus_p(a, self.N * n) / n)
             return v
 
     def prefactor(self):
         """(1 - q)(1 - t^(-1)) / (1 - p)."""
-        return self.over_one_minus_p(self.a_factor(1), 1)
+        return self.over_one_minus_p(self.log_prefactors(1)[0], 1)
 
     def describe(self) -> str:
         if self.mode == "generic":

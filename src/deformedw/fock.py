@@ -15,11 +15,12 @@ full rank-N current the constant 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .context import ScalarCtx
 from .exact import scalar_inv
 from .series import LaurentWindow, VarBound
-from .structfn import contraction_logkernel, logkernel_coeffs
+from .structfn import logkernel_entry, pair_logkernel
 
 
 @dataclass(frozen=True)
@@ -73,18 +74,19 @@ def zero_mode(ctx: ScalarCtx, hw: HighestWeight, flavor: int):
     return hw.a[flavor - 1] * ctx.s_pow(ctx.N + 1 - 2 * flavor)
 
 
-def kernel_coeffs(ctx: ScalarCtx, i: int, j: int, delta: int, order: int):
-    """Taylor coefficients of the contraction C_{ij}(s^delta * x) up to order."""
-    return logkernel_coeffs(
-        ctx, ("K", i, j, delta),
-        lambda: contraction_logkernel(ctx.N, i, j).shifted(delta), order)
+def kernel_coeffs(ctx: ScalarCtx, slotsA, slotsB, order: int):
+    """Taylor coefficients, at least order + 1 of them, of the contraction
+    kernel of two slot lists, prod_{a in A, b in B} C_{f_a f_b}(s^{s_b - s_a}
+    x), as raw values of ctx.raw (drop reads them back).
 
-
-def kernel_log_terms(ctx: ScalarCtx, i: int, j: int, delta: int):
-    """Log terms of C_{ij}(s^delta * x) as raw values of ctx.raw: the raw
-    copies kept in the entry of kernel_coeffs (see
-    structfn.logkernel_coeffs), through the order it was last grown to."""
-    return ctx.caches[("K", i, j, delta)][2]
+    The kernel is one exponential of one summed log-kernel
+    (structfn.pair_logkernel), cached per slot-list pair as
+    ctx.caches[("K", slotsA, slotsB)] (structfn.logkernel_entry, whose raw
+    coefficients are its item 3) and grown in place.  Callers may read that
+    list directly and call this only to build or grow it."""
+    return logkernel_entry(ctx, ("K", slotsA, slotsB),
+                           partial(pair_logkernel, ctx.N, slotsA, slotsB),
+                           order)[3]
 
 
 def hw_eigenvalue_w(ctx: ScalarCtx, hw: HighestWeight, i: int):
@@ -134,8 +136,8 @@ def lambda_correlator(ctx: ScalarCtx, hw: HighestWeight, insertions,
     for it in ins:
         zm = zm * zero_mode(ctx, hw, it.flavor)
 
-    # the sum runs on the raw kernel: each pair's kernel coefficients are
-    # lifted once, every entry is normalized once per pair and dropped back
+    # the sum runs on the raw kernel: each pair reads its raw kernel
+    # coefficients, every entry is normalized once per pair and dropped back
     # to a scalar at the end (a cancelled entry is removed)
     lift, mul, add, norm, drop = ctx.raw
     acc = {(0,) * gaps: lift(zm)}
@@ -151,8 +153,10 @@ def lambda_correlator(ctx: ScalarCtx, hw: HighestWeight, insertions,
             cap = min(orders[g] for g in span)
             if cap <= 0:
                 continue
-            kc = [lift(k) for k in kernel_coeffs(
-                ctx, A.flavor, B.flavor, B.sshift - A.sshift, cap)[:cap + 1]]
+            # one-slot lists translated to A at shift 0, so pairs of equal
+            # shift difference share one kernel
+            kc = kernel_coeffs(ctx, ((A.flavor, 0),),
+                               ((B.flavor, B.sshift - A.sshift),), cap)
             new = {}
             for e, c in acc.items():
                 room = min(orders[g] - e[g] for g in span)

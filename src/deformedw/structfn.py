@@ -63,17 +63,16 @@ class LogKernel:
                          {k + delta: v for k, v in self.num.items()})
 
     def term(self, ctx: ScalarCtx, n: int):
-        """Exact scalar value of the n-th log coefficient (n >= 1)."""
-        acc = ctx.zero
-        for k, v in self.poly.items():
-            acc = acc + v * ctx.s_pow(k * n)
-        if self.num:
-            numv = ctx.zero
-            a = ctx.a_factor(n)
-            for k, v in self.num.items():
-                numv = numv + v * ctx.s_pow(k * n)
-            return (acc * a + ctx.over_one_minus_p(a * numv, ctx.N * n)) / n
-        return (acc * ctx.a_factor(n)) / n
+        """Exact scalar value of the n-th log coefficient (n >= 1): per
+        nonzero part, its polynomial at y = s^n times the part's per-n
+        prefactor (ScalarCtx.log_prefactors), one product per part."""
+        out = None
+        for part, pre in zip((self.poly, self.num), ctx.log_prefactors(n)):
+            if part:
+                v = sum((c * ctx.s_pow(k * n) for k, c in part.items()),
+                        ctx.zero) * pre
+                out = v if out is None else out + v
+        return ctx.zero if out is None else out
 
     def resum(self, N: int) -> "GammaFactors":
         """Finite gamma-product form; NonRationalKernel if the 1/(1-p^{Nn})
@@ -193,41 +192,57 @@ def contraction_logkernel(N: int, i: int, j: int) -> LogKernel:
     return LogKernel({}, {k: v for k, v in num.items() if v})
 
 
-def logkernel_coeffs(ctx: ScalarCtx, key, make, order: int) -> list:
-    """Taylor coefficients, through x^order at least, of the exponential of
-    the log-kernel that `make()` builds; every series of that kernel in the
-    context reads this one list.
+def pair_logkernel(N: int, slotsA, slotsB) -> LogKernel:
+    """Log-kernel of the contraction of two slot lists,
+    prod_{a in A, b in B} C_{f_a f_b}(s^{s_b - s_a} x): the sum of the slot
+    pairs' shifted contraction log-kernels (integer dict work)."""
+    out = LogKernel()
+    for fa, sa in slotsA:
+        for fb, sb in slotsB:
+            out = out + contraction_logkernel(N, fa, fb).shifted(sb - sa)
+    return out
 
-    ctx.caches[key] holds (kernel, log terms, raw log terms, coefficients,
-    raw coefficients), the lists extended in place on demand, so a caller
-    may keep a returned list and index it directly once it is long enough.
-    The raw lists are lifted by ctx.raw: the exponential runs on them
-    (exp_coeffs), and sums of log-kernels read the raw log terms
-    (fock.kernel_log_terms).  Callers must not modify the lists.
 
-    Each coefficient is read back with the type the scalar recurrence would
-    give it: from the first nonzero log term in Q(s) on, a QuadExt even
-    with no s part (the f dump prints that type); before it, the canonical
-    scalar drop gives.
-    """
+def logkernel_entry(ctx: ScalarCtx, key, make, order: int) -> tuple:
+    """The exponential of the log-kernel that `make()` builds, cached as
+    ctx.caches[key] = (kernel, log terms, raw log terms, raw coefficients,
+    coefficients) and grown until the raw coefficients reach x^order: one
+    log term per order, lifted by ctx.raw, exponentiated by exp_coeffs on
+    ctx.raw.  The lists are extended in place, so a caller may keep one and
+    index it once it is long enough; callers must not modify them.  The
+    scalar coefficients are grown only by logkernel_coeffs."""
     entry = ctx.caches.get(key)
-    lift, drop = ctx.raw[0], ctx.raw[4]
+    lift = ctx.raw[0]
     if entry is None:
         entry = ctx.caches[key] = (make(), [ctx.zero], [lift(ctx.zero)],
-                                   [ctx.one], [lift(ctx.one)])
-    kernel, terms, raw_terms, coeffs, raw_coeffs = entry
-    if len(coeffs) <= order:
+                                   [lift(ctx.one)], [ctx.one])
+    kernel, terms, raw_terms, raw_coeffs, _ = entry
+    if len(raw_coeffs) <= order:
         for n in range(len(terms), order + 1):
-            term = kernel.term(ctx, n)
-            terms.append(term)
-            raw_terms.append(lift(term))
+            terms.append(kernel.term(ctx, n))
+            raw_terms.append(lift(terms[-1]))
         exp_coeffs(raw_terms, raw_coeffs, lift(ctx.zero), ctx.raw)
+    return entry
+
+
+def logkernel_coeffs(ctx: ScalarCtx, key, make, order: int) -> list:
+    """Taylor coefficients, through x^order at least, of the exponential of
+    the log-kernel that `make()` builds, as scalars: logkernel_entry's raw
+    coefficients read back, each with the type the scalar recurrence would
+    give it: from the first nonzero log term in Q(s) on, a QuadExt even
+    with no s part (the f dump prints that type); before it, the canonical
+    scalar drop gives."""
+    entry = ctx.caches.get(key)
+    if entry is None or len(entry[4]) <= order:
+        entry = logkernel_entry(ctx, key, make, order)
+        _, terms, _, raw_coeffs, coeffs = entry
+        drop = ctx.raw[4]
         first = next((n for n, term in enumerate(terms)
                       if n and term and type(term) is QuadExt), len(terms))
         for j in range(len(coeffs), len(raw_coeffs)):
             v = drop(raw_coeffs[j])
             coeffs.append(v + ctx.s * 0 if j >= first else v)
-    return coeffs
+    return entry[4]
 
 
 def f_coeffs(ctx: ScalarCtx, i: int, j: int, order: int) -> list:

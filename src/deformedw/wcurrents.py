@@ -18,12 +18,11 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .context import ScalarCtx
-from .exact import exp_coeffs
 from .fock import HighestWeight, Insertion, kernel_coeffs, \
-    kernel_log_terms, lambda_correlator, zero_mode
+    lambda_correlator, zero_mode
 from .series import LaurentWindow
-from .structfn import GammaFactors, PoleError, contraction_logkernel, \
-    f_coeffs, f_logkernel
+from .structfn import GammaFactors, PoleError, f_coeffs, f_logkernel, \
+    pair_logkernel
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,8 @@ def dressed_pin_factors(ctx: ScalarCtx, dress, slots1, slots2,
     in the convention where x = 1 realizes the pinned ratio s^pinexp (the f
     log-kernel is shifted by pinexp, the slot kernels by their absolute shift
     differences)."""
-    lk = f_logkernel(ctx.N, dress[0], dress[1]).shifted(pinexp)
-    for f1, s1 in slots1:
-        for f2, s2 in slots2:
-            lk = lk + contraction_logkernel(ctx.N, f1, f2).shifted(s2 - s1)
-    return lk.resum(ctx.N)
+    return (f_logkernel(ctx.N, dress[0], dress[1]).shifted(pinexp)
+            + pair_logkernel(ctx.N, slots1, slots2)).resum(ctx.N)
 
 
 def pinned_block(ctx: ScalarCtx, hw: HighestWeight, rank1: int, shift1: int,
@@ -156,40 +152,6 @@ def _pin_options(ctx, hw, pin):
                    _zero_modes(ctx, hw, J1 + J2))
 
 
-def _pair_kernel(ctx: ScalarCtx, slotsA, slotsB, order: int):
-    """Coefficients of prod_{a in A, b in B} C_{f_a f_b}(s^{s_b - s_a} x),
-    at least order + 1 of them, as raw values of ctx.raw (drop reads them
-    back).
-
-    The product is one exponential: its log terms are the sums of the slot
-    pairs' raw log terms (fock.kernel_log_terms), each normalized once, and
-    exp_coeffs exponentiates them on ctx.raw.  ctx.caches holds (log terms,
-    coefficients) per slot-list pair, both extended in place on demand."""
-    key = ("KB", slotsA, slotsB)
-    entry = ctx.caches.get(key)
-    if entry is None:
-        entry = ctx.caches[key] = ([None], [ctx.raw[0](ctx.one)])
-    logs, coeffs = entry
-    if len(coeffs) <= order:
-        lift, _, add, norm, _ = ctx.raw
-        zero = lift(ctx.zero)
-        pairs = []
-        for fa, sa in slotsA:
-            for fb, sb in slotsB:
-                # grows the pair's kernel entry, which keeps its log terms
-                kernel_coeffs(ctx, fa, fb, sb - sa, order)
-                pairs.append(kernel_log_terms(ctx, fa, fb, sb - sa))
-        for n in range(len(logs), order + 1):
-            acc = zero
-            for terms in pairs:
-                t = terms[n]
-                if t:
-                    acc = t if acc is None else add(acc, t)
-            logs.append(acc if acc is None else norm(acc))
-        exp_coeffs(logs, coeffs, zero, ctx.raw)
-    return coeffs
-
-
 # ctx.caches keys of the transfer states and of the transfer steps that every
 # engine of a context shares; suites drop both after each case to bound their
 # size
@@ -213,14 +175,14 @@ class ModeEngine:
     block takes yw of its own units with the Taylor coefficient f_yw; those
     units open no flow, since f depends on that one ratio alone.
 
-    Caches.  Blocks, engines ("ME") and pair kernels ("KB") live in
-    ctx.caches for the context; blocks are keyed by content, so engines on
-    equal blocks share every entry below.  Two caches are shared by every
-    engine and dropped by the suites after each case: PREFIX_MEMO holds the
-    states behind every block but the last, so a profile resumes from the
-    deepest prefix any engine has absorbed, and STEP_STORE the transfer
-    steps, since what a state feeds into the next block does not depend on
-    the state's weight.  value_cache keeps the value per profile, which the
+    Caches.  Blocks, engines ("ME") and contraction kernels ("K", one per
+    slot-list pair, fock.kernel_coeffs) live in ctx.caches for the context;
+    blocks are keyed by content, so engines on equal blocks share every
+    entry below.  Two caches are shared by every engine and dropped by the
+    suites after each case: PREFIX_MEMO holds the states behind every block
+    but the last, so a profile resumes from the deepest prefix any engine
+    has absorbed, and STEP_STORE the transfer steps, since what a state
+    feeds into the next block does not depend on the state's weight.  value_cache keeps the value per profile, which the
     relation checks ask of one engine many times.  Without the memo or the
     value cache, `verify` on the seed-0 perfbench relations config took
     about 1.5x as long.  The engine keeps no context, so nothing in
@@ -233,14 +195,14 @@ class ModeEngine:
     The engine lifts its option coefficients once, with the lift
     `mode_engine` passes, and keeps them in place of the blocks; f-weight
     coefficients are lifted where a landing pattern takes them, and kernel
-    coefficients come raw from _pair_kernel.  A step's factor is an
-    option's coefficient times its landing kernel coefficients and its
-    f-weight factor, taken left to right.  Over Q(s) the factors of one new
-    state are summed inside the step and normalized once, which is exact;
-    in the hbar limits, whose truncation follows valuations, they stay
-    unmerged and in the order of the options and patterns, so a state's
-    weight meets the same products as option by option, associated as
-    weight * (coefficient * kernels).  Each new state's weight is normalized
+    coefficients are read raw from the cached contraction kernels.  A
+    step's factor is an option's coefficient times its landing kernel
+    coefficients and its f-weight factor, taken left to right.  Over Q(s)
+    the factors of one new state are summed inside the step and normalized
+    once, which is exact; in the hbar limits, whose truncation follows
+    valuations, they stay unmerged and in the order of the options and
+    patterns, so a state's weight meets the same products as option by
+    option, associated as weight * (coefficient * kernels).  Each new state's weight is normalized
     once when its block finishes, which bounds the integers across blocks;
     a weight that cancelled (norm gives None) is dropped, and the memo holds
     the normalized states.  The total is dropped back to a canonical scalar
@@ -325,6 +287,7 @@ class ModeEngine:
         and normalized once, and a sum that cancelled is dropped; in the
         hbar limits every factor stays an entry of its own."""
         _, mul, add, norm, _ = ctx.raw
+        caches = ctx.caches
         entries = []
         patterns = {}
         for coeff, slots in self.options[c]:
@@ -336,8 +299,14 @@ class ModeEngine:
                 acc = coeff
                 for sslots, fac in factors:
                     if sslots is not None:
-                        # a landing: fac is its unit count
-                        fac = _pair_kernel(ctx, sslots, slots, fac)[fac]
+                        # a landing: fac is its unit count, and the raw
+                        # kernel list (item 3 of the entry) is read in
+                        # place unless it must be built or grown
+                        entry = caches.get(("K", sslots, slots))
+                        kc = entry[3] if entry is not None else ()
+                        if len(kc) <= fac:
+                            kc = kernel_coeffs(ctx, sslots, slots, fac)
+                        fac = kc[fac]
                         if not fac:
                             break
                     acc = mul(acc, fac)
@@ -549,7 +518,7 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pin,
     result is evaluated.
 
     The polynomials, the E recurrence, the convolution and the division run
-    on the raw kernel ctx.raw, with K read raw from _pair_kernel; each new
+    on the raw kernel ctx.raw, with K read raw from kernel_coeffs; each new
     coefficient is normalized once, a zero is None or a falsy scalar, and
     the numerator is dropped back to a scalar once, before the division by
     the surviving denominator factors.
@@ -591,7 +560,7 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pin,
         eng = _sandwich(ctx, hw, bra, [Block([(ctx.one, s1)], ("fix", s1)),
                                        Block([(ctx.one, s2)], ("fix", s2))],
                         ket)
-        K = _pair_kernel(ctx, s1, s2, ext_deg)
+        K = kernel_coeffs(ctx, s1, s2, ext_deg)
         negK = [mul(minus, k) if k else None for k in K[:ext_deg + 1]]
         E = []
         for g in range(ext_deg + 1):

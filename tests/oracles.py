@@ -2,20 +2,22 @@
 exact Laurent polynomials and the formal delta distribution as windows, the
 empty-window test, the logarithm of a window, a geometric factor and a gamma
 product expanded factor by factor, a scalar's stored form, the boson
-commutator, a partition count, the leading term of a q-series, a reference
-model of the hbar series, the limit II comparison word by word, and the
-resummed pinned route in object arithmetic."""
+commutator, a contraction's kernel read back as scalars, a partition count,
+the leading term of a q-series, a reference model of the hbar series, the
+limit II comparison word by word, and the resummed pinned route in object
+arithmetic."""
 
 from deformedw import limits
 from deformedw.characters import partition_series
 from deformedw.exact import (RAT_ONE, RAT_ZERO, Cyc, exp_coeffs,
                              inverse_coeffs, is_rational, log_coeffs, rat,
                              scalar_inv)
+from deformedw.fock import kernel_coeffs
 from deformedw.report import CheckRecord
 from deformedw.series import LaurentWindow, VarBound, _taylor_list
-from deformedw.structfn import GammaFactors, PoleError, contraction_logkernel
-from deformedw.wcurrents import (Block, _pair_kernel, _pin_options, _sandwich,
-                                 mode_profile)
+from deformedw.structfn import GammaFactors, PoleError, \
+    contraction_logkernel, logkernel_coeffs
+from deformedw.wcurrents import Block, _pin_options, _sandwich, mode_profile
 
 
 def window_from_terms(vars, terms):
@@ -100,6 +102,16 @@ def boson_commutator(ctx, i: int, j: int, n: int):
     if n == 0:
         raise ValueError("zero modes are central and carry no pairing")
     return contraction_logkernel(ctx.N, i, j).term(ctx, n)
+
+
+def contraction_coeffs(ctx, i: int, j: int, delta: int, order: int) -> list:
+    """Coefficients of C_{ij}(s^delta x) through x^order as scalars, from
+    the contraction's own log-kernel list under a key of its own, so they
+    do not pass through fock.kernel_coeffs or structfn.pair_logkernel."""
+    return logkernel_coeffs(
+        ctx, ("C", i, j, delta),
+        lambda: contraction_logkernel(ctx.N, i, j).shifted(delta),
+        order)[:order + 1]
 
 
 def partition_count(n: int) -> int:
@@ -332,7 +344,7 @@ def pinned_mode_value_resummed(ctx, hw, bra, pin, ket, total_mode: int):
         eng = _sandwich(ctx, hw, bra, [Block([(ctx.one, s1)], ("fix", s1)),
                                        Block([(ctx.one, s2)], ("fix", s2))],
                         ket)
-        K = [drop(k) for k in _pair_kernel(ctx, s1, s2, ext_deg)]
+        K = [drop(k) for k in kernel_coeffs(ctx, s1, s2, ext_deg)]
         E = []
         for g in range(ext_deg + 1):
             n1 = g - braSum

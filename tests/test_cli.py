@@ -74,6 +74,34 @@ def test_verify_parallel_merge_deterministic(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_verify_jobs_pool_has_no_more_workers_than_suites(monkeypatch):
+    # a fork pool starts all its workers at the first submit; a recorder in
+    # place of ProcessPoolExecutor maps in this process, so none starts
+    import concurrent.futures
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    cp = configparser.ConfigParser()
+    cp.read_string(CONFIG)
+    report, _ = cli.run_suites(["characters"], cp, jobs=64)
+    assert report.records and sizes == []
+    report, _ = cli.run_suites(["characters", "zeta"], cp, jobs=64)
+    assert report.records and sizes == [2]
+
+
 def test_verify_no_suites_errors(tmp_path, capsys):
     cfg = tmp_path / "empty.ini"
     cfg.write_text("[suites]\n")
@@ -158,8 +186,8 @@ def test_verify_small_report_is_golden(tmp_path, capsys):
     # limit1, limit2 (reduction and correlator order), relations (to N = 4,
     # where gamma_ladder reaches gamma_at), fusion, f-identities (the gamma
     # series), poles (the claimed roots, from structfn.delta_terms),
-    # zalgebra (the roots of unity) and zeta (the Bernoulli table read
-    # once per identity) at small sizes;
+    # zalgebra (the roots of unity), characters and zeta (the Bernoulli
+    # table read once per identity) at small sizes, all nine suites;
     # verify_small.json holds the report of an earlier version, so a change
     # that moves any verdict, detail or truncation shows here
     out_path = tmp_path / "report.json"

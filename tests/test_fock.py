@@ -3,8 +3,8 @@ import pytest
 from deformedw.context import DEFAULT_GENERIC_POINTS, ScalarCtx
 from deformedw.exact import rat
 from deformedw.fock import (HighestWeight, Insertion, hw_eigenvalue_w,
-                            kernel_coeffs, lambda_correlator, zero_mode)
-from oracles import boson_commutator
+                            lambda_correlator, zero_mode)
+from oracles import boson_commutator, contraction_coeffs
 
 
 def ctx_n(N, point=0):
@@ -82,7 +82,7 @@ def test_lambda_correlator_two_points_is_kernel():
     hw = HighestWeight.vacuum(ctx)
     ins = [Insertion(1, "z1", 0, 0), Insertion(1, "z2", 0, 1)]
     win = lambda_correlator(ctx, hw, ins, [6])
-    ker = kernel_coeffs(ctx, 1, 1, 0, 6)
+    ker = contraction_coeffs(ctx, 1, 1, 0, 6)
     for ell in range(7):
         assert win.coefficient((ell,)) == ctx.p_pow(1) * ker[ell]
 
@@ -113,9 +113,9 @@ def test_three_point_factorization_oracle():
     ins = [Insertion(fl[0], "z1", 0, 0), Insertion(fl[1], "z2", 0, 1),
            Insertion(fl[2], "z3", 0, 2)]
     win = lambda_correlator(ctx, hw, ins, [4, 4])
-    k12 = kernel_coeffs(ctx, fl[0], fl[1], 0, 4)
-    k13 = kernel_coeffs(ctx, fl[0], fl[2], 0, 4)
-    k23 = kernel_coeffs(ctx, fl[1], fl[2], 0, 4)
+    k12 = contraction_coeffs(ctx, fl[0], fl[1], 0, 4)
+    k13 = contraction_coeffs(ctx, fl[0], fl[2], 0, 4)
+    k23 = contraction_coeffs(ctx, fl[1], fl[2], 0, 4)
     zm = ctx.one
     for f in fl:
         zm = zm * zero_mode(ctx, hw, f)

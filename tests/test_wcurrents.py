@@ -4,6 +4,7 @@ import weakref
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from deformedw import wcurrents
@@ -18,7 +19,7 @@ from deformedw.relations import default_braket_family, delta_pin, \
 from deformedw.structfn import PoleError, contraction_logkernel, f_series, \
     gamma_at, gamma_series
 from deformedw.wcurrents import (PREFIX_MEMO, STEP_STORE, WInsertion,
-                                 _pair_kernel, block_slots, composite_no_mode,
+                                 block_slots, composite_no_mode,
                                  current_block, mode_engine, mode_profile,
                                  pinned_block, pinned_mode_value,
                                  pinned_mode_value_resummed,
@@ -89,7 +90,8 @@ def test_w_correlator_two_point_N2_expansion():
         for f1 in (1, 2):
             for f2 in (1, 2):
                 zm = zero_mode(ctx, hw, f1) * zero_mode(ctx, hw, f2)
-                acc = acc + zm * kernel_coeffs(ctx, f1, f2, 0, 5)[ell]
+                acc = acc + zm * oracles.contraction_coeffs(
+                    ctx, f1, f2, 0, 5)[ell]
         assert win.coefficient((ell,)) == acc
 
 
@@ -494,7 +496,7 @@ def kernel_product(ctx, slotsA, slotsB, order):
     cur = [ctx.one] + [ctx.zero] * order
     for fa, sa in slotsA:
         for fb, sb in slotsB:
-            kc = kernel_coeffs(ctx, fa, fb, sb - sa, order)
+            kc = oracles.contraction_coeffs(ctx, fa, fb, sb - sa, order)
             new = [ctx.zero] * (order + 1)
             for i, c in enumerate(cur):
                 if not c:
@@ -538,7 +540,7 @@ def stored_form(x):
 
 
 def raw_form(ctx, x):
-    """A scalar as the reduced raw value of ctx.raw that _pair_kernel
+    """A scalar as the reduced raw value of ctx.raw that kernel_coeffs
     stores (None for a Q(s) zero)."""
     lift, _, _, norm, _ = ctx.raw
     x = lift(x)
@@ -552,10 +554,10 @@ def test_pair_kernel_grown_one_order_at_a_time_equals_fresh_build(mode, slots):
     order = 5
     grown = KERNEL_CONTEXTS[mode]()
     for o in range(order + 1):
-        got = _pair_kernel(grown, slotsA, slotsB, o)
+        got = kernel_coeffs(grown, slotsA, slotsB, o)
         assert len(got) == o + 1
     fresh = KERNEL_CONTEXTS[mode]()
-    built = _pair_kernel(fresh, slotsA, slotsB, order)
+    built = kernel_coeffs(fresh, slotsA, slotsB, order)
     assert [stored_form(c) for c in got] == [stored_form(c) for c in built]
     # the product of the slot pairs' kernels has the same values, each
     # through its own truncation; in the hbar limits the exponential knows
@@ -570,7 +572,46 @@ def test_pair_kernel_grown_one_order_at_a_time_equals_fresh_build(mode, slots):
     assert [stored_form(c) for c in built] == \
         [stored_form(raw_form(fresh, c)) for c in exp]
     # a smaller order reads the cached coefficients back
-    assert _pair_kernel(grown, slotsA, slotsB, 2) is got
+    assert kernel_coeffs(grown, slotsA, slotsB, 2) is got
+
+
+# one context per mode and rank, for the drawn slot-list pairs
+KERNEL_MAKERS = {
+    "generic": lambda N: ctx_n(N, 1),
+    "limit1": lambda N: ScalarCtx.limit1(N, rat(4, 3), trunc=5),
+    "limit2": lambda N: ScalarCtx.limit2(N, 1, trunc=4),
+}
+
+
+@st.composite
+def slot_list_pairs(draw):
+    """N and two slot lists: each a subset of the flavors 1..N, every slot
+    at its own shift in -6..6."""
+    N = draw(st.integers(2, 4))
+
+    def slots():
+        flavors = sorted(draw(st.sets(st.integers(1, N))))
+        return tuple((f, draw(st.integers(-6, 6))) for f in flavors)
+
+    return N, slots(), slots()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_MAKERS)), slot_list_pairs())
+def test_kernel_coeffs_equal_the_product_of_one_slot_kernels(mode, pair):
+    N, slotsA, slotsB = pair
+    order = 4
+    built = kernel_coeffs(KERNEL_MAKERS[mode](N), slotsA, slotsB, order)
+    built = built[:order + 1]
+    ctx = KERNEL_MAKERS[mode](N)
+    want = kernel_product(ctx, slotsA, slotsB, order)
+    drop = ctx.raw[4]
+    assert [drop(c) for c in built] == want
+    if mode == "generic":
+        # over Q(s) the stored raw values are the product's, reduced
+        assert built == [raw_form(ctx, w) for w in want]
+    else:
+        assert all(c.trunc >= w.trunc for c, w in zip(built, want))
 
 
 def test_second_identical_table_builds_no_block(monkeypatch):
@@ -620,7 +661,7 @@ def test_blocks_are_keyed_by_content():
     hw = HighestWeight.generic(ctx)
     assert verify_w1wj(ctx, 2, window=1, level=1).status == "pass"
     assert set().union(*map(_key_strings, ctx.caches)) <= \
-        {"W", "const", "pin", "ME", "KB", "f", "K", PREFIX_MEMO, STEP_STORE,
+        {"W", "const", "pin", "ME", "f", "K", PREFIX_MEMO, STEP_STORE,
          hw.key()}
     [rank1] = [key for key in ctx.caches
                if key[0] == "W" and key[1:3] == (1, 0)]
@@ -670,7 +711,7 @@ def test_context_caches_hold_one_entry_kind_per_quantity():
                            (1, 0), [(1, 1)], None, [(0, -1)])
     kinds = {key if key in (PREFIX_MEMO, STEP_STORE) else key[0]
              for key in ctx.caches}
-    assert kinds == {"W", "const", "pin", "ME", "KB", "f", "K", PREFIX_MEMO,
+    assert kinds == {"W", "const", "pin", "ME", "f", "K", PREFIX_MEMO,
                      STEP_STORE}
     assert all(type(v) is wcurrents.Block for k, v in ctx.caches.items()
                if k[0] in ("W", "const", "pin"))
