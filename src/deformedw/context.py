@@ -31,6 +31,9 @@ def _check_generic_point(q, t):
     """Raise ValueError unless the rationals q, t make a generic context."""
     if not q or not t:
         raise ValueError("q, t must be nonzero")
+    if abs(q) == 1 or abs(t) == 1:
+        raise ValueError("degenerate point: q or t is +-1, so (1 - q^n)"
+                         "(1 - t^-n) vanishes for every n or every even n")
     p = q / t
     if abs(p.numerator) == abs(p.denominator):
         raise ValueError("degenerate point: p is a root of unity, "

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .context import ScalarCtx
-from .exact import scalar_inv
+from .exact import RAT, scalar_inv
 from .series import LaurentWindow, VarBound
 from .structfn import logkernel_entry, pair_logkernel
 
@@ -42,7 +42,6 @@ class HighestWeight:
     @staticmethod
     def from_rationals(ctx: ScalarCtx, values) -> "HighestWeight":
         """First N-1 eigenvalues as given; the last is fixed by prod a_i = 1."""
-        from .exact import RAT
         vals = [RAT(v) for v in values[:ctx.N - 1]]
         prod = ctx.one
         for v in vals:
@@ -81,12 +80,12 @@ def kernel_coeffs(ctx: ScalarCtx, slotsA, slotsB, order: int):
 
     The kernel is one exponential of one summed log-kernel
     (structfn.pair_logkernel), cached per slot-list pair as
-    ctx.caches[("K", slotsA, slotsB)] (structfn.logkernel_entry, whose raw
-    coefficients are its item 3) and grown in place.  Callers may read that
+    ctx.caches[("K", slotsA, slotsB)] (a structfn.LogKernelEntry, whose
+    `raw` list this returns) and grown in place.  Callers may read that
     list directly and call this only to build or grow it."""
     return logkernel_entry(ctx, ("K", slotsA, slotsB),
                            partial(pair_logkernel, ctx.N, slotsA, slotsB),
-                           order)[3]
+                           order).raw
 
 
 def hw_eigenvalue_w(ctx: ScalarCtx, hw: HighestWeight, i: int):

@@ -44,8 +44,9 @@ class LogKernel:
     __slots__ = ("poly", "num")
 
     def __init__(self, poly=None, num=None):
-        self.poly = dict(poly or {})
-        self.num = dict(num or {})
+        # zero coefficients are dropped: every stored one is nonzero
+        self.poly = {k: v for k, v in (poly or {}).items() if v}
+        self.num = {k: v for k, v in (num or {}).items() if v}
 
     def __add__(self, other: "LogKernel") -> "LogKernel":
         poly = dict(self.poly)
@@ -54,8 +55,7 @@ class LogKernel:
         num = dict(self.num)
         for k, v in other.num.items():
             num[k] = num.get(k, 0) + v
-        return LogKernel({k: v for k, v in poly.items() if v},
-                         {k: v for k, v in num.items() if v})
+        return LogKernel(poly, num)
 
     def shifted(self, delta: int) -> "LogKernel":
         """Argument substitution x -> s^delta * x."""
@@ -63,22 +63,26 @@ class LogKernel:
                          {k + delta: v for k, v in self.num.items()})
 
     def term(self, ctx: ScalarCtx, n: int):
-        """Exact scalar value of the n-th log coefficient (n >= 1): per
-        nonzero part, its polynomial at y = s^n times the part's per-n
-        prefactor (ScalarCtx.log_prefactors), one product per part."""
+        """The n-th log coefficient (n >= 1) as a raw value of ctx.raw: per
+        part, its polynomial at y = s^n times its per-n prefactor
+        (ScalarCtx.log_prefactors); hbar series truncate as scalars do."""
+        lift, mul, add, norm, _ = ctx.raw
         out = None
         for part, pre in zip((self.poly, self.num), ctx.log_prefactors(n)):
             if part:
-                v = sum((c * ctx.s_pow(k * n) for k, c in part.items()),
-                        ctx.zero) * pre
-                out = v if out is None else out + v
-        return ctx.zero if out is None else out
+                acc = lift(ctx.zero)
+                for k, c in part.items():
+                    v = mul(lift(c), lift(ctx.s_pow(k * n)))
+                    acc = v if acc is None else add(acc, v)
+                v = mul(acc, lift(pre))
+                out = v if out is None else add(out, v)
+        return lift(ctx.zero) if out is None else norm(out)
 
     def resum(self, N: int) -> "GammaFactors":
         """Finite gamma-product form; NonRationalKernel if the 1/(1-p^{Nn})
         tail does not cancel."""
         quotient = {}
-        rem = {k: v for k, v in self.num.items() if v}
+        rem = dict(self.num)
         # divide num by (1 - y^{2N}) from the top
         while rem:
             h = max(rem)
@@ -114,7 +118,9 @@ class GammaFactors:
     def __init__(self, factors=None):
         self.factors = dict(factors or {})
 
-    def base(self, ctx: ScalarCtx, key):
+    @staticmethod
+    def base(ctx: ScalarCtx, key):
+        """The factor's c_f as a scalar of ctx."""
         kind, a = key
         if kind == "q":
             return ctx.q_pow(1) * ctx.s_pow(a)
@@ -170,14 +176,11 @@ def f_logkernel(N: int, i: int, j: int) -> LogKernel:
     M = N - max(i, j)
     D = abs(i - j)
     num = {}
-    if m >= 0:
-        span = [(u, 1) for u in range(m)]
-    else:
-        span = [(u, -1) for u in range(m, 0)]
-    for u, sign in span:
+    sign = 1 if m >= 0 else -1
+    for u in range(min(m, 0), max(m, 0)):
         for k, v in ((2 * u + D, sign), (2 * (u + M) + D, -sign)):
             num[k] = num.get(k, 0) + v
-    return LogKernel({}, {k: v for k, v in num.items() if v})
+    return LogKernel({}, num)
 
 
 def contraction_logkernel(N: int, i: int, j: int) -> LogKernel:
@@ -189,7 +192,7 @@ def contraction_logkernel(N: int, i: int, j: int) -> LogKernel:
     num = {base: -1}
     k = base + 2 * (N * delta - 1)
     num[k] = num.get(k, 0) + 1
-    return LogKernel({}, {k: v for k, v in num.items() if v})
+    return LogKernel({}, num)
 
 
 def pair_logkernel(N: int, slotsA, slotsB) -> LogKernel:
@@ -203,25 +206,34 @@ def pair_logkernel(N: int, slotsA, slotsB) -> LogKernel:
     return out
 
 
-def logkernel_entry(ctx: ScalarCtx, key, make, order: int) -> tuple:
-    """The exponential of the log-kernel that `make()` builds, cached as
-    ctx.caches[key] = (kernel, log terms, raw log terms, raw coefficients,
-    coefficients) and grown until the raw coefficients reach x^order: one
-    log term per order, lifted by ctx.raw, exponentiated by exp_coeffs on
-    ctx.raw.  The lists are extended in place, so a caller may keep one and
-    index it once it is long enough; callers must not modify them.  The
-    scalar coefficients are grown only by logkernel_coeffs."""
+class LogKernelEntry:
+    """A cached log-kernel exponential: the kernel, its raw log terms, its
+    raw coefficients `raw` (grown in place: a caller may keep and index it,
+    not modify it) and their scalars, None until logkernel_coeffs reads."""
+
+    __slots__ = ("kernel", "raw_terms", "raw", "scalars")
+
+    def __init__(self, kernel, raw_zero, raw_one):
+        self.kernel = kernel
+        self.raw_terms = [raw_zero]
+        self.raw = [raw_one]
+        self.scalars = None
+
+
+def logkernel_entry(ctx: ScalarCtx, key, make, order: int) -> LogKernelEntry:
+    """The exponential of the log-kernel `make()` builds, cached as
+    ctx.caches[key] and grown until its raw coefficients reach x^order:
+    raw log terms (LogKernel.term) exponentiated by exp_coeffs on ctx.raw."""
     entry = ctx.caches.get(key)
     lift = ctx.raw[0]
     if entry is None:
-        entry = ctx.caches[key] = (make(), [ctx.zero], [lift(ctx.zero)],
-                                   [lift(ctx.one)], [ctx.one])
-    kernel, terms, raw_terms, raw_coeffs, _ = entry
-    if len(raw_coeffs) <= order:
+        entry = ctx.caches[key] = LogKernelEntry(make(), lift(ctx.zero),
+                                                 lift(ctx.one))
+    terms, raw = entry.raw_terms, entry.raw
+    if len(raw) <= order:
         for n in range(len(terms), order + 1):
-            terms.append(kernel.term(ctx, n))
-            raw_terms.append(lift(terms[-1]))
-        exp_coeffs(raw_terms, raw_coeffs, lift(ctx.zero), ctx.raw)
+            terms.append(entry.kernel.term(ctx, n))
+        exp_coeffs(terms, raw, lift(ctx.zero), ctx.raw)
     return entry
 
 
@@ -229,20 +241,21 @@ def logkernel_coeffs(ctx: ScalarCtx, key, make, order: int) -> list:
     """Taylor coefficients, through x^order at least, of the exponential of
     the log-kernel that `make()` builds, as scalars: logkernel_entry's raw
     coefficients read back, each with the type the scalar recurrence would
-    give it: from the first nonzero log term in Q(s) on, a QuadExt even
-    with no s part (the f dump prints that type); before it, the canonical
-    scalar drop gives."""
+    give it: from the first n >= 1 whose raw log term drops to a QuadExt on,
+    a QuadExt even with no s part (the f dump prints that type); before it,
+    the canonical scalar drop gives."""
     entry = ctx.caches.get(key)
-    if entry is None or len(entry[4]) <= order:
+    coeffs = entry and entry.scalars
+    if coeffs is None or len(coeffs) <= order:
         entry = logkernel_entry(ctx, key, make, order)
-        _, terms, _, raw_coeffs, coeffs = entry
-        drop = ctx.raw[4]
-        first = next((n for n, term in enumerate(terms)
-                      if n and term and type(term) is QuadExt), len(terms))
-        for j in range(len(coeffs), len(raw_coeffs)):
-            v = drop(raw_coeffs[j])
+        coeffs = entry.scalars = entry.scalars or []
+        terms, drop = entry.raw_terms, ctx.raw[4]
+        first = next((n for n in range(1, len(terms))
+                      if type(drop(terms[n])) is QuadExt), len(terms))
+        for j in range(len(coeffs), len(entry.raw)):
+            v = drop(entry.raw[j])
             coeffs.append(v + ctx.s * 0 if j >= first else v)
-    return entry[4]
+    return coeffs
 
 
 def f_coeffs(ctx: ScalarCtx, i: int, j: int, order: int) -> list:
@@ -346,25 +359,13 @@ def f_point_regular(N: int, a: int, b: int, e: int) -> bool:
     M = N - max(a, b)
     if m <= 0 or M <= 0:
         return True  # f is identically 1
-    D = abs(a - b)
+    # gammas sit at alpha + 2Nv, v >= 0, numerator ones at offset 0 and
+    # denominator ones at offset M: a pole where one of them is 0 or -2
     for u in range(m):
-        v = 0
-        while True:
-            alpha = 2 * (u + N * v) + D + e
-            if alpha > 0:
-                break
-            if alpha in (0, -2):
+        for offset in (0, M):
+            alpha = 2 * (u + offset) + abs(a - b) + e
+            if any(x >= 0 and not x % (2 * N) for x in (-alpha, -alpha - 2)):
                 return False
-            v += 1
-        # denominator gammas sit at alpha + 2M > alpha: same scan
-        v = 0
-        while True:
-            alpha = 2 * (u + N * v + M) + D + e
-            if alpha > 0:
-                break
-            if alpha in (0, -2):
-                return False
-            v += 1
     return True
 
 

@@ -182,29 +182,30 @@ class ModeEngine:
     suites after each case: PREFIX_MEMO holds the states behind every block
     but the last, so a profile resumes from the deepest prefix any engine
     has absorbed, and STEP_STORE the transfer steps, since what a state
-    feeds into the next block does not depend on the state's weight.  value_cache keeps the value per profile, which the
-    relation checks ask of one engine many times.  Without the memo or the
-    value cache, `verify` on the seed-0 perfbench relations config took
-    about 1.5x as long.  The engine keeps no context, so nothing in
-    ctx.caches refers back to it.
+    feeds into the next block does not depend on the state's weight.
+    value_cache keeps the value per profile, which the relation checks ask
+    of one engine many times.  Without the memo or the value cache, `verify`
+    on the seed-0 perfbench relations config took about 1.5x as long.  The
+    engine keeps no context, so nothing in ctx.caches refers back to it.
 
-    Every product and sum runs on the context's raw kernel ctx.raw =
-    (lift, mul, add, norm, drop): bare integer triples over Q(s) with no
-    gcd and no object per operation (exact._quad_raw), the scalars and
-    their operators in the hbar limits, so all rings take this one path.
-    The engine lifts its option coefficients once, with the lift
-    `mode_engine` passes, and keeps them in place of the blocks; f-weight
-    coefficients are lifted where a landing pattern takes them, and kernel
-    coefficients are read raw from the cached contraction kernels.  A
-    step's factor is an option's coefficient times its landing kernel
-    coefficients and its f-weight factor, taken left to right.  Over Q(s)
-    the factors of one new state are summed inside the step and normalized
-    once, which is exact; in the hbar limits, whose truncation follows
-    valuations, they stay unmerged and in the order of the options and
-    patterns, so a state's weight meets the same products as option by
-    option, associated as weight * (coefficient * kernels).  Each new state's weight is normalized
-    once when its block finishes, which bounds the integers across blocks;
-    a weight that cancelled (norm gives None) is dropped, and the memo holds
+    Every product and sum runs on the context's raw kernel ctx.raw = (lift,
+    mul, add, norm, drop): bare integer triples over Q(s) with no gcd and no
+    object per operation (exact._quad_raw), the scalars and their operators
+    in the hbar limits, so all rings take this one path.  The engine lifts
+    its option coefficients once, with the lift `mode_engine` passes, and
+    keeps them in place of the blocks; f-weight coefficients are lifted
+    where a landing pattern takes them, and a landing's kernel coefficient
+    is read in place, with no call, from the `raw` list of its slot-list
+    pair's "K" entry (fock.kernel_coeffs only builds or grows it).  A step's
+    factor is an option's coefficient times its landing kernel coefficients
+    and its f-weight factor, taken left to right.  Over Q(s) the factors of
+    one new state are summed inside the step and normalized once, which is
+    exact; in the hbar limits, whose truncation follows valuations, they
+    stay unmerged and in the order of the options and patterns, so a state's
+    weight meets the same products as option by option, associated as
+    weight * (coefficient * kernels).  Each new state's weight is normalized
+    once when its block finishes, which bounds the integers across blocks; a
+    weight that cancelled (norm gives None) is dropped, and the memo holds
     the normalized states.  The total is dropped back to a canonical scalar
     once per profile.
     """
@@ -299,11 +300,11 @@ class ModeEngine:
                 acc = coeff
                 for sslots, fac in factors:
                     if sslots is not None:
-                        # a landing: fac is its unit count, and the raw
-                        # kernel list (item 3 of the entry) is read in
-                        # place unless it must be built or grown
+                        # a landing: fac is its unit count, and the
+                        # entry's raw kernel list is read in place unless
+                        # it must be built or grown
                         entry = caches.get(("K", sslots, slots))
-                        kc = entry[3] if entry is not None else ()
+                        kc = entry.raw if entry is not None else ()
                         if len(kc) <= fac:
                             kc = kernel_coeffs(ctx, sslots, slots, fac)
                         fac = kc[fac]
@@ -536,12 +537,11 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pin,
         for fkey, mult in gf.factors.items():
             if mult < 0:
                 denom[fkey] = max(denom.get(fkey, 0), -mult)
-    helper = GammaFactors()
     mbase = {}  # per factor key the raw -c of its factor 1 - c x
 
     def times(poly, fkey, exponent):
         if fkey not in mbase:
-            mbase[fkey] = lift(-helper.base(ctx, fkey))
+            mbase[fkey] = lift(-GammaFactors.base(ctx, fkey))
         return _times_factor(raw, poly, mbase[fkey], exponent)
 
     P = [None]
@@ -589,7 +589,7 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pin,
     # divide out factors vanishing at the pinning (x = 1 in this convention)
     bases = []
     for fkey, mult in sorted(denom.items()):
-        bases.extend([helper.base(ctx, fkey)] * mult)
+        bases.extend([GammaFactors.base(ctx, fkey)] * mult)
     vanishing = [c for c in bases if not (1 - c)]
     m = len(vanishing)
     to_clear = m - 1 if clearing else m
@@ -619,12 +619,9 @@ def pinned_mode_value_resummed(ctx: ScalarCtx, hw: HighestWeight, bra, pin,
         if pk:
             num = pk if num is None else add(num, pk)
     den = ctx.one
-    skipped = 0
     for c in bases:
-        if skipped < m and not (1 - c):
-            skipped += 1
-            continue
-        den = den * (1 - c)
+        if 1 - c:
+            den = den * (1 - c)
     return drop(num) / den
 
 

@@ -1,11 +1,11 @@
 """Test-side constructors and oracles that the package itself never calls:
 exact Laurent polynomials and the formal delta distribution as windows, the
 empty-window test, the logarithm of a window, a geometric factor and a gamma
-product expanded factor by factor, a scalar's stored form, the boson
-commutator, a contraction's kernel read back as scalars, a partition count,
-the leading term of a q-series, a reference model of the hbar series, the
-limit II comparison word by word, and the resummed pinned route in object
-arithmetic."""
+product expanded factor by factor, a scalar's stored form, a log-kernel's
+log term in the scalar objects, the boson commutator, a contraction's kernel
+read back as scalars, a partition count, the leading term of a q-series, a
+reference model of the hbar series, the limit II comparison word by word,
+and the resummed pinned route in object arithmetic."""
 
 from deformedw import limits
 from deformedw.characters import partition_series
@@ -97,11 +97,25 @@ def stored_form(x):
     return type(x), x.numerator, x.denominator
 
 
+def logkernel_term(ctx, kernel, n: int):
+    """The n-th log coefficient (n >= 1) of a structfn.LogKernel as a
+    scalar, in the scalars' own operators: per nonzero part, its polynomial
+    at y = s^n times the part's per-n prefactor; the reference for the raw
+    LogKernel.term."""
+    out = None
+    for part, pre in zip((kernel.poly, kernel.num), ctx.log_prefactors(n)):
+        if part:
+            v = sum((c * ctx.s_pow(k * n) for k, c in part.items()),
+                    ctx.zero) * pre
+            out = v if out is None else out + v
+    return ctx.zero if out is None else out
+
+
 def boson_commutator(ctx, i: int, j: int, n: int):
     """[h^i_n, h^j_{-n}]; the commutator with h^j_m vanishes unless m = -n."""
     if n == 0:
         raise ValueError("zero modes are central and carry no pairing")
-    return contraction_logkernel(ctx.N, i, j).term(ctx, n)
+    return logkernel_term(ctx, contraction_logkernel(ctx.N, i, j), n)
 
 
 def contraction_coeffs(ctx, i: int, j: int, delta: int, order: int) -> list:
@@ -325,13 +339,12 @@ def pinned_mode_value_resummed(ctx, hw, bra, pin, ket, total_mode: int):
         for fkey, mult in gf.factors.items():
             if mult < 0:
                 denom[fkey] = max(denom.get(fkey, 0), -mult)
-    helper = GammaFactors()
     P = [ctx.zero]
     for s1, s2, gf, zm in options:
         # the option's rational function times D: a polynomial
         numpoly = [zm]
         for fkey, mult in sorted(gf.factors.items()):
-            c = helper.base(ctx, fkey)
+            c = GammaFactors.base(ctx, fkey)
             extra = mult + denom.get(fkey, 0)
             if extra < 0:
                 raise PoleError("denominator union miscounted")
@@ -339,7 +352,7 @@ def pinned_mode_value_resummed(ctx, hw, bra, pin, ket, total_mode: int):
         for fkey, mult in sorted(denom.items()):
             if fkey not in gf.factors:
                 numpoly = _poly_mul_factor(ctx, numpoly,
-                                           helper.base(ctx, fkey), mult)
+                                           GammaFactors.base(ctx, fkey), mult)
         # external contraction polynomial: E[g] = V[g] - sum_l K[l] E[g-l]
         eng = _sandwich(ctx, hw, bra, [Block([(ctx.one, s1)], ("fix", s1)),
                                        Block([(ctx.one, s2)], ("fix", s2))],
@@ -371,7 +384,7 @@ def pinned_mode_value_resummed(ctx, hw, bra, pin, ket, total_mode: int):
     # divide out factors vanishing at the pinning (x = 1 in this convention)
     bases = []
     for fkey, mult in sorted(denom.items()):
-        bases.extend([helper.base(ctx, fkey)] * mult)
+        bases.extend([GammaFactors.base(ctx, fkey)] * mult)
     vanishing = [c for c in bases if not (1 - c)]
     m = len(vanishing)
     to_clear = m - 1 if clearing else m

@@ -286,6 +286,8 @@ def test_shipped_and_benchmark_configs_pass_the_option_check():
     ("zeta", "points = 3/2,5/3,1"),       # (q, t) points
     ("fusion", "points = 1/0,2"),
     ("poles", "points = 2,-2"),           # degenerate point
+    ("poles", "points = 9/4,1"),          # t = 1: 1 - t^-n vanishes
+    ("zeta", "points = -1,3"),            # q = -1: 1 - q^n at even n
     ("limit2", "nk_pairs = 2,0"),         # level zero
     ("limit2", "correlator_nk_pairs = 2,0"),
     ("zalgebra", "nk_pairs = 2,0"),

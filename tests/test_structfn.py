@@ -11,7 +11,8 @@ from deformedw.structfn import (GammaFactors, NonRationalKernel, PoleError,
                                 gamma_logkernel, gamma_series,
                                 logkernel_coeffs, pole_window)
 from deformedw.wcurrents import block_slots, dressed_pin_factors
-from oracles import gamma_product_series, series_log, stored_form
+from oracles import (gamma_product_series, logkernel_term, series_log,
+                     stored_form)
 
 
 def ctx_n(N, point=0):
@@ -150,7 +151,8 @@ def test_logkernel_lists_keep_the_scalar_recurrence_forms(ctx):
     for key, kernel in kernels.items():
         for o in range(order + 1):
             got = logkernel_coeffs(ctx, key, lambda: kernel, o)
-        logs = [ctx.zero] + [kernel.term(ctx, n) for n in range(1, order + 1)]
+        logs = [ctx.zero] + [logkernel_term(ctx, kernel, n)
+                             for n in range(1, order + 1)]
         want = [ctx.one]
         for j in range(1, order + 1):
             acc = ctx.zero
@@ -303,6 +305,8 @@ def test_f_point_regularity():
                         assert f_point_regular(N, i - k, j + k, e)
     # a pole shows up when the argument hits the gamma singularity
     assert not f_point_regular(3, 1, 1, -2)
+    # and one that only the denominator gammas, at offset M, reach
+    assert not f_point_regular(3, 1, 1, -4)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])

@@ -518,8 +518,8 @@ def kernel_exponential(ctx, slotsA, slotsB, order):
         acc = ctx.zero
         for fa, sa in slotsA:
             for fb, sb in slotsB:
-                acc = acc + contraction_logkernel(ctx.N, fa, fb).shifted(
-                    sb - sa).term(ctx, n)
+                acc = acc + oracles.logkernel_term(ctx, contraction_logkernel(
+                    ctx.N, fa, fb).shifted(sb - sa), n)
         logs.append(acc)
     out = [ctx.one]
     for j in range(1, order + 1):
@@ -697,6 +697,20 @@ def test_singular_pinning_is_remembered(monkeypatch):
         pinned_mode_value_resummed(ctx, hw, [(1, 1)], spec, [(1, 1)], 0)
 
 
+def _holds_scalar(x):
+    """Whether a Fraction or QuadExt sits anywhere inside x: in its
+    containers or, for an object with __slots__, in its slots."""
+    if type(x) in (RAT, QuadExt):
+        return True
+    if isinstance(x, dict):
+        return any(map(_holds_scalar, x.keys())) or \
+            any(map(_holds_scalar, x.values()))
+    if isinstance(x, (list, tuple)):
+        return any(map(_holds_scalar, x))
+    return any(_holds_scalar(getattr(x, name))
+               for name in getattr(type(x), "__slots__", ()))
+
+
 def test_context_caches_hold_one_entry_kind_per_quantity():
     # blocks, engines, pair kernels, log-kernel lists, the prefix memo and
     # the step store; nothing else below the block (zero modes, pinned
@@ -715,6 +729,9 @@ def test_context_caches_hold_one_entry_kind_per_quantity():
                      STEP_STORE}
     assert all(type(v) is wcurrents.Block for k, v in ctx.caches.items()
                if k[0] in ("W", "const", "pin"))
+    # a pair kernel holds raw values only: no scalar term or coefficient
+    assert not any(_holds_scalar(v) for k, v in ctx.caches.items()
+                   if k[0] == "K")
 
 
 # a context and the checks that fill its caches, one per context mode
