@@ -17,6 +17,8 @@ the engine is an integer and every value is exact.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .exact import (OBJECT_RAW, Cyc, HbarSeries, QuadExt, RAT, RAT_ONE,
                     RAT_ZERO, _quad_raw, rat, scalar_inv)
 
@@ -38,15 +40,21 @@ def _check_generic_point(q, t):
     if abs(p.numerator) == abs(p.denominator):
         raise ValueError("degenerate point: p is a root of unity, "
                          "1 - p^M vanishes for some M")
-    # with |p| != 1 rational, 1 - p^(M n) is nonzero for every M, n
+    # with |p| != 1 rational, 1 - p^(M n) is nonzero for every M, n; but
+    # at a square p the ring Q[s]/(s^2 - p) has zero divisors
+    n, d = p.numerator, p.denominator
+    if n > 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d:
+        raise ValueError(f"degenerate point: p = q/t = {p} is the square of "
+                         "a rational, so Q[s]/(s^2 - p) is Q x Q, not a field")
 
 
 class ScalarCtx:
     """Shared scalar arithmetic for one choice of (q, t).
 
     `raw` is the context's kernel (lift, mul, add, norm, drop) for hot sums
-    of products (see exact._quad_raw): integer triples over Q(s) in generic
-    mode, the scalars themselves and their operators in the limits."""
+    of products: in generic mode the kernel of Q(s), exact._quad_raw(s.F),
+    on integer triples, on which QuadExt's own operators run too; in the
+    limits the scalars themselves and their operators."""
 
     def __init__(self, N: int, mode: str, **kw):
         if N < 2:

@@ -353,6 +353,17 @@ def _root(order: int, k: int) -> Cyc:
     return Cyc(order, [0] * k + [1])
 
 
+def _triple(F, x):
+    """A QuadExt of the field F, or a rational n/d, as its integer triple:
+    (A, B, D), or (n, 0, d); None for any other type.  The one check that a
+    QuadExt lies in F."""
+    if type(x) is QuadExt:
+        if x.F != F:
+            raise ValueError("mixed quadratic extensions")
+        return (x.A, x.B, x.D)
+    return (x.numerator, 0, x.denominator) if is_rational(x) else None
+
+
 class QuadExt(_Ring):
     """Element a + b*s of the quadratic extension Q(s) with s^2 = p.
 
@@ -362,10 +373,11 @@ class QuadExt(_Ring):
     With p = pn/pd in lowest terms, sigma = pd*s is integral: sigma^2 = m =
     pn*pd.  An element is stored as integers (A, B, D), its value being
     (A + B*sigma)/D with D > 0 and gcd(A, B, D) = 1.  That form is unique, so
-    equality compares coordinates, and each result costs a few integer
-    products and one gcd.  F = (p, m, pd) describes the field; results take
-    it from their operands, so one context's elements share one tuple.
-    `a`, `b` and `p` read the rational coordinates back.
+    equality compares coordinates.  F = (m, pd) is the field, compared by
+    value.  The operators are views on its raw kernel _quad_raw(F): both
+    operands as triples (_triple), the kernel's `mul` or `add`, and one
+    reduction by its `norm`, so a result is a QuadExt of F even when its s
+    part cancels.  `a`, `b` and `p` read the rational coordinates back.
     """
 
     __slots__ = ("A", "B", "D", "F")
@@ -373,27 +385,21 @@ class QuadExt(_Ring):
 
     def __init__(self, a, b, p):
         a, b, p = RAT(a), RAT(b), RAT(p)
-        F = (p, p.numerator * p.denominator, p.denominator)
+        F = (p.numerator * p.denominator, p.denominator)
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        _, _, _, norm, _ = _quad_raw(F)
         # a = A/D and b = B*pd/D
-        A, B, D = an * bd * F[2], bn * ad, ad * bd * F[2]
-        g = gcd(A, B, D)
-        self.A, self.B, self.D, self.F = A // g, B // g, D // g, F
+        x = norm((an * bd * F[1], bn * ad, ad * bd * F[1]))
+        self.A, self.B, self.D = x or (0, 0, 1)
+        self.F = F
 
     @staticmethod
-    def _make(F, A, B, D) -> "QuadExt":
-        # results of the arithmetic below: (A, B, D) is already canonical
+    def _make(F, x) -> "QuadExt":
+        # a canonical triple of F, or None for zero, as `norm` gives them
         out = object.__new__(QuadExt)
-        out.A, out.B, out.D, out.F = A, B, D, F
+        out.A, out.B, out.D = x or (0, 0, 1)
+        out.F = F
         return out
-
-    @staticmethod
-    def _reduced(F, A, B, D) -> "QuadExt":
-        # (A, B, D) with D > 0, divided by its common factor
-        g = gcd(A, B, D)
-        if g != 1:
-            A, B, D = A // g, B // g, D // g
-        return QuadExt._make(F, A, B, D)
 
     @property
     def a(self):
@@ -401,72 +407,53 @@ class QuadExt(_Ring):
 
     @property
     def b(self):
-        return RAT(self.B * self.F[2], self.D)
+        return RAT(self.B * self.F[1], self.D)
 
     @property
     def p(self):
-        return self.F[0]
-
-    def _same_field(self, other: "QuadExt") -> None:
-        if other.F is not self.F and other.F != self.F:
-            raise ValueError("mixed quadratic extensions")
+        m, pd = self.F
+        return RAT(m // pd, pd)
 
     def __add__(self, other):
-        if isinstance(other, QuadExt):
-            self._same_field(other)
-            D1, D2 = self.D, other.D
-            if D1 == D2:
-                return QuadExt._reduced(self.F, self.A + other.A,
-                                        self.B + other.B, D1)
-            return QuadExt._reduced(self.F, self.A * D2 + other.A * D1,
-                                    self.B * D2 + other.B * D1, D1 * D2)
-        if is_rational(other):
-            n, d = other.numerator, other.denominator
-            return QuadExt._reduced(self.F, self.A * d + n * self.D,
-                                    self.B * d, self.D * d)
-        return NotImplemented
+        F = self.F
+        y = _triple(F, other)
+        if y is None:
+            return NotImplemented
+        _, _, add, norm, _ = _quad_raw(F)
+        return QuadExt._make(F, norm(add(_triple(F, self), y)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt._make(self.F, -self.A, -self.B, self.D)
+        return QuadExt._make(self.F, (-self.A, -self.B, self.D))
 
     def _one(self) -> "QuadExt":
-        return QuadExt._make(self.F, 1, 0, 1)
+        return QuadExt._make(self.F, (1, 0, 1))
 
     def __mul__(self, other):
-        if isinstance(other, QuadExt):
-            self._same_field(other)
-            A1, B1, A2, B2 = self.A, self.B, other.A, other.B
-            return QuadExt._reduced(self.F, A1 * A2 + self.F[1] * B1 * B2,
-                                    A1 * B2 + A2 * B1, self.D * other.D)
-        if is_rational(other):
-            n = other.numerator
-            return QuadExt._reduced(self.F, self.A * n, self.B * n,
-                                    self.D * other.denominator)
-        return NotImplemented
+        F = self.F
+        y = _triple(F, other)
+        if y is None:
+            return NotImplemented
+        _, mul, _, norm, _ = _quad_raw(F)
+        return QuadExt._make(F, norm(mul(_triple(F, self), y)))
 
     __rmul__ = __mul__
 
     def inverse(self):
         # 1/((A + B sigma)/D) = D (A - B sigma) / (A^2 - m B^2)
-        A, B, D = self.A, self.B, self.D
-        n = A * A - self.F[1] * B * B
+        A, B, D, F = self.A, self.B, self.D, self.F
+        n = A * A - F[0] * B * B
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(s)")
         if n < 0:
             D, n = -D, -n
-        return QuadExt._reduced(self.F, D * A, -D * B, n)
+        _, _, _, norm, _ = _quad_raw(F)
+        return QuadExt._make(F, norm((D * A, -D * B, n)))
 
     def __eq__(self, other):
-        if isinstance(other, QuadExt):
-            self._same_field(other)
-            return (self.A == other.A and self.B == other.B
-                    and self.D == other.D)
-        if is_rational(other):
-            return (not self.B and self.A == other.numerator
-                    and self.D == other.denominator)
-        return NotImplemented
+        y = _triple(self.F, other)
+        return NotImplemented if y is None else y == (self.A, self.B, self.D)
 
     def __bool__(self):
         return bool(self.A) or bool(self.B)
@@ -476,26 +463,28 @@ class QuadExt(_Ring):
         return f"({self.a} + {self.b}*s)" if self.B else str(self.a)
 
 
+@lru_cache(maxsize=None)
 def _quad_raw(F):
-    """The raw kernel (lift, mul, add, norm, drop) of the field F of QuadExt,
-    for sums of products that would otherwise build an object per operation.
+    """The raw kernel (lift, mul, add, norm, drop) of the field F = (m, pd)
+    of QuadExt, built once per field: the one place where Q(s) arithmetic is
+    written.  QuadExt's operators are views on it, and hot sums of products
+    run on it with no object per operation.
 
     A raw value is QuadExt's integer triple (A, B, D), D > 0, reduced or not,
     or None for an exact zero.  `lift` takes a rational or a QuadExt of F to
     its triple (a nonzero rational n/d to (n, 0, d)); `mul` and `add` are the
-    integer formulas on nonzero triples, with no gcd and no object; `norm`
-    divides a triple by its gcd, giving None for zero; `drop` gives the
-    canonical scalar back: a QuadExt when B != 0, otherwise a RAT.
+    integer formulas on triples, with no gcd and no object; `norm` divides a
+    triple by its gcd, giving None for zero; `drop` gives the canonical
+    scalar back: a QuadExt when B != 0, otherwise a RAT.
     """
-    m = F[1]
+    m = F[0]
 
     def lift(x):
         if not x:
             return None
         if type(x) is QuadExt:
-            if x.F is not F and x.F != F:
-                raise ValueError("mixed quadratic extensions")
-            return (x.A, x.B, x.D)
+            # another F tuple: _triple checks that it is the same field
+            return (x.A, x.B, x.D) if x.F is F else _triple(F, x)
         return (x.numerator, 0, x.denominator)
 
     def mul(x, y):
@@ -533,7 +522,7 @@ def _quad_raw(F):
         if not B:
             return RAT(A, D)
         g = gcd(A, B, D)
-        return QuadExt._make(F, A // g, B // g, D // g)
+        return QuadExt._make(F, (A // g, B // g, D // g))
 
     return lift, mul, add, norm, drop
 
@@ -541,7 +530,7 @@ def _quad_raw(F):
 # the raw kernel of Q: a rational's triple keeps B = 0 through mul and add,
 # so the kernel of the trivial field s^2 = 1 serves, and lift refuses a
 # QuadExt of any real field
-RAT_RAW = _quad_raw((RAT_ONE, 1, 1))
+RAT_RAW = _quad_raw((1, 1))
 
 
 def _slot_nonzero(r) -> bool:

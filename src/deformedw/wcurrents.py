@@ -190,8 +190,9 @@ class ModeEngine:
 
     Every product and sum runs on the context's raw kernel ctx.raw = (lift,
     mul, add, norm, drop): bare integer triples over Q(s) with no gcd and no
-    object per operation (exact._quad_raw), the scalars and their operators
-    in the hbar limits, so all rings take this one path.  The engine lifts
+    object per operation (exact._quad_raw, which QuadExt's operators run on
+    too), the scalars and their operators in the hbar limits, so all rings
+    take this one path.  The engine lifts
     its option coefficients once, with the lift `mode_engine` passes, and
     keeps them in place of the blocks; f-weight coefficients are lifted
     where a landing pattern takes them, and a landing's kernel coefficient

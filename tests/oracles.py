@@ -3,13 +3,13 @@ exact Laurent polynomials and the formal delta distribution as windows, the
 empty-window test, the logarithm of a window, a geometric factor and a gamma
 product expanded factor by factor, a scalar's stored form, a log-kernel's
 log term in the scalar objects, the boson commutator, a contraction's kernel
-read back as scalars, a partition count, the leading term of a q-series, a
-reference model of the hbar series, the limit II comparison word by word,
-and the resummed pinned route in object arithmetic."""
+read back as scalars, a partition count, the leading term of a q-series,
+reference models of Q(s) and of the hbar series, the limit II comparison
+word by word, and the resummed pinned route in object arithmetic."""
 
 from deformedw import limits
 from deformedw.characters import partition_series
-from deformedw.exact import (RAT_ONE, RAT_ZERO, Cyc, exp_coeffs,
+from deformedw.exact import (RAT, RAT_ONE, RAT_ZERO, Cyc, exp_coeffs,
                              inverse_coeffs, is_rational, log_coeffs, rat,
                              scalar_inv)
 from deformedw.fock import kernel_coeffs
@@ -136,6 +136,68 @@ def leading(qs):
     """(exponent, coefficient) of the lowest term of a nonzero QSeries."""
     k = min(qs.coeffs)
     return rat(k, qs.res), qs.coeffs[k]
+
+
+class QuadModel:
+    """a + b*s with s^2 = p as a pair of Fractions (a, b), in the textbook
+    field arithmetic: (a1 + b1 s)(a2 + b2 s) = (a1 a2 + p b1 b2) +
+    (a1 b2 + a2 b1) s, and 1/(a + b s) = (a - b s)/(a^2 - p b^2).  A
+    reference model of exact.QuadExt and of the raw kernel of its field,
+    which work on integer triples over the basis pd*s instead."""
+
+    __slots__ = ("a", "b", "p")
+    __hash__ = None
+
+    def __init__(self, a, b, p):
+        self.a, self.b, self.p = RAT(a), RAT(b), RAT(p)
+
+    @staticmethod
+    def of(x, p) -> "QuadModel":
+        """A rational, or a QuadExt or QuadModel of s^2 = p read through its
+        rational coordinates."""
+        return QuadModel(x, 0, p) if is_rational(x) else QuadModel(x.a, x.b, p)
+
+    def __add__(self, other):
+        o = QuadModel.of(other, self.p)
+        return QuadModel(self.a + o.a, self.b + o.b, self.p)
+
+    def __neg__(self):
+        return QuadModel(-self.a, -self.b, self.p)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o, p = QuadModel.of(other, self.p), self.p
+        return QuadModel(self.a * o.a + p * self.b * o.b,
+                         self.a * o.b + o.a * self.b, p)
+
+    def inverse(self) -> "QuadModel":
+        n = self.a * self.a - self.p * self.b * self.b
+        if not n:
+            raise ZeroDivisionError("inverse of zero")
+        return QuadModel(self.a / n, -self.b / n, self.p)
+
+    def __truediv__(self, other):
+        return self * QuadModel.of(other, self.p).inverse()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = QuadModel(1, 0, self.p)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        o = QuadModel.of(other, self.p)
+        return (self.a, self.b) == (o.a, o.b)
+
+    def __bool__(self):
+        return bool(self.a or self.b)
 
 
 class HbarModel:

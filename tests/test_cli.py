@@ -155,6 +155,8 @@ def test_dump_unknown_id(capsys):
 @pytest.mark.parametrize("ident, message", [
     ("gamma:N=3:a=1", "pole of gamma"),   # gamma(s^1) sits on a pole
     ("gamma:N=3", "missing key 'a'"),
+    ("gamma:N=3:a=2:q=4/15:t=3/5", "degenerate point: p = q/t = 4/9 is the "
+     "square of a rational, so Q[s]/(s^2 - p) is Q x Q, not a field"),
 ])
 def test_dump_bad_input_fails_cleanly(capsys, ident, message):
     assert main(["dump", ident]) == 2
@@ -288,6 +290,7 @@ def test_shipped_and_benchmark_configs_pass_the_option_check():
     ("poles", "points = 2,-2"),           # degenerate point
     ("poles", "points = 9/4,1"),          # t = 1: 1 - t^-n vanishes
     ("zeta", "points = -1,3"),            # q = -1: 1 - q^n at even n
+    ("relations", "points = 4/15,3/5"),   # p = 4/9: Q(s) is Q x Q
     ("limit2", "nk_pairs = 2,0"),         # level zero
     ("limit2", "correlator_nk_pairs = 2,0"),
     ("zalgebra", "nk_pairs = 2,0"),

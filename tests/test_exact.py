@@ -6,10 +6,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from deformedw import exact
+from deformedw.cli import _scalar_json
+from deformedw.context import ScalarCtx
 from deformedw.exact import (Cyc, HbarSeries, QuadExt, RAT, RAT_ZERO,
                              _quad_raw, cyclotomic_poly, exp_coeffs,
                              inverse_coeffs, log_coeffs, rat)
-from oracles import HbarModel
+from oracles import HbarModel, QuadModel
 
 small_rats = st.builds(rat, st.integers(-20, 20), st.integers(1, 15))
 # int and RAT scalars, both of which Cyc arithmetic takes as rationals
@@ -94,10 +96,13 @@ def test_quadext_field():
     for _ in range(20):
         a = QuadExt(rand_rat(rng), rand_rat(rng), p)
         b = QuadExt(rand_rat(rng), rand_rat(rng), p)
+        ma, mb = QuadModel.of(a, p), QuadModel.of(b, p)
+        assert a * b == ma * mb and a + b == ma + mb
         assert (a + b) * (a - b) == a * a - b * b
         if a:
+            assert a.inverse() == ma.inverse()
             assert a * a.inverse() == 1
-            assert a ** -2 == (a * a).inverse()
+            assert a ** -2 == (a * a).inverse() == ma ** -2
     s = QuadExt(0, 1, p)
     assert s * s == p
     assert s ** 2 == QuadExt(p, 0, p)
@@ -112,15 +117,19 @@ def test_quadext_mixes_with_rationals():
     assert (2 - s) * (2 + s) == 4 - p
 
 
-# p = q/t at the default points, and two more fields, one with s^2 < 0
-QUAD_PS = (rat(9, 10), rat(10, 21), rat(2), rat(-3, 7))
+# p = q/t at the default points, and more fields: numerators and
+# denominators other than 1, so that the integral basis pd*s differs from
+# s, and negative p, where s^2 < 0
+QUAD_PS = (rat(9, 10), rat(10, 21), rat(2), rat(3, 5), rat(7, 12),
+           rat(-5, 3), rat(-3, 7), rat(1, 6))
+quad_ps = st.sampled_from(QUAD_PS)
 
 
 @st.composite
 def quad_operands(draw, count):
     """A field p and `count` scalars of it: rationals (int or RAT) and
     QuadExt values, some with a zero s part."""
-    p = draw(st.sampled_from(QUAD_PS))
+    p = draw(quad_ps)
     out = []
     for _ in range(count):
         a = draw(scalars)
@@ -132,14 +141,23 @@ def quad_operands(draw, count):
     return (p,) + tuple(out)
 
 
+def assert_quad(x, want):
+    """`x` is a QuadExt of the QuadModel value `want`: its rational
+    coordinates read back as RAT, its integer coordinates canonical."""
+    assert isinstance(x, QuadExt) and x.p == want.p
+    assert (x.a, x.b) == (want.a, want.b)
+    assert type(x.a) is RAT and type(x.b) is RAT
+    assert all(type(v) is int for v in (x.A, x.B, x.D))
+    assert x.D > 0 and gcd(x.A, x.B, x.D) == 1
+
+
 def assert_dropped(got, want):
-    """`got` is the canonical scalar of the value `want`: a QuadExt with the
-    same coordinates when the s part is nonzero, otherwise a RAT."""
-    if isinstance(want, QuadExt) and want.B:
-        assert type(got) is QuadExt
-        assert (got.A, got.B, got.D, got.F) == (want.A, want.B, want.D, want.F)
+    """`got` is the canonical scalar of the QuadModel value `want`: a
+    QuadExt when the s part is nonzero, otherwise a RAT."""
+    if want.b:
+        assert_quad(got, want)
     else:
-        assert type(got) is RAT and got == want
+        assert type(got) is RAT and got == want.a
 
 
 def assert_reduced(r):
@@ -150,40 +168,74 @@ def assert_reduced(r):
 
 
 @given(quad_operands(3), st.integers(-4, 4))
-def test_quad_raw_kernel_matches_quadext(data, n):
+def test_quad_kernel_and_operators_match_the_model(data, n):
     p, x, y, z = data
     s = QuadExt(0, 1, p)
     lift, mul, add, norm, drop = _quad_raw(s.F)
+
+    def model(v):
+        return QuadModel.of(v, p)
+
     # the second operand shares x's denominator (x + n), divides it (x * n),
     # cancels x's s part (n - s part of x) or all of x (-x)
     sx = x * 0 + (x.b if isinstance(x, QuadExt) else 0) * s
     pairs = [(x, y), (y, z), (x, x + n), (x, x * n), (x + n, x * n),
              (x, n - sx), (x, -x), (y, -y + n * s)]
     for a, b in pairs:
+        want = {"mul": model(a) * model(b), "add": model(a) + model(b)}
+        # the operators: a QuadExt operand gives a QuadExt, s part or not
+        for op, got in (("mul", a * b), ("add", a + b)):
+            if QuadExt in (type(a), type(b)):
+                assert_quad(got, want[op])
+            else:
+                assert got == want[op]
         ra, rb = lift(a), lift(b)
         for r, v in ((ra, a), (rb, b)):
             assert (r is None) == (not v)
-            assert_dropped(drop(r), v + 0 * s)
+            assert_dropped(drop(r), model(v))
             if r is not None:
                 assert_reduced(norm(r))
         if ra is None or rb is None:
             continue
-        for got, want in ((mul(ra, rb), a * b), (add(ra, rb), a + b)):
-            assert_dropped(drop(got), want + 0 * s)
+        for op, got in (("mul", mul(ra, rb)), ("add", add(ra, rb))):
+            assert_dropped(drop(got), want[op])
             red = norm(got)
-            if want:
+            if want[op]:
                 assert_reduced(red)
-                assert_dropped(drop(red), want + 0 * s)
+                assert_dropped(drop(red), want[op])
             else:
                 assert red is None and drop(red) == 0
     # an unreduced chain: (x*y + y*z) * (x + z), normalized once
+    want = (model(x) * model(y) + model(y) * model(z)) * (model(x) + model(z))
+    assert (x * y + y * z) * (x + z) == want
     terms = [lift(v) for v in (x, y, z)]
     if all(terms):
         rx, ry, rz = terms
         chain = mul(add(mul(rx, ry), mul(ry, rz)), add(rx, rz))
-        want = (x * y + y * z) * (x + z)
-        assert_dropped(drop(chain), want + 0 * s)
-        assert_dropped(drop(norm(chain)), want + 0 * s)
+        assert_dropped(drop(chain), want)
+        assert_dropped(drop(norm(chain)), want)
+
+
+def test_quad_results_keep_their_type_when_the_s_part_cancels():
+    p = rat(9, 10)
+    s, x = QuadExt(0, 1, p), QuadExt(rat(1, 3), rat(-2, 5), p)
+    drop = _quad_raw(s.F)[4]
+    no_s = QuadExt(rat(3, 7), 0, p)
+    for v in ((2 - s) * (2 + s), s * s, x - x, no_s.inverse()):
+        assert type(v) is QuadExt and v.B == 0
+        assert _scalar_json(v) == {"rational_part": str(v.a), "s_part": "0"}
+        # the kernel reads the same triple back as the rational it equals
+        back = drop((v.A, v.B, v.D))
+        assert type(back) is RAT and back == v.a
+
+
+def test_square_p_is_not_a_generic_point():
+    # p = 4/9: Q[s]/(s^2 - p) is Q x Q, where (2 - 3s)(2 + 3s) = 0
+    for q, t in ((rat(4, 15), rat(3, 5)), (rat(9, 2), rat(2))):
+        with pytest.raises(ValueError, match="degenerate point: .* square"):
+            ScalarCtx.generic(3, q, t)
+    # a negative p is no rational square: s^2 = -4/9 spans Q(i)
+    assert ScalarCtx.generic(3, rat(-4, 15), rat(3, 5)).s ** 2 == rat(-4, 9)
 
 
 def test_hbar_series_arithmetic():
@@ -500,55 +552,23 @@ def test_cyc_root_is_one_shared_value_per_residue(m):
         assert Cyc.root(m, k) is Cyc.root(m, k + m)
 
 
-# -- Q(s) against a reference model: a + b*s as a pair of Fractions, s^2 = p
+# -- Q(s) against the reference model oracles.QuadModel: a + b*s as a pair
+# of Fractions, s^2 = p
 
-# non-square p, with numerators and denominators other than 1 so that the
-# integral basis pd*s differs from s, and one negative p
-QUAD_PS = (rat(9, 10), rat(2), rat(3, 5), rat(7, 12), rat(-5, 3), rat(1, 6))
-quad_ps = st.sampled_from(QUAD_PS)
 quad_pairs = st.tuples(small_rats, small_rats)
-
-
-def ref_mul(x, y, p):
-    (a1, b1), (a2, b2) = x, y
-    return (a1 * a2 + b1 * b2 * p, a1 * b2 + a2 * b1)
-
-
-def ref_inv(x, p):
-    a, b = x
-    n = a * a - b * b * p
-    return (a / n, -b / n)
-
-
-def ref_pow(x, n, p):
-    if n < 0:
-        return ref_pow(ref_inv(x, p), -n, p)
-    out = (RAT(1), RAT(0))
-    for _ in range(n):
-        out = ref_mul(out, x, p)
-    return out
-
-
-def assert_quad(x, ref, p):
-    """`x` has the value of the reference pair, rational coordinates read
-    back as RAT, and integer coordinates in canonical form."""
-    assert isinstance(x, QuadExt) and x.p == p
-    assert (x.a, x.b) == tuple(ref)
-    assert type(x.a) is type(RAT_ZERO) and type(x.b) is type(RAT_ZERO)
-    assert all(type(v) is int for v in (x.A, x.B, x.D))
-    assert x.D > 0 and gcd(x.A, x.B, x.D) == 1
 
 
 @given(quad_ps, quad_pairs, quad_pairs)
 def test_quad_ring_ops_match_reference(p, u, v):
     x, y = QuadExt(*u, p), QuadExt(*v, p)
-    assert_quad(x + y, (u[0] + v[0], u[1] + v[1]), p)
-    assert_quad(x - y, (u[0] - v[0], u[1] - v[1]), p)
-    assert_quad(-x, (-u[0], -u[1]), p)
-    assert_quad(x * y, ref_mul(u, v, p), p)
+    mx, my = QuadModel(*u, p), QuadModel(*v, p)
+    assert_quad(x + y, mx + my)
+    assert_quad(x - y, mx - my)
+    assert_quad(-x, -mx)
+    assert_quad(x * y, mx * my)
     if y:
-        assert_quad(y.inverse(), ref_inv(v, p), p)
-        assert_quad(x / y, ref_mul(u, ref_inv(v, p), p), p)
+        assert_quad(y.inverse(), my.inverse())
+        assert_quad(x / y, mx / my)
     else:
         with pytest.raises(ZeroDivisionError):
             y.inverse()
@@ -556,28 +576,27 @@ def test_quad_ring_ops_match_reference(p, u, v):
 
 @given(quad_ps, quad_pairs, scalars)
 def test_quad_rational_operands_on_both_sides(p, u, r):
-    x = QuadExt(*u, p)
-    a, b = u
-    assert_quad(x + r, (a + r, b), p)
-    assert_quad(r + x, (a + r, b), p)
-    assert_quad(x - r, (a - r, b), p)
-    assert_quad(r - x, (r - a, -b), p)
-    assert_quad(x * r, (a * r, b * r), p)
-    assert_quad(r * x, (a * r, b * r), p)
+    x, mx = QuadExt(*u, p), QuadModel(*u, p)
+    assert_quad(x + r, mx + r)
+    assert_quad(r + x, mx + r)
+    assert_quad(x - r, mx - r)
+    assert_quad(r - x, r - mx)
+    assert_quad(x * r, mx * r)
+    assert_quad(r * x, mx * r)
     if r:
-        assert_quad(x / r, (a / RAT(r), b / RAT(r)), p)
+        assert_quad(x / r, mx / r)
     else:
         with pytest.raises(ZeroDivisionError):
             x / r
     if x:
-        assert_quad(r / x, ref_mul((RAT(r), RAT(0)), ref_inv(u, p), p), p)
+        assert_quad(r / x, mx.inverse() * r)
 
 
 @given(quad_ps, quad_pairs, st.integers(-4, 4))
 def test_quad_pow_matches_reference(p, u, n):
     x = QuadExt(*u, p)
     assume(x or n >= 0)
-    assert_quad(x ** n, ref_pow(u, n, p), p)
+    assert_quad(x ** n, QuadModel(*u, p) ** n)
 
 
 @given(quad_ps, quad_pairs, quad_pairs, scalars)
@@ -631,9 +650,11 @@ def test_quad_mixed_extensions_raise(p1, p2, u, v):
     x, y = QuadExt(*u, p1), QuadExt(*v, p2)
     ops = [lambda: x + y, lambda: x - y, lambda: x * y, lambda: x == y]
     if y:
-        ops.append(lambda: x / y)
+        # the kernels of x's field and of Q refuse y; a zero lifts to None
+        ops += [lambda: x / y, lambda: _quad_raw(x.F)[0](y),
+                lambda: exact.RAT_RAW[0](y)]
     for op in ops:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mixed quadratic extensions"):
             op()
 
 
@@ -823,3 +844,10 @@ def test_derived_ring_ops_defined_once():
             allowed, op
     for x in (Cyc.root(4), QuadExt(1, 1, 2), HbarSeries.hbar(3)):
         assert isinstance(x, exact._Ring) and not hasattr(x, "__dict__")
+
+
+def test_quad_arithmetic_is_the_kernel_alone():
+    # QuadExt's operators are views on its field's raw kernel: no reduction
+    # or field check of their own, and one place refuses a mixed field
+    assert not {"_reduced", "_same_field"} & set(vars(QuadExt))
+    assert inspect.getsource(exact).count('"mixed quadratic extensions"') == 1
